@@ -328,3 +328,31 @@ def integrate(c: LoadCurve, lo: float, hi: float) -> float:
     knots = np.concatenate(([lo], inside, [hi]))
     v = np.interp(knots, t, c.values)
     return float(0.5 * np.sum((knots[1:] - knots[:-1]) * (v[1:] + v[:-1])))
+
+
+def _antiderivative(c: LoadCurve, bounds: np.ndarray) -> np.ndarray:
+    """An antiderivative F of the curve at every entry of `bounds`, in one pass.
+
+    `bounds` must lie inside the curve's interval; only differences of F
+    are meaningful, and F(hi) - F(lo) is the integral over [lo, hi].
+    Analytic curves use the closed form `integrate` uses, vectorised over
+    the bounds. Sampled curves take the cumulative trapezoid sum at the
+    grid points and add the linear interpolant's integral over the partial
+    cell each bound closes, found by binary search. Time and memory are
+    O(N + len(bounds)).
+    """
+    iv = c.interval
+    if isinstance(c, AnalyticCurve):
+        out = c.constant * (bounds - iv.t1)
+        w0 = 2.0 * np.pi * iv.f0
+        for n, ca, sa in c.harmonics:
+            w = w0 * n
+            out += (ca * np.sin(w * bounds) - sa * np.cos(w * bounds)) / w
+        return out
+    t, v = c.times(), c.values
+    dt = np.diff(t)
+    cumulative = np.concatenate(([0.0], np.cumsum(0.5 * dt * (v[1:] + v[:-1]))))
+    k = np.clip(np.searchsorted(t, bounds, side="right") - 1, 0, v.size - 2)
+    step = bounds - t[k]
+    slope = (v[k + 1] - v[k]) / dt[k]
+    return cumulative[k] + step * (v[k] + 0.5 * slope * step)

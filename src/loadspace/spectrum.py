@@ -14,6 +14,8 @@ coordinate 2n.
 """
 from __future__ import annotations
 
+import bisect
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,10 +70,14 @@ class Spectrum:
         object.__setattr__(self, "harmonics", ordered)
 
     def coefficient(self, n: int) -> tuple[float, float]:
-        """(a_n, b_n) for order n; (0, 0) when the order is absent."""
-        for h in self.harmonics:
-            if h.order == n:
-                return (h.cos_amp, h.sin_amp)
+        """(a_n, b_n) for order n; (0, 0) when the order is absent.
+
+        Binary search over the harmonics, which are sorted by order.
+        """
+        i = bisect.bisect_left(self.harmonics, n, key=lambda h: h.order)
+        if i < len(self.harmonics) and self.harmonics[i].order == n:
+            h = self.harmonics[i]
+            return (h.cos_amp, h.sin_amp)
         return (0.0, 0.0)
 
 
@@ -120,15 +126,26 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         a_n = (2/T0) * integral of l(t) cos(2 pi n f0 t) dt
         b_n = (2/T0) * integral of l(t) sin(2 pi n f0 t) dt
 
-    by trapezoid quadrature on the sample grid.
+    by trapezoid quadrature on the sample grid t_i = t1 + i*h, h = T0/(N-1).
+    Every order-n harmonic repeats after N-1 steps, so the last sample
+    folds onto the first and the quadrature is one real FFT of length N-1:
+
+        x_0 = h*(v_0 + v_{N-1})/2,  x_i = h*v_i  (0 < i < N-1)
+        z_n = exp(-2 pi i n t1/T0) * rfft(x)_n
+        a_n = (2/T0) Re z_n,  b_n = -(2/T0) Im z_n
+
+    with t1/T0 reduced modulo 1 before the phase is formed. This is the
+    same trapezoid sum an n_max x N cos/sin matrix would give, in
+    O(N log N) time and O(N) memory.
 
     Parameters
     ----------
     c : LoadCurve
         Curve to analyze.
     n_max : int
-        Truncation order, >= 1. Sampled curves must satisfy
-        N >= 2*n_max + 2 so order n_max is resolvable on the grid.
+        Truncation order, an integer >= 1 (bool is refused). Sampled
+        curves must satisfy N >= 2*n_max + 2 so order n_max is resolvable
+        on the grid, i.e. lies in the rfft output.
     drop_tol : float, optional
         Harmonics with |a_n| and |b_n| both below this threshold are
         omitted from the result. Defaults to 1e-12 * norm(c).
@@ -136,8 +153,12 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
     Raises
     ------
     ValueError
-        On a non-positive n_max, or a sampled curve with too few points.
+        On a non-integer or non-positive n_max, or a sampled curve with
+        too few points.
     """
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
+    n_max = int(n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if drop_tol is None:
@@ -147,24 +168,25 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         a0 = 2.0 * c.constant
         pairs = [h for h in c.harmonics if h.order <= n_max]
     else:
-        n_samples = c.values.size
+        v = c.values
+        n_samples = v.size
         if n_samples < 2 * n_max + 2:
             raise ValueError(
                 f"insufficient samples for order n_max={n_max}: "
                 f"need at least {2 * n_max + 2}, got {n_samples}"
             )
         iv = c.interval
-        t = c.times()
-        w = np.full(n_samples, (iv.t2 - iv.t1) / (n_samples - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        wv = w * c.values
-        a0 = 2.0 / iv.duration * float(np.sum(wv))
-        orders = np.arange(1, n_max + 1)
-        phase = (2.0 * np.pi * iv.f0) * np.outer(orders, t)
-        a = 2.0 / iv.duration * (np.cos(phase) @ wv)
-        b = 2.0 / iv.duration * (np.sin(phase) @ wv)
-        pairs = [Harmonic(int(n), float(a[i]), float(b[i])) for i, n in enumerate(orders)]
+        dt = iv.duration / (n_samples - 1)
+        x = dt * v[:-1]
+        x[0] = 0.5 * dt * (v[0] + v[-1])
+        orders = np.arange(n_max + 1)
+        shift = np.exp(-2j * np.pi * ((iv.t1 / iv.duration) % 1.0) * orders)
+        z = (2.0 / iv.duration) * (np.fft.rfft(x)[: n_max + 1] * shift)
+        a0 = float(z[0].real)
+        pairs = [
+            Harmonic(n, a, b)
+            for n, a, b in zip(range(1, n_max + 1), z.real[1:].tolist(), (-z.imag[1:]).tolist())
+        ]
 
     kept = tuple(
         h for h in pairs if abs(h.cos_amp) > drop_tol or abs(h.sin_amp) > drop_tol

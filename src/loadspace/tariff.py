@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .curve import Interval, LoadCurve, energy, integrate
+from .curve import Interval, LoadCurve, _antiderivative, energy
 from .spectrum import DynamismVector, MuCoord, Spectrum, mu_index_cos, mu_index_sin
 
 __all__ = [
@@ -180,15 +180,17 @@ class Bill:
 
 def classic_payment(unit_price: float, c: LoadCurve) -> float:
     """Flat tariff: unit price times total energy."""
-    if unit_price <= 0:
-        raise ValueError(f"unit price must be positive, got {unit_price}")
+    if not (math.isfinite(unit_price) and unit_price > 0):
+        raise ValueError(f"unit price must be finite and positive, got {unit_price}")
     return unit_price * energy(c)
 
 
 def unit_price_from_gross(gross_cost: float, gross_energy: float) -> float:
     """Flat unit price recovering a gross cost over a gross delivered energy."""
-    if gross_energy <= 0:
-        raise ValueError(f"gross energy must be positive, got {gross_energy}")
+    if not (math.isfinite(gross_energy) and gross_energy > 0):
+        raise ValueError(f"gross energy must be finite and positive, got {gross_energy}")
+    if not math.isfinite(gross_cost):
+        raise ValueError(f"gross cost must be finite, got {gross_cost}")
     return gross_cost / gross_energy
 
 
@@ -205,12 +207,7 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
             f"[{c.interval.t1}, {c.interval.t2}]"
         )
     bounds = np.linspace(plan.interval.t1, plan.interval.t2, plan.cycle_count + 1)
-    return float(
-        sum(
-            p * integrate(c, bounds[k], bounds[k + 1])
-            for k, p in enumerate(plan.unit_prices)
-        )
-    )
+    return float(np.diff(_antiderivative(c, bounds)) @ np.asarray(plan.unit_prices))
 
 
 def _polarity(supply_coeff: float, load_coeff: float) -> float:

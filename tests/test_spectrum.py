@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from loadspace import (
     AnalyticCurve,
@@ -14,6 +15,7 @@ from loadspace import (
     Harmonic,
     Interval,
     MuCoord,
+    SampledCurve,
     Spectrum,
     add,
     analyze,
@@ -86,10 +88,66 @@ def test_analyze_rejects_bad_nmax(l1):
         analyze(l1, 0)
 
 
+@pytest.mark.parametrize("n_max", [2.5, 3.0, True, "3", None])
+def test_analyze_rejects_non_integer_nmax(l1, n_max):
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        analyze(l1, n_max)
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        analyze(sample(l1, 64), n_max)
+
+
+def test_analyze_accepts_numpy_integer_nmax(l1):
+    assert analyze(l1, np.int64(100)) == analyze(l1, 100)
+
+
 def test_analyze_drop_threshold_configurable():
     c = AnalyticCurve(UNIT, 50.0, (Harmonic(2, 1e-9, 0.0),))
     assert analyze(c, 4).coefficient(2)[0] == 1e-9  # above default 1e-12*norm
     assert analyze(c, 4, drop_tol=1e-6).coefficient(2) == (0.0, 0.0)
+
+
+def _trapezoid_spectrum(c: SampledCurve, n_max: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Definitional trapezoid sums for a0, a_n, b_n, as an explicit cos/sin matrix.
+
+    The phase 2*pi*n*t_i/T0 is formed from t1/T0 reduced modulo 1 plus
+    i/(N-1); the reduction is exact for integer n and keeps large offsets
+    accurate.
+    """
+    iv, v = c.interval, c.values
+    n_samples = v.size
+    w = np.full(n_samples, iv.duration / (n_samples - 1))
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    offset = (iv.t1 / iv.duration) % 1.0 + np.arange(n_samples) / (n_samples - 1)
+    phase = 2.0 * np.pi * np.outer(np.arange(1, n_max + 1), offset)
+    scale_ = 2.0 / iv.duration
+    return scale_ * float(w @ v), scale_ * (np.cos(phase) @ (w * v)), scale_ * (np.sin(phase) @ (w * v))
+
+
+@st.composite
+def sampled_for_analysis(draw):
+    n_max = draw(st.integers(min_value=1, max_value=60))
+    n_samples = draw(st.integers(min_value=2 * n_max + 2, max_value=2 * n_max + 300))
+    t1 = draw(st.one_of(
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.floats(min_value=-1e6, max_value=1e6),
+    ))
+    t0 = draw(st.floats(min_value=0.01, max_value=100.0))
+    values = draw(hnp.arrays(np.float64, n_samples, elements=st.floats(min_value=-1e3, max_value=1e3)))
+    return SampledCurve(Interval(t1, t1 + t0), values), n_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampled_for_analysis())
+def test_fft_analyze_equals_trapezoid_matrix(case):
+    c, n_max = case
+    a0, a, b = _trapezoid_spectrum(c, n_max)
+    s = analyze(c, n_max, drop_tol=0.0)
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(c.values))))
+    assert abs(s.a0 - a0) <= tol
+    got = np.array([s.coefficient(n) for n in range(1, n_max + 1)])
+    assert np.max(np.abs(got[:, 0] - a)) <= tol
+    assert np.max(np.abs(got[:, 1] - b)) <= tol
 
 
 def test_spectrum_validation():

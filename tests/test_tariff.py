@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from loadspace import (
     AnalyticCurve,
@@ -24,6 +25,7 @@ from loadspace import (
     classic_payment,
     dynamism_payment,
     incentive_direction,
+    integrate,
     mu_index_cos,
     mu_index_sin,
     payment_gradient,
@@ -35,7 +37,7 @@ from loadspace import (
     unit_price_from_gross,
 )
 
-from conftest import UNIT, analytic_curves
+from conftest import UNIT, analytic_curves, intervals
 
 # full-precision totals of the four reference bills, frozen from an
 # independent evaluation of the payment formula with log10 pricing
@@ -123,11 +125,24 @@ def test_classic_payment_rejects_bad_price(l1):
         classic_payment(0.0, l1)
 
 
+@pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf, -1.0])
+def test_classic_payment_rejects_non_finite_price(l1, price):
+    with pytest.raises(ValueError, match="finite and positive"):
+        classic_payment(price, l1)
+
+
 def test_unit_price_from_gross():
     assert unit_price_from_gross(1000.0, 50.0) == 20.0
     assert unit_price_from_gross(0.0, 5.0) == 0.0
     with pytest.raises(ValueError, match="positive"):
         unit_price_from_gross(10.0, 0.0)
+
+
+@pytest.mark.parametrize("cost, energy_", [(1.0, math.nan), (1.0, math.inf), (1.0, -2.0),
+                                           (math.nan, 5.0), (math.inf, 5.0)])
+def test_unit_price_from_gross_rejects_non_finite(cost, energy_):
+    with pytest.raises(ValueError, match="finite"):
+        unit_price_from_gross(cost, energy_)
 
 
 def test_unit_price_round_trip():
@@ -180,6 +195,37 @@ def test_spot_sampled_matches_per_cycle_trapezoid(l1):
     first = dt * (np.sum(v[: mid + 1]) - 0.5 * (v[0] + v[mid]))
     second = dt * (np.sum(v[mid:]) - 0.5 * (v[mid] + v[-1]))
     assert spot_payment(plan, c) == pytest.approx(10.0 * first + 30.0 * second, rel=1e-12)
+
+
+@st.composite
+def sampled_curves(draw):
+    n_samples = draw(st.integers(min_value=2, max_value=200))
+    values = draw(hnp.arrays(np.float64, n_samples, elements=st.floats(min_value=-1e3, max_value=1e3)))
+    return SampledCurve(draw(intervals()), values)
+
+
+def _spot_per_cycle(plan: SpotPlan, c) -> tuple[float, float]:
+    """Sum of p_k * integrate(c, b_k, b_k+1), and the same sum of absolute terms."""
+    bounds = np.linspace(plan.interval.t1, plan.interval.t2, plan.cycle_count + 1)
+    terms = [p * integrate(c, bounds[k], bounds[k + 1]) for k, p in enumerate(plan.unit_prices)]
+    return sum(terms), sum(abs(x) for x in terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(sampled_curves(), analytic_curves(interval=None, max_order=40)),
+    st.data(),
+)
+def test_spot_payment_equals_per_cycle_integrals(c, data):
+    n_samples = c.values.size if isinstance(c, SampledCurve) else 50
+    cycles = data.draw(st.integers(min_value=1, max_value=3 * n_samples))  # above N too
+    prices = data.draw(st.lists(st.floats(min_value=0.01, max_value=500.0), min_size=cycles, max_size=cycles))
+    plan = SpotPlan(c.interval, tuple(prices))
+    expected, magnitude = _spot_per_cycle(plan, c)
+    # a signed load can cancel to a total near zero; rounding in either sum
+    # is set by the terms, so the absolute tolerance scales with their sum
+    # (which is |total| for a nonnegative load)
+    assert spot_payment(plan, c) == pytest.approx(expected, rel=1e-12, abs=1e-12 * (1.0 + magnitude))
 
 
 def test_spot_interval_mismatch_raises(l1):
