@@ -4,124 +4,23 @@ The package treats a power trajectory on [t1, t2] as an element of the
 L2 function space, decomposes it into Fourier-based dynamism coordinates,
 bills it under flat, spot and dynamism tariffs, and calibrates the
 supply-cost characteristic those tariffs should reflect.
+
+The public names are those of each module's own ``__all__``.
 """
-from .curve import (
-    AnalyticCurve,
-    Harmonic,
-    Interval,
-    LoadCurve,
-    SampledCurve,
-    add,
-    average_power,
-    distance,
-    energy,
-    evaluate,
-    inner_product,
-    integrate,
-    norm,
-    sample,
-    scale,
-)
-from .spectrum import (
-    DynamismVector,
-    MuCoord,
-    Spectrum,
-    analyze,
-    mu_index_cos,
-    mu_index_sin,
-    parseval_energy,
-    synthesize,
-    to_mu_vector,
-    truncation_error,
-)
-from .tariff import (
-    Bill,
-    DynamismPlan,
-    DynamismRates,
-    FlatPlan,
-    LineItem,
-    PriceFrequencyFunction,
-    SpotPlan,
-    TariffPlan,
-    classic_payment,
-    dynamism_payment,
-    incentive_direction,
-    payment_gradient,
-    price_frequency_value,
-    rates_payment,
-    spot_payment,
-    unit_price_from_gross,
-)
-from .calibrate import (
-    CostCharacteristic,
-    CostObservation,
-    calibrate_iota,
-    pricing_from_cost,
-    supply_cost,
-)
-from .scenarios import (
-    ScenarioCheck,
-    ScenarioReport,
-    builtin_loads,
-    builtin_plans,
-    case1_demo,
-    reproduce_table1,
-)
+from . import calibrate, curve, scenarios, spectrum, tariff
+from .curve import *
+from .spectrum import *
+from .tariff import *
+from .calibrate import *
+from .scenarios import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Interval",
-    "Harmonic",
-    "AnalyticCurve",
-    "SampledCurve",
-    "LoadCurve",
-    "add",
-    "scale",
-    "evaluate",
-    "sample",
-    "inner_product",
-    "norm",
-    "distance",
-    "energy",
-    "average_power",
-    "integrate",
-    "Spectrum",
-    "MuCoord",
-    "DynamismVector",
-    "mu_index_cos",
-    "mu_index_sin",
-    "analyze",
-    "synthesize",
-    "to_mu_vector",
-    "parseval_energy",
-    "truncation_error",
-    "PriceFrequencyFunction",
-    "FlatPlan",
-    "SpotPlan",
-    "DynamismPlan",
-    "DynamismRates",
-    "TariffPlan",
-    "LineItem",
-    "Bill",
-    "classic_payment",
-    "unit_price_from_gross",
-    "spot_payment",
-    "price_frequency_value",
-    "dynamism_payment",
-    "rates_payment",
-    "payment_gradient",
-    "incentive_direction",
-    "CostCharacteristic",
-    "CostObservation",
-    "supply_cost",
-    "calibrate_iota",
-    "pricing_from_cost",
-    "ScenarioCheck",
-    "ScenarioReport",
-    "builtin_loads",
-    "builtin_plans",
-    "reproduce_table1",
-    "case1_demo",
+    *curve.__all__,
+    *spectrum.__all__,
+    *tariff.__all__,
+    *calibrate.__all__,
+    *scenarios.__all__,
     "__version__",
 ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Interval, LoadCurve
+from .curve import Interval, LoadCurve, _require_int
 from .spectrum import DynamismVector, analyze, to_mu_vector
 from .tariff import DynamismRates
 
@@ -39,7 +39,7 @@ class CostCharacteristic:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.iota, dtype=float)
-        if self.n_max < 1:
+        if _require_int(self.n_max, "n_max") < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         k = 1 + 2 * self.n_max
         if v.shape != (k,):
@@ -71,8 +71,8 @@ def supply_cost(cc: CostCharacteristic, mu: DynamismVector) -> float:
     """
     if cc.interval != mu.interval:
         raise ValueError("incompatible intervals: characteristic and coordinates disagree")
-    k_max = cc.iota.size
-    return float(sum(cc.iota[k] * v for k, v in mu.coords if k < k_max))
+    k = min(cc.iota.size, mu.values.size)
+    return float(cc.iota[:k] @ mu.values[:k])
 
 
 def calibrate_iota(
@@ -94,8 +94,8 @@ def calibrate_iota(
     n_max : int
         Truncation order of the fitted characteristic.
     ridge : float, optional
-        Nonnegative Tikhonov weight for noisy data; 0 (the default)
-        solves plain least squares.
+        Finite nonnegative Tikhonov weight for noisy data; 0 (the
+        default) solves plain least squares.
 
     Raises
     ------
@@ -104,10 +104,10 @@ def calibrate_iota(
         "degenerate observation set" when the design matrix is rank
         deficient (rank gate at 1e-10 times the largest singular value).
     """
-    if n_max < 1:
+    if _require_int(n_max, "n_max") < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
     if not observations:
         raise ValueError("underdetermined: no observations")
     interval = observations[0].load.interval
@@ -120,11 +120,10 @@ def calibrate_iota(
     if m < k:
         raise ValueError(f"underdetermined: {m} observations for {k} unknowns")
 
-    x = np.zeros((m, k))
+    x = np.empty((m, k))
     y = np.empty(m)
     for i, obs in enumerate(observations):
-        mu = to_mu_vector(analyze(obs.load, n_max))
-        x[i] = mu.dense(k)
+        x[i] = to_mu_vector(analyze(obs.load, n_max)).values
         y[i] = obs.observed_cost
 
     singular = np.linalg.svd(x, compute_uv=False)

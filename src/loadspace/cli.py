@@ -24,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibrate import CostObservation, calibrate_iota, supply_cost
+from .calibrate import CostCharacteristic, CostObservation, calibrate_iota, supply_cost
 from .curve import Interval, SampledCurve, distance, inner_product
-from .spectrum import Spectrum, analyze, parseval_energy, to_mu_vector
+from .spectrum import Spectrum, analyze, mu_index_cos, mu_index_sin, parseval_energy, to_mu_vector
 from .tariff import (
     Bill,
     DynamismPlan,
@@ -158,15 +158,34 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _coordinate_meta(k: int, f0: float) -> tuple[str, int, float]:
-    """(kind, order, frequency) of flat coordinate index k."""
-    if k == 0:
-        return ("energy", 0, 0.0)
-    if k % 2 == 1:
-        n = (k + 1) // 2
-        return ("cos", n, n * f0)
-    n = k // 2
-    return ("sin", n, n * f0)
+def _write_csv(fh, rows) -> None:
+    """Write rows (a list or a generator) as CSV, each as soon as it is produced."""
+    csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _harmonic_rows(spec: Spectrum):
+    """(order, frequency, a_n, b_n) for every harmonic the spectrum holds."""
+    f0 = spec.interval.f0
+    for n, a, b in spec.harmonics:
+        yield n, n * f0, a, b
+
+
+def _spectrum_csv(spec: Spectrum):
+    """CSV rows of a spectrum: header, the order-0 row carrying a0, then the harmonics."""
+    yield ["order", "f", "a", "b"]
+    yield [0, _full(0.0), _full(spec.a0), _full(0.0)]
+    for n, f, a, b in _harmonic_rows(spec):
+        yield [n, _full(f), _full(a), _full(b)]
+
+
+def _iota_rows(cc: CostCharacteristic):
+    """(index, kind, order, frequency, iota) for every coordinate, in index order."""
+    f0 = cc.interval.f0
+    iota = cc.iota.tolist()
+    yield 0, "energy", 0, 0.0, iota[0]
+    for n in range(1, cc.n_max + 1):
+        for k, kind in ((mu_index_cos(n), "cos"), (mu_index_sin(n), "sin")):
+            yield k, kind, n, n * f0, iota[k]
 
 
 def _render_bill_table(bill: Bill, heading: str) -> None:
@@ -213,8 +232,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
                 "n_max": spec.n_max,
                 "a0": spec.a0,
                 "harmonics": [
-                    {"order": h.order, "f": h.order * iv.f0, "a": h.cos_amp, "b": h.sin_amp}
-                    for h in spec.harmonics
+                    {"order": n, "f": f, "a": a, "b": b} for n, f, a, b in _harmonic_rows(spec)
                 ],
                 "parseval_energy": pe,
                 "norm_squared": nsq,
@@ -222,21 +240,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             }
         )
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["order", "f", "a", "b"])
-        writer.writerow([0, _full(0.0), _full(spec.a0), _full(0.0)])
-        for h in spec.harmonics:
-            writer.writerow([h.order, _full(h.order * iv.f0), _full(h.cos_amp), _full(h.sin_amp)])
+        _write_csv(sys.stdout, _spectrum_csv(spec))
     else:
         print(f"spectrum on [{_fmt(iv.t1)}, {_fmt(iv.t2)}], n_max {spec.n_max}")
         print(f"  a0 = {_fmt(spec.a0)}  (energy {_fmt(0.5 * iv.duration * spec.a0)})")
         if spec.harmonics:
             print("    order  frequency        a_n        b_n")
-            for h in spec.harmonics:
-                print(
-                    f"    {h.order:>5}  {_fmt(h.order * iv.f0):>9}"
-                    f"  {_fmt(h.cos_amp):>9}  {_fmt(h.sin_amp):>9}"
-                )
+            for n, f, a, b in _harmonic_rows(spec):
+                print(f"    {n:>5}  {_fmt(f):>9}  {_fmt(a):>9}  {_fmt(b):>9}")
         else:
             print("    no harmonics above the drop threshold")
         shown = "n/a" if ratio is None else _fmt(ratio)
@@ -316,7 +327,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         observations.append(CostObservation(_read_profile(path), cost))
 
     cc = calibrate_iota(observations, args.nmax, ridge=args.ridge)
-    f0 = cc.interval.f0
     residuals = [
         obs.observed_cost - supply_cost(cc, to_mu_vector(analyze(obs.load, args.nmax)))
         for obs in observations
@@ -331,13 +341,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
                 "t2": cc.interval.t2,
                 "n_max": cc.n_max,
                 "iota": [
-                    dict(
-                        zip(
-                            ("index", "kind", "order", "f", "value"),
-                            (k, *_coordinate_meta(k, f0), float(cc.iota[k])),
-                        )
-                    )
-                    for k in range(cc.iota.size)
+                    dict(zip(("index", "kind", "order", "f", "value"), row)) for row in _iota_rows(cc)
                 ],
                 "residuals": {"max_abs": max_abs, "rms": rms, "per_observation": residuals},
             }
@@ -345,9 +349,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     else:
         print(f"cost characteristic on [{_fmt(cc.interval.t1)}, {_fmt(cc.interval.t2)}], n_max {cc.n_max}")
         print("    index  kind    order  frequency      iota")
-        for k in range(cc.iota.size):
-            kind, order, f = _coordinate_meta(k, f0)
-            print(f"    {k:>5}  {kind:<6}  {order:>5}  {_fmt(f):>9}  {_fmt(float(cc.iota[k])):>9}")
+        for k, kind, order, f, value in _iota_rows(cc):
+            print(f"    {k:>5}  {kind:<6}  {order:>5}  {_fmt(f):>9}  {_fmt(value):>9}")
         print(f"  residual max {_fmt(max_abs)}, rms {_fmt(rms)} over {len(residuals)} observations")
     return 0
 
@@ -371,44 +374,43 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _pff_csv(plan: DynamismPlan, fmax: float, fstep: float):
+    """CSV rows of both price-frequency functions at f_i = i*fstep, up to fmax.
+
+    fmax itself is included when it is a multiple of fstep up to rounding;
+    a step that rounds past fmax is printed as fmax.
+    """
+    yield ["f", "alpha", "beta"]
+    for i in range(math.floor(fmax / fstep * (1.0 + 1e-9)) + 1):
+        f = min(i * fstep, fmax)
+        yield [
+            _full(f),
+            _full(price_frequency_value(plan.alpha, f)),
+            _full(price_frequency_value(plan.beta, f)),
+        ]
+
+
 def _cmd_plotdata(args: argparse.Namespace) -> int:
-    rows: list[list] = []
     if args.what == "pff":
         plan = _resolve_plan(args.source)
         if not isinstance(plan, DynamismPlan):
             raise InputFormatError(f"{args.source}: pff data needs a dynamism plan")
-        if args.fstep <= 0:
-            raise ValueError(f"fstep must be positive, got {args.fstep}")
-        rows.append(["f", "alpha", "beta"])
-        f = 0.0
-        while f <= args.fmax:
-            rows.append(
-                [
-                    _full(f),
-                    _full(price_frequency_value(plan.alpha, f)),
-                    _full(price_frequency_value(plan.beta, f)),
-                ]
-            )
-            f += args.fstep
+        if not (math.isfinite(args.fstep) and args.fstep > 0):
+            raise ValueError(f"fstep must be finite and positive, got {args.fstep}")
+        if not (math.isfinite(args.fmax) and args.fmax >= 0 and math.isfinite(args.fmax / args.fstep)):
+            raise ValueError(f"fmax must be finite, nonnegative and within range of fstep, got {args.fmax}")
+        rows = _pff_csv(plan, args.fmax, args.fstep)
     elif args.what == "curve":
         curve = _read_profile(args.source)
-        rows.append(["t", "power"])
-        for t, v in zip(curve.times(), curve.values):
-            rows.append([_full(t), _full(v)])
+        rows = [["t", "power"], *([_full(t), _full(v)] for t, v in zip(curve.times(), curve.values))]
     else:
-        curve = _read_profile(args.source)
-        spec = analyze(curve, args.nmax)
-        f0 = spec.interval.f0
-        rows.append(["order", "f", "a", "b"])
-        rows.append([0, _full(0.0), _full(spec.a0), _full(0.0)])
-        for h in spec.harmonics:
-            rows.append([h.order, _full(h.order * f0), _full(h.cos_amp), _full(h.sin_amp)])
+        rows = _spectrum_csv(analyze(_read_profile(args.source), args.nmax))
 
     if args.out and args.out != "-":
         with open(args.out, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+            _write_csv(fh, rows)
     else:
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        _write_csv(sys.stdout, rows)
     return 0
 
 

@@ -13,6 +13,7 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -69,12 +70,19 @@ class Harmonic(NamedTuple):
     sin_amp: float
 
 
+def _require_int(value, name: str) -> int:
+    """`value` as an int; ValueError unless it is an integer (bool is refused)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _canonical_harmonics(harmonics) -> tuple[Harmonic, ...]:
     """Sort by order, validate, and drop components that are exactly zero."""
     seen: set[int] = set()
     kept: list[Harmonic] = []
     for h in harmonics:
-        h = Harmonic(int(h[0]), float(h[1]), float(h[2]))
+        h = Harmonic(_require_int(h[0], "harmonic order"), float(h[1]), float(h[2]))
         if h.order < 1:
             raise ValueError(f"harmonic order must be >= 1, got {h.order}")
         if h.order in seen:
@@ -167,12 +175,12 @@ def evaluate(c: LoadCurve, t):
     """Evaluate a curve at time t (scalar or array) inside its interval.
 
     Analytic curves use the closed form; sampled curves interpolate
-    linearly between neighboring grid points. Times outside [t1, t2]
-    raise ValueError.
+    linearly between neighboring grid points. Times outside [t1, t2],
+    NaN included, raise ValueError.
     """
     ts = np.asarray(t, dtype=float)
     iv = c.interval
-    if np.any(ts < iv.t1) or np.any(ts > iv.t2):
+    if not np.all((iv.t1 <= ts) & (ts <= iv.t2)):
         raise ValueError(f"time outside interval [{iv.t1}, {iv.t2}]")
     if isinstance(c, AnalyticCurve):
         out = _evaluate_analytic(c, ts)

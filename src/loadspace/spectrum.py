@@ -14,14 +14,12 @@ coordinate 2n.
 """
 from __future__ import annotations
 
-import bisect
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .curve import AnalyticCurve, Harmonic, Interval, LoadCurve, distance, norm
+from .curve import AnalyticCurve, Harmonic, Interval, LoadCurve, _require_int, distance, norm
 
 __all__ = [
     "Spectrum",
@@ -47,37 +45,75 @@ def mu_index_sin(n: int) -> int:
     return 2 * n
 
 
-@dataclass(frozen=True)
+def _indices(column: np.ndarray, name: str) -> np.ndarray:
+    """A finite float column of indices as integers; ValueError on a fraction or a repeat."""
+    index = column.astype(np.intp)
+    if np.any(index != column):
+        raise ValueError(f"every {name} must be an integer")
+    ordered = np.sort(index)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise ValueError(f"duplicate {name} {repeated[0]}")
+    return index
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Spectrum:
-    """Truncated Fourier description of a curve: a0 plus (order, a_n, b_n) pairs."""
+    """Truncated Fourier description of a curve on its interval.
+
+    Stored densely: a0 plus read-only float arrays `a` and `b` of length
+    n_max, where a[n-1], b[n-1] are the cosine and sine coefficients of
+    order n and every absent order holds zeros. The constructor takes the
+    present orders as (order, a_n, b_n) rows, Harmonic tuples or a (k, 3)
+    array; `harmonics` and `coefficient` are views of the arrays. Two
+    spectra are equal when interval, n_max, a0 and both arrays are.
+    """
 
     interval: Interval
     a0: float
-    harmonics: tuple[Harmonic, ...]
+    a: np.ndarray
+    b: np.ndarray
     n_max: int
 
-    def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        ordered = tuple(sorted((Harmonic(*h) for h in self.harmonics), key=lambda h: h.order))
-        seen = set()
-        for h in ordered:
-            if h.order in seen:
-                raise ValueError(f"duplicate harmonic order {h.order}")
-            if not 1 <= h.order <= self.n_max:
-                raise ValueError(f"harmonic order {h.order} outside 1..{self.n_max}")
-            seen.add(h.order)
-        object.__setattr__(self, "harmonics", ordered)
+    def __init__(self, interval: Interval, a0: float, harmonics, n_max: int) -> None:
+        n_max = _require_int(n_max, "n_max")
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        rows = np.asarray(harmonics, dtype=float).reshape(-1, 3)
+        if not (np.isfinite(a0) and np.all(np.isfinite(rows))):
+            raise ValueError("spectrum orders and coefficients must be finite")
+        orders = _indices(rows[:, 0], "harmonic order")
+        outside = orders[(orders < 1) | (orders > n_max)]
+        if outside.size:
+            raise ValueError(f"harmonic order {outside[0]} outside 1..{n_max}")
+        ab = np.zeros((2, n_max))
+        ab[:, orders - 1] = rows[:, 1:].T
+        ab.flags.writeable = False
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "a0", float(a0))
+        object.__setattr__(self, "a", ab[0])
+        object.__setattr__(self, "b", ab[1])
+        object.__setattr__(self, "n_max", n_max)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        same = (self.interval, self.n_max, self.a0) == (other.interval, other.n_max, other.a0)
+        return same and np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b)
+
+    @property
+    def harmonics(self) -> tuple[Harmonic, ...]:
+        """The orders with a nonzero coefficient, ascending, as Harmonic tuples."""
+        present = np.flatnonzero((self.a != 0.0) | (self.b != 0.0))
+        return tuple(
+            Harmonic(n, a, b)
+            for n, a, b in zip((present + 1).tolist(), self.a[present].tolist(), self.b[present].tolist())
+        )
 
     def coefficient(self, n: int) -> tuple[float, float]:
-        """(a_n, b_n) for order n; (0, 0) when the order is absent.
-
-        Binary search over the harmonics, which are sorted by order.
-        """
-        i = bisect.bisect_left(self.harmonics, n, key=lambda h: h.order)
-        if i < len(self.harmonics) and self.harmonics[i].order == n:
-            h = self.harmonics[i]
-            return (h.cos_amp, h.sin_amp)
+        """(a_n, b_n) for order n; (0, 0) when the order is absent."""
+        if 1 <= n <= self.n_max:
+            return (float(self.a[n - 1]), float(self.b[n - 1]))
         return (0.0, 0.0)
 
 
@@ -86,33 +122,60 @@ class MuCoord(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DynamismVector:
-    """Sparse coordinates mu_k of a curve in the orthonormal basis."""
+    """Coordinates mu_k of a curve in the orthonormal basis.
+
+    Stored densely as the read-only float array `values`, mu_0 first. The
+    constructor takes (index, value) pairs, MuCoord tuples or a (k, 2)
+    array, and the array runs up to the largest index given.
+    `coords` is a sparse view: index 0 plus every nonzero coordinate.
+    """
 
     interval: Interval
-    coords: tuple[MuCoord, ...]
+    values: np.ndarray
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted((MuCoord(int(k), float(v)) for k, v in self.coords)))
-        indices = [c.index for c in ordered]
-        if indices and indices[0] < 0:
+    def __init__(self, interval: Interval, coords) -> None:
+        pairs = np.asarray(coords, dtype=float).reshape(-1, 2)
+        if not np.all(np.isfinite(pairs)):
+            raise ValueError("coordinate indices and values must be finite")
+        index = _indices(pairs[:, 0], "coordinate index")
+        if index.size and index.min() < 0:
             raise ValueError("coordinate indices must be >= 0")
-        if len(set(indices)) != len(indices):
-            raise ValueError("duplicate coordinate index")
-        object.__setattr__(self, "coords", ordered)
+        values = np.zeros(1 + (int(index.max()) if index.size else 0))
+        values[index] = pairs[:, 1]
+        values.flags.writeable = False
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DynamismVector):
+            return NotImplemented
+        return self.interval == other.interval and self.coords == other.coords
+
+    @property
+    def coords(self) -> tuple[MuCoord, ...]:
+        """Index 0 and every nonzero coordinate, ascending, as MuCoord tuples."""
+        index = [0, *(np.flatnonzero(self.values[1:]) + 1).tolist()]
+        return tuple(MuCoord(k, v) for k, v in zip(index, self.values[index].tolist()))
 
     def dense(self, size: int | None = None) -> np.ndarray:
-        """Coordinates as a dense vector of the given length (default: minimal)."""
-        needed = 1 + max((c.index for c in self.coords), default=0)
+        """Coordinates as a new dense vector of the given length (default: the stored one).
+
+        A size below the last nonzero coordinate raises ValueError.
+        """
         if size is None:
-            size = needed
-        elif size < needed:
-            raise ValueError(f"size {size} too small for coordinate index {needed - 1}")
+            size = self.values.size
+        if np.any(self.values[size:]):
+            raise ValueError(f"size {size} too small for coordinate index {np.flatnonzero(self.values)[-1]}")
         out = np.zeros(size)
-        for k, v in self.coords:
-            out[k] = v
+        out[: min(size, self.values.size)] = self.values[:size]
         return out
+
+
+def _dense_vector(interval: Interval, values: np.ndarray) -> DynamismVector:
+    """The DynamismVector whose coordinate k is values[k]."""
+    return DynamismVector(interval, np.column_stack((np.arange(values.size), values)))
 
 
 def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum:
@@ -147,8 +210,9 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         curves must satisfy N >= 2*n_max + 2 so order n_max is resolvable
         on the grid, i.e. lies in the rfft output.
     drop_tol : float, optional
-        Harmonics with |a_n| and |b_n| both below this threshold are
-        omitted from the result. Defaults to 1e-12 * norm(c).
+        Orders whose |a_n| and |b_n| are both at most this threshold are
+        zeroed; a kept order keeps both values. Defaults to
+        1e-12 * norm(c).
 
     Raises
     ------
@@ -156,9 +220,7 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         On a non-integer or non-positive n_max, or a sampled curve with
         too few points.
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
-        raise ValueError(f"n_max must be an integer, got {n_max!r}")
-    n_max = int(n_max)
+    n_max = _require_int(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if drop_tol is None:
@@ -166,7 +228,7 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
 
     if isinstance(c, AnalyticCurve):
         a0 = 2.0 * c.constant
-        pairs = [h for h in c.harmonics if h.order <= n_max]
+        rows = np.array([h for h in c.harmonics if h.order <= n_max], dtype=float).reshape(-1, 3)
     else:
         v = c.values
         n_samples = v.size
@@ -183,15 +245,10 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         shift = np.exp(-2j * np.pi * ((iv.t1 / iv.duration) % 1.0) * orders)
         z = (2.0 / iv.duration) * (np.fft.rfft(x)[: n_max + 1] * shift)
         a0 = float(z[0].real)
-        pairs = [
-            Harmonic(n, a, b)
-            for n, a, b in zip(range(1, n_max + 1), z.real[1:].tolist(), (-z.imag[1:]).tolist())
-        ]
+        rows = np.column_stack((orders[1:], z.real[1:], -z.imag[1:]))
 
-    kept = tuple(
-        h for h in pairs if abs(h.cos_amp) > drop_tol or abs(h.sin_amp) > drop_tol
-    )
-    return Spectrum(c.interval, a0, kept, n_max)
+    kept = (np.abs(rows[:, 1]) > drop_tol) | (np.abs(rows[:, 2]) > drop_tol)
+    return Spectrum(c.interval, a0, rows[kept], n_max)
 
 
 def synthesize(s: Spectrum) -> AnalyticCurve:
@@ -208,12 +265,12 @@ def to_mu_vector(s: Spectrum) -> DynamismVector:
     norm of the curve.
     """
     t0 = s.interval.duration
-    coords = [MuCoord(0, 0.5 * s.a0 * np.sqrt(t0))]
+    mu = np.empty(1 + 2 * s.n_max)
+    mu[0] = 0.5 * s.a0 * np.sqrt(t0)
     half = np.sqrt(0.5 * t0)
-    for n, a, b in s.harmonics:
-        coords.append(MuCoord(mu_index_cos(n), a * half))
-        coords.append(MuCoord(mu_index_sin(n), b * half))
-    return DynamismVector(s.interval, tuple(coords))
+    mu[1::2] = s.a * half
+    mu[2::2] = s.b * half
+    return _dense_vector(s.interval, mu)
 
 
 def parseval_energy(s: Spectrum) -> float:
@@ -223,10 +280,7 @@ def parseval_energy(s: Spectrum) -> float:
     quadrature error in the coefficients.
     """
     t0 = s.interval.duration
-    acc = t0 * s.a0 * s.a0 / 4.0
-    for _, a, b in s.harmonics:
-        acc += 0.5 * t0 * (a * a + b * b)
-    return acc
+    return t0 * s.a0 * s.a0 / 4.0 + 0.5 * t0 * float(s.a @ s.a + s.b @ s.b)
 
 
 def truncation_error(c: LoadCurve, s: Spectrum) -> float:

@@ -22,8 +22,8 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .curve import Interval, LoadCurve, _antiderivative, energy
-from .spectrum import DynamismVector, MuCoord, Spectrum, mu_index_cos, mu_index_sin
+from .curve import Interval, LoadCurve, _antiderivative, _require_int, energy
+from .spectrum import DynamismVector, Spectrum, _dense_vector, mu_index_cos, mu_index_sin
 
 __all__ = [
     "PriceFrequencyFunction",
@@ -51,7 +51,9 @@ class PriceFrequencyFunction:
 
     value(f) = base for 0 <= f < cutoff, and base + slope*log10(f - log_offset)
     for f >= cutoff. The constructor requires cutoff > log_offset so the
-    logarithm argument stays positive on the whole upper branch.
+    logarithm argument stays positive on the whole upper branch, and
+    slope >= 0 with a positive price at the cutoff, so the published price
+    is positive at every frequency.
     """
 
     base: float
@@ -71,21 +73,28 @@ class PriceFrequencyFunction:
             raise ValueError(
                 f"cutoff {self.cutoff} must exceed log_offset {self.log_offset}"
             )
+        if self.slope < 0:
+            raise ValueError(f"slope must be nonnegative, got {self.slope}")
+        at_cutoff = self.base + self.slope * math.log10(self.cutoff - self.log_offset)
+        if at_cutoff <= 0:
+            raise ValueError(f"price at the cutoff must be positive, got {at_cutoff}")
 
-    def value(self, f: float) -> float:
+    def value(self, f):
         return price_frequency_value(self, f)
 
 
-def price_frequency_value(pff: PriceFrequencyFunction, f: float) -> float:
-    """Evaluate a price-frequency function at frequency f >= 0 (absolute value)."""
-    if f < 0:
-        raise ValueError(f"frequency must be nonnegative, got {f}")
-    if f < pff.cutoff:
-        return pff.base
-    arg = f - pff.log_offset
-    if arg <= 0:
-        raise ValueError(f"logarithm argument must be positive, got {arg}")
-    return pff.base + pff.slope * math.log10(arg)
+def price_frequency_value(pff: PriceFrequencyFunction, f):
+    """Evaluate a price-frequency function at frequencies f >= 0 (absolute value).
+
+    Takes a scalar, giving a float, or an array, giving an array of the
+    same shape. NaN, inf and negative frequencies raise ValueError.
+    """
+    fs = np.asarray(f, dtype=float)
+    if not np.all((0.0 <= fs) & (fs < np.inf)):
+        raise ValueError(f"frequency must be finite and nonnegative, got {f}")
+    upper = pff.base + pff.slope * np.log10(np.maximum(fs, pff.cutoff) - pff.log_offset)
+    price = np.where(fs < pff.cutoff, pff.base, upper)
+    return float(price) if price.ndim == 0 else price
 
 
 @dataclass(frozen=True)
@@ -157,17 +166,40 @@ class LineItem(NamedTuple):
     amount: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bill:
-    """Payment split into the energy part and the fluctuation part."""
+    """Payment split into the energy part and the fluctuation part.
+
+    `lines` is a read-only (1 + 2*n_max, 4) array over the shared mu
+    indexing: row 0 is the energy line, row 2n-1 the order-n cosine line
+    and row 2n the sine line, with columns frequency, coefficient,
+    published unit price and signed amount. `line_items` is built from it
+    on each read: the energy line plus one LineItem per nonzero
+    coefficient. Two bills are equal when both parts and `lines` are.
+    """
 
     non_dynamic: float
     dynamic: float
-    line_items: tuple[LineItem, ...]
+    lines: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Bill):
+            return NotImplemented
+        parts = (self.non_dynamic, self.dynamic) == (other.non_dynamic, other.dynamic)
+        return parts and np.array_equal(self.lines, other.lines)
 
     @property
     def total(self) -> float:
         return self.non_dynamic + self.dynamic
+
+    @property
+    def line_items(self) -> tuple[LineItem, ...]:
+        rows = self.lines.tolist()
+        return (LineItem("energy", *rows[0]), *(
+            LineItem("cos" if k % 2 else "sin", *row)
+            for k, row in enumerate(rows[1:], start=1)
+            if row[1] != 0.0
+        ))
 
     def to_dict(self) -> dict:
         return {
@@ -210,19 +242,22 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
     return float(np.diff(_antiderivative(c, bounds)) @ np.asarray(plan.unit_prices))
 
 
-def _polarity(supply_coeff: float, load_coeff: float) -> float:
-    """Sign convention for a price coefficient.
+def _polarity(supply: np.ndarray, load) -> np.ndarray:
+    """Sign convention for price coefficients, order by order.
 
     The sign comes from the supply side so that supply-aligned fluctuation
-    is charged, not credited. When the supply coefficient is exactly zero
-    the load's own sign is used; if both vanish the term contributes
+    is charged, not credited. Where the supply coefficient is exactly zero
+    the load's own sign is used; where both vanish the term contributes
     nothing and the sign is moot.
     """
-    if supply_coeff != 0.0:
-        return math.copysign(1.0, supply_coeff)
-    if load_coeff != 0.0:
-        return math.copysign(1.0, load_coeff)
-    return 1.0
+    return np.copysign(1.0, np.where(supply != 0.0, supply, load))
+
+
+def _supply_coefficients(supply: Spectrum, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The supply's (a_n, b_n) at each of `orders`, zero above its n_max."""
+    inside = orders <= supply.n_max
+    k = np.minimum(orders, supply.n_max) - 1
+    return np.where(inside, supply.a[k], 0.0), np.where(inside, supply.b[k], 0.0)
 
 
 def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = None) -> Bill:
@@ -238,29 +273,25 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
     the generation curve equals the load curve). Harmonics absent from
     the load spectrum produce no line items; a zero coefficient
     contributes zero. Line items carry the tariff's published price; the
-    polarity sign lands in the amount.
+    polarity sign lands in the amount. A supply spectrum of another n_max
+    counts as zero above its own.
     """
     if supply is not None and supply.interval != s.interval:
         raise ValueError("incompatible intervals: supply spectrum on a different interval")
     t0 = s.interval.duration
-    f0 = s.interval.f0
+    orders = np.arange(1, s.n_max + 1)
+    f = orders * s.interval.f0
+    sup_a, sup_b = (s.a, s.b) if supply is None else _supply_coefficients(supply, orders)
     non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
-    items = [LineItem("energy", 0.0, s.a0, plan.alpha0, non_dynamic)]
-    dynamic = 0.0
-    for n, a, b in s.harmonics:
-        f = n * f0
-        sup_a, sup_b = supply.coefficient(n) if supply is not None else (a, b)
-        if a != 0.0:
-            price = price_frequency_value(plan.alpha, f)
-            amount = t0 * _polarity(sup_a, a) * price * a
-            items.append(LineItem("cos", f, a, price, amount))
-            dynamic += amount
-        if b != 0.0:
-            price = price_frequency_value(plan.beta, f)
-            amount = t0 * _polarity(sup_b, b) * price * b
-            items.append(LineItem("sin", f, b, price, amount))
-            dynamic += amount
-    return Bill(non_dynamic, dynamic, tuple(items))
+    lines = np.empty((1 + 2 * s.n_max, 4))
+    lines[0] = (0.0, s.a0, plan.alpha0, non_dynamic)
+    for first, coef, sup, pff in ((1, s.a, sup_a, plan.alpha), (2, s.b, sup_b, plan.beta)):
+        price = price_frequency_value(pff, f)
+        lines[first::2] = np.column_stack((f, coef, price, t0 * _polarity(sup, coef) * price * coef))
+    lines.flags.writeable = False
+    # starting from +0.0, as a running sum would, keeps an all-zero dynamic part from reading -0.0
+    dynamic = float(np.sum(lines[1:, 3], initial=0.0))
+    return Bill(non_dynamic, dynamic, lines)
 
 
 def rates_payment(rates: DynamismRates, mu: DynamismVector) -> float:
@@ -271,9 +302,8 @@ def rates_payment(rates: DynamismRates, mu: DynamismVector) -> float:
     """
     if rates.interval != mu.interval:
         raise ValueError("incompatible intervals: rates and coordinates disagree")
-    t0 = rates.interval.duration
-    k_max = len(rates.lam)
-    return t0 * sum(rates.lam[k] * v for k, v in mu.coords if k < k_max)
+    k = min(len(rates.lam), mu.values.size)
+    return rates.interval.duration * float(np.dot(rates.lam[:k], mu.values[:k]))
 
 
 def payment_gradient(
@@ -316,28 +346,23 @@ def payment_gradient(
             interval = plan.interval
         elif interval != plan.interval:
             raise ValueError("incompatible intervals: rates defined elsewhere")
-        t0 = interval.duration
-        coords = tuple(MuCoord(k, t0 * lam_k) for k, lam_k in enumerate(plan.lam))
-        return DynamismVector(interval, coords)
+        return _dense_vector(interval, interval.duration * np.asarray(plan.lam))
 
     if interval is None:
         raise ValueError("an interval is required to evaluate plan frequencies")
     if orders is None:
         raise ValueError("orders are required for a dynamism plan gradient")
-    order_list = sorted(set(int(n) for n in orders))
-    if order_list and order_list[0] < 1:
+    n = np.array(sorted({_require_int(k, "order") for k in orders}), dtype=np.intp)
+    if n.size and n[0] < 1:
         raise ValueError("orders must be >= 1")
     t0 = interval.duration
-    f0 = interval.f0
-    coords = [MuCoord(0, t0 * 0.5 * plan.alpha0)]
-    for n in order_list:
-        f = n * f0
-        sup_a, sup_b = supply.coefficient(n) if supply is not None else (1.0, 1.0)
-        sign_a = _polarity(sup_a, 0.0)
-        sign_b = _polarity(sup_b, 0.0)
-        coords.append(MuCoord(mu_index_cos(n), t0 * sign_a * price_frequency_value(plan.alpha, f)))
-        coords.append(MuCoord(mu_index_sin(n), t0 * sign_b * price_frequency_value(plan.beta, f)))
-    return DynamismVector(interval, tuple(coords))
+    f = n * interval.f0
+    sup_a, sup_b = (1.0, 1.0) if supply is None else _supply_coefficients(supply, n)
+    g = np.zeros(1 + 2 * (int(n[-1]) if n.size else 0))
+    g[0] = t0 * 0.5 * plan.alpha0
+    g[mu_index_cos(n)] = t0 * _polarity(sup_a, 1.0) * price_frequency_value(plan.alpha, f)
+    g[mu_index_sin(n)] = t0 * _polarity(sup_b, 1.0) * price_frequency_value(plan.beta, f)
+    return _dense_vector(interval, g)
 
 
 def incentive_direction(
@@ -348,4 +373,4 @@ def incentive_direction(
 ) -> DynamismVector:
     """Negated payment gradient: the steepest payment-reducing direction."""
     g = payment_gradient(plan, interval, orders, supply)
-    return DynamismVector(g.interval, tuple(MuCoord(k, -v) for k, v in g.coords))
+    return _dense_vector(g.interval, -g.values)

@@ -176,6 +176,13 @@ def test_calibration_argument_validation():
         calibrate_iota(obs, 1, ridge=-1.0)
 
 
+@pytest.mark.parametrize("ridge", [math.nan, math.inf])
+def test_calibration_rejects_non_finite_ridge(ridge):
+    obs = _observations(np.random.default_rng(6), np.ones(3), 1, count=3)
+    with pytest.raises(ValueError, match="ridge must be finite"):
+        calibrate_iota(obs, 1, ridge=ridge)
+
+
 def test_tiny_ridge_stays_near_least_squares():
     rng = np.random.default_rng(12)
     iota_true = rng.uniform(-3, 3, size=5)

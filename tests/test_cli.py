@@ -324,6 +324,13 @@ def test_calibrate_table_output(capsys, tmp_path):
     assert "cost characteristic" in out and "residual max" in out
 
 
+def test_calibrate_rejects_nan_ridge(capsys, tmp_path):
+    manifest, _ = _calibration_manifest(tmp_path, 6)
+    code, out, err = run_cli(capsys, "calibrate", manifest, "--nmax", "2", "--ridge", "nan")
+    assert code == 3
+    assert out == "" and "ridge" in err
+
+
 def test_calibrate_underdetermined(capsys, tmp_path):
     manifest, _ = _calibration_manifest(tmp_path, 4)
     code, _, err = run_cli(capsys, "calibrate", manifest, "--nmax", "2")
@@ -465,6 +472,24 @@ def test_plotdata_pff_rejects_zero_fstep(capsys):
     code, _, err = run_cli(capsys, "plotdata", "plan1", "--what", "pff", "--fstep", "0")
     assert code == 3
     assert "fstep" in err
+
+
+@pytest.mark.parametrize("fmax, fstep, last, rows", [("1", "0.1", "1.0", 11), ("0.3", "0.1", "0.3", 4), ("0.35", "0.1", "0.30000000000000004", 4)])
+def test_plotdata_pff_steps_by_index(capsys, fmax, fstep, last, rows):
+    code, out, _ = run_cli(capsys, "plotdata", "plan1", "--what", "pff", "--fmax", fmax, "--fstep", fstep)
+    assert code == 0
+    table = list(csv.reader(out.splitlines()))[1:]
+    assert len(table) == rows
+    assert table[-1][0] == last
+    assert table[1][0] == fstep
+
+
+@pytest.mark.parametrize("option, value", [("--fstep", "nan"), ("--fstep", "inf"), ("--fmax", "nan"),
+                                           ("--fmax", "inf"), ("--fmax", "-1")])
+def test_plotdata_pff_rejects_non_finite_range(capsys, option, value):
+    code, out, err = run_cli(capsys, "plotdata", "plan1", "--what", "pff", option, value)
+    assert code == 3
+    assert out == "" and option[2:] in err
 
 
 def test_plotdata_curve_round_trips_profile(capsys, tmp_path, l1):

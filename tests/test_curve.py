@@ -56,6 +56,12 @@ def test_analytic_curve_validation():
         AnalyticCurve(UNIT, 0.0, (Harmonic(1, math.nan, 0.0),))
 
 
+@pytest.mark.parametrize("order", [1.7, 2.0, True, np.float64(3.0)])
+def test_analytic_curve_rejects_non_integer_order(order):
+    with pytest.raises(ValueError, match="harmonic order must be an integer"):
+        AnalyticCurve(UNIT, 1.0, (Harmonic(order, 1.0, 0.0),))
+
+
 def test_analytic_curve_drops_zero_harmonics_and_sorts():
     c = AnalyticCurve(UNIT, 1.0, (Harmonic(7, 0.0, 2.0), Harmonic(2, 0.0, 0.0), Harmonic(3, 1.0, 0.0)))
     assert [h.order for h in c.harmonics] == [3, 7]
@@ -112,6 +118,14 @@ def test_evaluate_outside_interval_raises(l1):
         evaluate(l1, 1.5)
     with pytest.raises(ValueError, match="outside"):
         evaluate(l1, -0.1)
+
+
+@pytest.mark.parametrize("t", [math.nan, np.array([0.5, math.nan])])
+def test_evaluate_rejects_nan_time(t):
+    with pytest.raises(ValueError, match="outside"):
+        evaluate(AnalyticCurve(UNIT, 50.0), t)
+    with pytest.raises(ValueError, match="outside"):
+        evaluate(SampledCurve(UNIT, [1.0, 2.0, 3.0]), t)
 
 
 def test_evaluate_accepts_arrays(l1):

@@ -157,6 +157,32 @@ def test_spectrum_validation():
         Spectrum(UNIT, 0.0, (Harmonic(1, 1.0, 0.0), Harmonic(1, 0.0, 1.0)), n_max=4)
 
 
+@pytest.mark.parametrize("n_max", [2.5, 3.0, True])
+def test_spectrum_rejects_non_integer_nmax(n_max):
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        Spectrum(UNIT, 0.0, (), n_max=n_max)
+
+
+def test_spectrum_rejects_non_integer_order_and_non_finite_values():
+    with pytest.raises(ValueError, match="integer"):
+        Spectrum(UNIT, 0.0, (Harmonic(1.5, 1.0, 0.0),), n_max=4)
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum(UNIT, 0.0, (Harmonic(1, math.nan, 0.0),), n_max=4)
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum(UNIT, math.inf, (), n_max=4)
+
+
+def test_spectrum_is_dense_and_read_only():
+    s = Spectrum(UNIT, 2.0, (Harmonic(3, 0.0, -1.5), Harmonic(1, 4.0, 0.0)), n_max=4)
+    assert np.array_equal(s.a, [4.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(s.b, [0.0, 0.0, -1.5, 0.0])
+    assert s.harmonics == (Harmonic(1, 4.0, 0.0), Harmonic(3, 0.0, -1.5))
+    assert s.coefficient(3) == (0.0, -1.5)
+    assert s.coefficient(2) == s.coefficient(5) == s.coefficient(0) == (0.0, 0.0)
+    with pytest.raises(ValueError):
+        s.a[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # synthesize and round trips
 # ---------------------------------------------------------------------------
@@ -230,6 +256,14 @@ def test_mu_zero_tracks_energy_scale():
     # mu0 = (a0/2)*sqrt(T0) = 3*2; and mu0^2 = norm^2 = 36
     assert mu[0] == pytest.approx(6.0, rel=1e-15)
     assert mu[0] ** 2 == pytest.approx(inner_product(c, c), rel=1e-12)
+
+
+def test_to_mu_vector_is_dense_over_all_orders(l1):
+    mu = to_mu_vector(analyze(l1, 100))
+    assert mu.dense().shape == (201,)
+    assert [k for k, _ in mu.coords] == [0, mu_index_sin(5), mu_index_cos(20), mu_index_sin(100)]
+    assert np.array_equal(mu.dense(), mu.values)
+    assert np.array_equal(mu.dense(250)[:201], mu.values)
 
 
 def test_dynamism_vector_validation_and_dense():

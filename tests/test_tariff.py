@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -96,6 +96,43 @@ def test_pff_validation():
     pff = PriceFrequencyFunction(base=20.0, cutoff=10.0, slope=3.0)
     with pytest.raises(ValueError, match="nonnegative"):
         pff.value(-1.0)
+
+
+@pytest.mark.parametrize("f", [math.nan, math.inf, np.array([1.0, math.nan])])
+def test_pff_rejects_non_finite_frequency(plan1, f):
+    with pytest.raises(ValueError, match="finite"):
+        price_frequency_value(plan1.alpha, f)
+
+
+def test_pff_rejects_prices_that_go_nonpositive():
+    with pytest.raises(ValueError, match="slope"):
+        PriceFrequencyFunction(base=20.0, cutoff=10.0, slope=-5.0)
+    with pytest.raises(ValueError, match="cutoff must be positive"):
+        PriceFrequencyFunction(base=1.0, cutoff=0.5, slope=10.0)
+
+
+def test_pff_array_matches_scalar(plan2):
+    f = np.array([0.0, 3.0, 9.999, 10.0, 20.0, 100.0, 1e6])
+    prices = price_frequency_value(plan2.alpha, f)
+    assert prices.shape == f.shape
+    assert prices.tolist() == [price_frequency_value(plan2.alpha, x) for x in f.tolist()]
+    assert isinstance(price_frequency_value(plan2.alpha, 20.0), float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.floats(min_value=-100.0, max_value=100.0),
+    st.lists(st.floats(min_value=0.0, max_value=1e12), min_size=1, max_size=20),
+)
+def test_accepted_pff_prices_are_positive(base, cutoff, slope, log_offset, freqs):
+    try:
+        pff = PriceFrequencyFunction(base, cutoff, slope, log_offset)
+    except ValueError:
+        return
+    assert np.all(price_frequency_value(pff, np.array(freqs)) > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +378,111 @@ def test_bill_to_dict_shape(l1, plan1):
     assert set(d) == {"non_dynamic", "dynamic", "total", "line_items"}
     assert d["total"] == d["non_dynamic"] + d["dynamic"]
     assert all(set(item) == {"label", "frequency", "coefficient", "unit_price", "amount"} for item in d["line_items"])
+
+
+def _reference_price(pff: PriceFrequencyFunction, f: float) -> float:
+    if f < pff.cutoff:
+        return pff.base
+    return pff.base + pff.slope * math.log10(f - pff.log_offset)
+
+
+def _reference_polarity(supply_coeff: float, load_coeff: float) -> float:
+    if supply_coeff != 0.0:
+        return math.copysign(1.0, supply_coeff)
+    if load_coeff != 0.0:
+        return math.copysign(1.0, load_coeff)
+    return 1.0
+
+
+def _per_coefficient_bill(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = None):
+    """The dynamism bill one coefficient at a time: (non_dynamic, dynamic, line item tuples).
+
+    Scalar polarity and one price evaluation per coefficient, kept as the
+    reference for the array billing path.
+    """
+    t0, f0 = s.interval.duration, s.interval.f0
+    non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
+    items = [("energy", 0.0, s.a0, plan.alpha0, non_dynamic)]
+    dynamic = 0.0
+    for n, a, b in s.harmonics:
+        f = n * f0
+        sup_a, sup_b = supply.coefficient(n) if supply is not None else (a, b)
+        for label, coef, sup, pff in (("cos", a, sup_a, plan.alpha), ("sin", b, sup_b, plan.beta)):
+            if coef != 0.0:
+                price = _reference_price(pff, f)
+                amount = t0 * _reference_polarity(sup, coef) * price * coef
+                items.append((label, f, coef, price, amount))
+                dynamic += amount
+    return non_dynamic, dynamic, items
+
+
+def _reference_gradient(plan: DynamismPlan, interval: Interval, orders, supply: Spectrum) -> dict:
+    t0 = interval.duration
+    g = {0: t0 * 0.5 * plan.alpha0}
+    for n in orders:
+        sup_a, sup_b = supply.coefficient(n)
+        f = n * interval.f0
+        g[mu_index_cos(n)] = t0 * _reference_polarity(sup_a, 0.0) * _reference_price(plan.alpha, f)
+        g[mu_index_sin(n)] = t0 * _reference_polarity(sup_b, 0.0) * _reference_price(plan.beta, f)
+    return g
+
+
+_coefficients = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1e3, max_value=1e3))
+
+
+@st.composite
+def _spectra(draw, interval: Interval, n_max: int) -> Spectrum:
+    a = draw(st.lists(_coefficients, min_size=n_max, max_size=n_max))
+    b = draw(st.lists(_coefficients, min_size=n_max, max_size=n_max))
+    rows = [(n, x, y) for n, x, y in zip(range(1, n_max + 1), a, b)]
+    return Spectrum(interval, draw(_coefficients), rows, n_max)
+
+
+@st.composite
+def _pffs(draw) -> PriceFrequencyFunction:
+    base = draw(st.floats(min_value=1.0, max_value=100.0))
+    cutoff = draw(st.floats(min_value=0.01, max_value=50.0))
+    gap = draw(st.floats(min_value=0.5, max_value=60.0))  # cutoff - log_offset
+    slope = draw(st.floats(min_value=0.0, max_value=50.0))
+    assume(base + slope * math.log10(gap) > 0.0)
+    return PriceFrequencyFunction(base, cutoff, slope, cutoff - gap)
+
+
+@st.composite
+def _billing_cases(draw):
+    interval = draw(intervals(max_length=20.0))
+    n_max = draw(st.integers(min_value=1, max_value=30))
+    plan = DynamismPlan(draw(st.floats(min_value=0.1, max_value=100.0)), draw(_pffs()), draw(_pffs()))
+    supply_n_max = draw(st.sampled_from([None, n_max, draw(st.integers(min_value=1, max_value=30))]))
+    supply = None if supply_n_max is None else draw(_spectra(interval, supply_n_max))
+    return plan, draw(_spectra(interval, n_max)), supply
+
+
+@settings(max_examples=300, deadline=None)
+@given(_billing_cases())
+def test_array_bill_equals_per_coefficient_bill(case):
+    plan, s, supply = case
+    non_dynamic, dynamic, items = _per_coefficient_bill(plan, s, supply)
+    bill = dynamism_payment(plan, s, supply)
+    assert [(it.label, it.frequency, it.coefficient) for it in bill.line_items] == [x[:3] for x in items]
+    for got, (_, _, _, price, amount) in zip(bill.line_items, items):
+        assert got.unit_price == pytest.approx(price, rel=1e-15, abs=0.0)
+        assert got.amount == pytest.approx(amount, rel=1e-15, abs=0.0)
+    magnitude = sum(abs(x[4]) for x in items)
+    assert bill.non_dynamic == non_dynamic
+    assert bill.dynamic == pytest.approx(dynamic, rel=1e-12, abs=1e-12 * magnitude)
+    assert bill.total == pytest.approx(non_dynamic + dynamic, rel=1e-12, abs=1e-12 * magnitude)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_billing_cases(), st.sets(st.integers(min_value=1, max_value=40), max_size=12))
+def test_gradient_equals_per_order_definition(case, orders):
+    plan, s, supply = case
+    supply = s if supply is None else supply
+    g = payment_gradient(plan, s.interval, orders=orders, supply=supply)
+    expected = _reference_gradient(plan, s.interval, sorted(orders), supply)
+    assert g.dense().shape == (1 + 2 * max(orders, default=0),)
+    assert dict(g.coords) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
