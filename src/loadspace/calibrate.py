@@ -104,6 +104,15 @@ def calibrate_iota(
         "degenerate observation set" when the design matrix is rank
         deficient (rank gate at 1e-10 times the largest singular value).
     """
+    return _fit_iota(observations, n_max, ridge)[0]
+
+
+def _fit_iota(
+    observations: list[CostObservation],
+    n_max: int,
+    ridge: float,
+) -> tuple[CostCharacteristic, np.ndarray]:
+    """`calibrate_iota`, also returning its design matrix (row i: the mu vector of observation i)."""
     if _require_int(n_max, "n_max") < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not (math.isfinite(ridge) and ridge >= 0):
@@ -136,7 +145,7 @@ def calibrate_iota(
         iota = np.linalg.solve(gram, x.T @ y)
     else:
         iota, *_ = np.linalg.lstsq(x, y, rcond=None)
-    return CostCharacteristic(interval, iota, n_max)
+    return CostCharacteristic(interval, iota, n_max), x
 
 
 def pricing_from_cost(cc: CostCharacteristic, a: float) -> DynamismRates:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -24,9 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibrate import CostCharacteristic, CostObservation, calibrate_iota, supply_cost
+from .calibrate import CostCharacteristic, CostObservation, _fit_iota, supply_cost
 from .curve import Interval, SampledCurve, distance, inner_product
-from .spectrum import Spectrum, analyze, mu_index_cos, mu_index_sin, parseval_energy, to_mu_vector
+from .spectrum import Spectrum, _dense_vector, analyze, mu_index_cos, mu_index_sin, parseval_energy
 from .tariff import (
     Bill,
     DynamismPlan,
@@ -52,44 +53,99 @@ class InputFormatError(Exception):
 # input files
 # ---------------------------------------------------------------------------
 
-def _read_profile(path: str) -> SampledCurve:
+_PROFILE_HEADER = ["t", "power"]
+
+
+def _read_header(path: str, fh, header: list[str]) -> None:
+    """Consume the first CSV row of fh; it must be `header` up to whitespace around fields."""
+    if [c.strip() for c in next(csv.reader(fh), [])] != header:
+        raise InputFormatError(f"{path}, line 1: expected header '{','.join(header)}'")
+
+
+def _data_rows(path: str, header: list[str]):
+    """(line number, [field, field]) for each data row of a two-column CSV file.
+
+    Rows that are empty or whose fields are all whitespace are skipped;
+    any other row must have exactly two fields. Lines are numbered by CSV
+    row, the header being line 1.
+    """
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            _read_header(path, fh, header)
+            for ln, row in enumerate(csv.reader(fh), start=2):
+                if all(c.strip() == "" for c in row):
+                    continue
+                if len(row) != 2:
+                    raise InputFormatError(f"{path}, line {ln}: expected 2 fields, got {len(row)}")
+                yield ln, row
     except OSError as exc:
         raise InputFormatError(f"{path}: {exc.strerror or exc}") from exc
-    if not rows or [c.strip() for c in rows[0]] != ["t", "power"]:
-        raise InputFormatError(f"{path}, line 1: expected header 't,power'")
 
+
+def _profile_rows(path: str) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Line numbers, times and powers of a profile's data rows, read row by row with float()."""
+    lines: list[int] = []
     times: list[float] = []
     powers: list[float] = []
-    lines: list[int] = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row or all(c.strip() == "" for c in row):
-            continue
-        if len(row) != 2:
-            raise InputFormatError(f"{path}, line {ln}: expected 2 fields, got {len(row)}")
+    for ln, (t, p) in _data_rows(path, _PROFILE_HEADER):
         try:
-            times.append(float(row[0]))
-            powers.append(float(row[1]))
+            times.append(float(t))
+            powers.append(float(p))
         except ValueError as exc:
             raise InputFormatError(f"{path}, line {ln}: {exc}") from exc
         lines.append(ln)
+    return lines, np.asarray(times), np.asarray(powers)
 
-    if len(times) < 2:
-        raise InputFormatError(f"{path}: need at least 2 data rows, got {len(times)}")
-    t = np.asarray(times)
+
+def _read_profile(path: str) -> SampledCurve:
+    """Read a profile CSV: header ``t,power``, then one ``time,power`` row per sample.
+
+    Fields may be quoted with ``"`` and padded with whitespace; a field is
+    anything Python's ``float()`` reads, including ``1_000``, ``nan`` and
+    ``inf`` (non-finite values are then refused). Rows that are empty or
+    whose fields are all whitespace are skipped; ``#`` starts no comment.
+    The file is parsed in one pass by ``np.loadtxt``. Only when that fails
+    is it read again row by row, to name the first bad line (lines are
+    numbered by CSV row, the header being line 1) or to read the fields
+    that only ``float()`` accepts, such as ``1_000``.
+    """
+    try:
+        with open(path, newline="") as fh:
+            _read_header(path, fh, _PROFILE_HEADER)
+            lines = (line for line in fh if line.replace(",", "").strip())
+            first = next(lines, None)
+            table: np.ndarray | None = np.empty((0, 2))
+            if first is not None:
+                try:
+                    table = np.loadtxt(
+                        itertools.chain((first,), lines),
+                        delimiter=",",
+                        comments=None,
+                        quotechar='"',
+                        ndmin=2,
+                    )
+                except ValueError:
+                    table = None
+    except OSError as exc:
+        raise InputFormatError(f"{path}: {exc.strerror or exc}") from exc
+    if table is None or table.shape[1] != 2:
+        _, t, powers = _profile_rows(path)
+    else:
+        t, powers = table[:, 0], table[:, 1]
+
+    if t.size < 2:
+        raise InputFormatError(f"{path}: need at least 2 data rows, got {t.size}")
     dt = np.diff(t)
     if np.any(dt <= 0):
-        bad = lines[int(np.argmax(dt <= 0)) + 1]
+        bad = _profile_rows(path)[0][int(np.argmax(dt <= 0)) + 1]
         raise InputFormatError(f"{path}, line {bad}: time column must be strictly increasing")
     step = (t[-1] - t[0]) / (t.size - 1)
     gap = np.abs(dt - step)
     if np.max(gap) > 1e-9 * abs(step):
-        bad = lines[int(np.argmax(gap)) + 1]
+        bad = _profile_rows(path)[0][int(np.argmax(gap)) + 1]
         raise InputFormatError(f"{path}, line {bad}: time column must be uniformly spaced")
     try:
-        return SampledCurve(Interval(float(t[0]), float(t[-1])), np.asarray(powers))
+        return SampledCurve(Interval(float(t[0]), float(t[-1])), powers)
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
 
@@ -304,33 +360,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     manifest = args.observations
-    try:
-        with open(manifest, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputFormatError(f"{manifest}: {exc.strerror or exc}") from exc
-    if not rows or [c.strip() for c in rows[0]] != ["profile", "cost"]:
-        raise InputFormatError(f"{manifest}, line 1: expected header 'profile,cost'")
     base_dir = os.path.dirname(os.path.abspath(manifest))
     observations: list[CostObservation] = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row or all(c.strip() == "" for c in row):
-            continue
-        if len(row) != 2:
-            raise InputFormatError(f"{manifest}, line {ln}: expected 2 fields, got {len(row)}")
-        rel = row[0].strip()
+    for ln, (rel, cost) in _data_rows(manifest, ["profile", "cost"]):
+        rel = rel.strip()
         path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
         try:
-            cost = float(row[1])
+            observed = float(cost)
         except ValueError as exc:
             raise InputFormatError(f"{manifest}, line {ln}: {exc}") from exc
-        observations.append(CostObservation(_read_profile(path), cost))
+        observations.append(CostObservation(_read_profile(path), observed))
 
-    cc = calibrate_iota(observations, args.nmax, ridge=args.ridge)
+    cc, x = _fit_iota(observations, args.nmax, args.ridge)
+    # Each mu vector is rebuilt from its row of the design matrix in turn, and
+    # the matrix is released before the output is built: holding either all
+    # the vectors or the matrix would add to the command's peak memory.
     residuals = [
-        obs.observed_cost - supply_cost(cc, to_mu_vector(analyze(obs.load, args.nmax)))
-        for obs in observations
+        obs.observed_cost - supply_cost(cc, _dense_vector(cc.interval, row))
+        for obs, row in zip(observations, x)
     ]
+    del x
     max_abs = max(abs(r) for r in residuals)
     rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
 

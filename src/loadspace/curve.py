@@ -276,9 +276,35 @@ def inner_product(c1: LoadCurve, c2: LoadCurve) -> float:
     return _trapezoid(v1 * v2, iv.t1, iv.t2)
 
 
+def _power_of_two_near(peak: float) -> float:
+    """2**e with peak / 2**e in [1, 2), or 1 for a zero peak; dividing by it is exact."""
+    return math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0 else 1.0
+
+
 def norm(c: LoadCurve) -> float:
-    """L2 norm sqrt((c, c)); zero exactly for the zero curve."""
-    return math.sqrt(inner_product(c, c))
+    """L2 norm sqrt((c, c)); zero exactly for the zero curve.
+
+    As `math.hypot` does, the values are divided by a power of two near
+    their largest magnitude before they are squared, so a finite curve
+    whose squares would overflow (or underflow) still gets its finite,
+    nonzero norm. Scaling by a power of two is exact, so wherever no
+    square overflows or underflows the result is sqrt(inner_product(c, c))
+    bit for bit.
+    """
+    iv = c.interval
+    if isinstance(c, AnalyticCurve):
+        amps = [abs(c.constant), *(abs(a) for h in c.harmonics for a in (h.cos_amp, h.sin_amp))]
+        s = _power_of_two_near(max(amps))
+        a0 = c.constant / s
+        total = iv.duration * a0 * a0
+        for _, ca, sa in c.harmonics:
+            ca, sa = ca / s, sa / s
+            total += 0.5 * iv.duration * (ca * ca + sa * sa)
+    else:
+        s = _power_of_two_near(float(np.max(np.abs(c.values))))
+        w = c.values / s
+        total = _trapezoid(w * w, iv.t1, iv.t2)
+    return s * math.sqrt(total)
 
 
 def distance(c1: LoadCurve, c2: LoadCurve) -> float:

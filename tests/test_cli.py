@@ -345,6 +345,21 @@ def test_calibrate_bad_manifest_header(capsys, tmp_path):
     assert "expected header 'profile,cost'" in err
 
 
+def test_calibrate_analyzes_each_observation_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(c, n_max, drop_tol=None):
+        calls.append(n_max)
+        return analyze(c, n_max, drop_tol)
+
+    monkeypatch.setattr("loadspace.calibrate.analyze", counting)
+    monkeypatch.setattr("loadspace.cli.analyze", counting)
+    manifest, _ = _calibration_manifest(tmp_path, 7)
+    code, _, _ = run_cli(capsys, "calibrate", manifest, "--nmax", "2")
+    assert code == 0
+    assert calls == [2] * 7
+
+
 def test_calibrate_missing_referenced_profile(capsys, tmp_path):
     manifest = write_rows(
         tmp_path / "m.csv", [["profile", "cost"], ["ghost.csv", "1.0"]]

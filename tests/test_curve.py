@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loadspace import (
@@ -25,7 +25,7 @@ from loadspace import (
     scale,
 )
 
-from conftest import UNIT, analytic_curves
+from conftest import UNIT, analytic_curves, intervals
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +243,36 @@ def test_norm_examples(l1):
     assert norm(AnalyticCurve(UNIT, 0.0)) == 0.0
     assert norm(AnalyticCurve(UNIT, -7.0)) == 7.0
     assert norm(l1) == pytest.approx(math.sqrt(2762.5), rel=1e-12)
+
+
+def test_norm_of_large_and_tiny_values_is_finite_and_nonzero():
+    assert norm(SampledCurve(UNIT, [1e200] * 4)) == pytest.approx(1e200, rel=1e-15)
+    assert norm(SampledCurve(UNIT, [-1e-200] * 4)) == pytest.approx(1e-200, rel=1e-15)
+    swing = AnalyticCurve(UNIT, 1e200, (Harmonic(1, 1e200, -1e200),))
+    assert norm(swing) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+
+
+def magnitudes():
+    """Zero, or a finite float whose square neither overflows nor underflows."""
+    signs = st.sampled_from((-1.0, 1.0))
+    return st.builds(lambda s, m: s * m, signs, st.one_of(st.just(0.0), st.floats(1e-100, 1e150)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(magnitudes(), min_size=2, max_size=60), intervals())
+def test_sampled_norm_is_the_square_root_of_the_self_product(values, iv):
+    c = SampledCurve(iv, values)
+    expected = math.sqrt(inner_product(c, c))
+    assert abs(norm(c) - expected) <= 4 * math.ulp(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(analytic_curves(interval=None, amp_bound=1e150))
+def test_analytic_norm_is_the_square_root_of_the_self_product(c):
+    amps = [abs(c.constant), *(abs(a) for h in c.harmonics for a in (h.cos_amp, h.sin_amp))]
+    assume(max(amps) == 0 or max(amps) > 1e-100)  # squares of smaller peaks underflow
+    expected = math.sqrt(inner_product(c, c))
+    assert abs(norm(c) - expected) <= 4 * math.ulp(expected)
 
 
 def test_distance_to_self_is_zero(l1):
