@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Interval, LoadCurve, _require_int
+from .curve import Interval, LoadCurve, _frozen, _require_int
 from .spectrum import DynamismVector, analyze, to_mu_vector
 from .tariff import DynamismRates
 
@@ -29,9 +29,12 @@ __all__ = [
 _RANK_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostCharacteristic:
-    """Cost response iota_k per unit mu_k, truncated at order n_max (K = 1 + 2*n_max)."""
+    """Cost response iota_k per unit mu_k, truncated at order n_max (K = 1 + 2*n_max).
+
+    Two characteristics are equal when interval, n_max and the read-only array iota are.
+    """
 
     interval: Interval
     iota: np.ndarray
@@ -46,9 +49,13 @@ class CostCharacteristic:
             raise ValueError(f"iota must have length {k} for n_max={self.n_max}, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("iota entries must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "iota", v)
+        _frozen(self, iota=v.copy())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CostCharacteristic):
+            return NotImplemented
+        same = (self.interval, self.n_max) == (other.interval, other.n_max)
+        return same and np.array_equal(self.iota, other.iota)
 
 
 @dataclass(frozen=True)
@@ -75,17 +82,14 @@ def supply_cost(cc: CostCharacteristic, mu: DynamismVector) -> float:
     return float(cc.iota[:k] @ mu.values[:k])
 
 
-def calibrate_iota(
-    observations: list[CostObservation],
-    n_max: int,
-    ridge: float = 0.0,
-) -> CostCharacteristic:
+def calibrate_iota(observations: list[CostObservation], n_max: int) -> CostCharacteristic:
     """Fit the cost characteristic from (load, cost) observations.
 
     Builds the design matrix whose rows are the dense mu vectors of each
     observed load (analyzed up to n_max) and solves the least-squares
-    problem min ||X iota - costs||. With noiseless observations generated
-    by some true iota the recovery is exact up to solver rounding.
+    problem min ||X iota - costs|| in one SVD-based solve, whose rank is
+    the gate. With noiseless observations generated by some true iota the
+    recovery is exact up to solver rounding.
 
     Parameters
     ----------
@@ -93,9 +97,6 @@ def calibrate_iota(
         At least K = 1 + 2*n_max observations on a common interval.
     n_max : int
         Truncation order of the fitted characteristic.
-    ridge : float, optional
-        Finite nonnegative Tikhonov weight for noisy data; 0 (the
-        default) solves plain least squares.
 
     Raises
     ------
@@ -104,19 +105,13 @@ def calibrate_iota(
         "degenerate observation set" when the design matrix is rank
         deficient (rank gate at 1e-10 times the largest singular value).
     """
-    return _fit_iota(observations, n_max, ridge)[0]
+    return _fit_iota(observations, n_max)[0]
 
 
-def _fit_iota(
-    observations: list[CostObservation],
-    n_max: int,
-    ridge: float,
-) -> tuple[CostCharacteristic, np.ndarray]:
+def _fit_iota(observations: list[CostObservation], n_max: int) -> tuple[CostCharacteristic, np.ndarray]:
     """`calibrate_iota`, also returning its design matrix (row i: the mu vector of observation i)."""
     if _require_int(n_max, "n_max") < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if not (math.isfinite(ridge) and ridge >= 0):
-        raise ValueError(f"ridge must be finite and nonnegative, got {ridge}")
     if not observations:
         raise ValueError("underdetermined: no observations")
     interval = observations[0].load.interval
@@ -135,16 +130,10 @@ def _fit_iota(
         x[i] = to_mu_vector(analyze(obs.load, n_max)).values
         y[i] = obs.observed_cost
 
-    singular = np.linalg.svd(x, compute_uv=False)
-    rank = int(np.sum(singular > _RANK_RTOL * singular[0])) if singular[0] > 0 else 0
+    # LAPACK gelsd counts as the rank the singular values above rcond times the largest
+    iota, _, rank, _ = np.linalg.lstsq(x, y, rcond=_RANK_RTOL)
     if rank < k:
         raise ValueError(f"degenerate observation set: design matrix rank {rank} < {k}")
-
-    if ridge > 0:
-        gram = x.T @ x + ridge * np.eye(k)
-        iota = np.linalg.solve(gram, x.T @ y)
-    else:
-        iota, *_ = np.linalg.lstsq(x, y, rcond=None)
     return CostCharacteristic(interval, iota, n_max), x
 
 

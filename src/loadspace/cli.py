@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .calibrate import CostCharacteristic, CostObservation, _fit_iota, supply_cost
-from .curve import Interval, SampledCurve, distance, inner_product
-from .spectrum import Spectrum, _dense_vector, analyze, mu_index_cos, mu_index_sin, parseval_energy
+from .curve import Interval, SampledCurve, _scaled_square_norm, distance
+from .spectrum import Spectrum, _dense_vector, _spectrum, analyze, mu_index_cos, mu_index_sin, parseval_energy
 from .tariff import (
     Bill,
     DynamismPlan,
@@ -275,9 +275,14 @@ def _render_report_table(report: ScenarioReport) -> None:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     curve = _read_profile(args.profile)
     spec = analyze(curve, args.nmax, drop_tol=args.drop_tol)
-    nsq = inner_product(curve, curve)
     pe = parseval_energy(spec)
-    ratio = pe / nsq if nsq > 0 else None
+    # Both energies are formed from values divided by the curve's power of two
+    # s, so a curve whose squares overflow still gets its ratio. Scaling by s is
+    # exact: in range, nsq is inner_product(curve, curve) and ratio is pe / nsq.
+    s, q = _scaled_square_norm(curve)
+    nsq = s * (s * q)
+    scaled = _spectrum(spec.interval, spec.a0 / s, np.stack((spec.a, spec.b)) / s)
+    ratio = parseval_energy(scaled) / q if q > 0 else None
     iv = spec.interval
 
     if args.format == "json":
@@ -371,7 +376,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             raise InputFormatError(f"{manifest}, line {ln}: {exc}") from exc
         observations.append(CostObservation(_read_profile(path), observed))
 
-    cc, x = _fit_iota(observations, args.nmax, args.ridge)
+    cc, x = _fit_iota(observations, args.nmax)
     # Each mu vector is rebuilt from its row of the design matrix in turn, and
     # the matrix is released before the output is built: holding either all
     # the vectors or the matrix would add to the command's peak memory.
@@ -503,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit a cost characteristic from observations")
     p.add_argument("observations", help="CSV manifest with header 'profile,cost'")
     p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--ridge", type=float, default=0.0)
     add_format(p)
     p.set_defaults(func=_cmd_calibrate)
 

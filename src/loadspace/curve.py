@@ -77,6 +77,15 @@ def _require_int(value, name: str) -> int:
     return int(value)
 
 
+def _frozen(obj, **fields):
+    """Set a frozen instance's fields and return it; arrays are stored as given (no copy), read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _canonical_harmonics(harmonics) -> tuple[Harmonic, ...]:
     """Sort by order, validate, and drop components that are exactly zero."""
     seen: set[int] = set()
@@ -130,9 +139,7 @@ class SampledCurve:
             raise ValueError(f"need at least 2 samples, got {v.size}")
         if not np.all(np.isfinite(v)):
             raise ValueError("sample values must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        _frozen(self, values=v.copy())
 
     def times(self) -> np.ndarray:
         """The sample grid, endpoints included."""
@@ -291,6 +298,15 @@ def norm(c: LoadCurve) -> float:
     square overflows or underflows the result is sqrt(inner_product(c, c))
     bit for bit.
     """
+    s, total = _scaled_square_norm(c)
+    return s * math.sqrt(total)
+
+
+def _scaled_square_norm(c: LoadCurve) -> tuple[float, float]:
+    """(s, q): s a power of two near the curve's peak, q = (c, c)/s**2 from the values divided by s.
+
+    s * (s * q) is inner_product(c, c) bit for bit wherever that neither overflows nor underflows.
+    """
     iv = c.interval
     if isinstance(c, AnalyticCurve):
         amps = [abs(c.constant), *(abs(a) for h in c.harmonics for a in (h.cos_amp, h.sin_amp))]
@@ -304,7 +320,7 @@ def norm(c: LoadCurve) -> float:
         s = _power_of_two_near(float(np.max(np.abs(c.values))))
         w = c.values / s
         total = _trapezoid(w * w, iv.t1, iv.t2)
-    return s * math.sqrt(total)
+    return s, total
 
 
 def distance(c1: LoadCurve, c2: LoadCurve) -> float:

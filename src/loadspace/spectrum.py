@@ -14,12 +14,13 @@ coordinate 2n.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .curve import AnalyticCurve, Harmonic, Interval, LoadCurve, _require_int, distance, norm
+from .curve import AnalyticCurve, Harmonic, Interval, LoadCurve, _frozen, _require_int, distance, norm
 
 __all__ = [
     "Spectrum",
@@ -65,15 +66,14 @@ class Spectrum:
     n_max, where a[n-1], b[n-1] are the cosine and sine coefficients of
     order n and every absent order holds zeros. The constructor takes the
     present orders as (order, a_n, b_n) rows, Harmonic tuples or a (k, 3)
-    array; `harmonics` and `coefficient` are views of the arrays. Two
-    spectra are equal when interval, n_max, a0 and both arrays are.
+    array; `n_max`, `harmonics` and `coefficient` are views of the arrays.
+    Two spectra are equal when interval, a0 and both arrays are.
     """
 
     interval: Interval
     a0: float
     a: np.ndarray
     b: np.ndarray
-    n_max: int
 
     def __init__(self, interval: Interval, a0: float, harmonics, n_max: int) -> None:
         n_max = _require_int(n_max, "n_max")
@@ -88,18 +88,18 @@ class Spectrum:
             raise ValueError(f"harmonic order {outside[0]} outside 1..{n_max}")
         ab = np.zeros((2, n_max))
         ab[:, orders - 1] = rows[:, 1:].T
-        ab.flags.writeable = False
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "a0", float(a0))
-        object.__setattr__(self, "a", ab[0])
-        object.__setattr__(self, "b", ab[1])
-        object.__setattr__(self, "n_max", n_max)
+        _frozen(self, interval=interval, a0=float(a0), a=ab[0], b=ab[1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Spectrum):
             return NotImplemented
-        same = (self.interval, self.n_max, self.a0) == (other.interval, other.n_max, other.a0)
+        same = (self.interval, self.a0) == (other.interval, other.a0)
         return same and np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b)
+
+    @property
+    def n_max(self) -> int:
+        """Truncation order: the length of `a` and `b`."""
+        return self.a.size
 
     @property
     def harmonics(self) -> tuple[Harmonic, ...]:
@@ -144,9 +144,7 @@ class DynamismVector:
             raise ValueError("coordinate indices must be >= 0")
         values = np.zeros(1 + (int(index.max()) if index.size else 0))
         values[index] = pairs[:, 1]
-        values.flags.writeable = False
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "values", values)
+        _frozen(self, interval=interval, values=values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DynamismVector):
@@ -173,9 +171,16 @@ class DynamismVector:
         return out
 
 
+def _spectrum(interval: Interval, a0: float, ab: np.ndarray) -> Spectrum:
+    """The Spectrum with coefficient arrays (a, b) = ab, stored as given, not copied."""
+    return _frozen(Spectrum.__new__(Spectrum), interval=interval, a0=float(a0), a=ab[0], b=ab[1])
+
+
 def _dense_vector(interval: Interval, values: np.ndarray) -> DynamismVector:
-    """The DynamismVector whose coordinate k is values[k]."""
-    return DynamismVector(interval, np.column_stack((np.arange(values.size), values)))
+    """The DynamismVector whose coordinate k is values[k], stored as given, not copied."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("coordinate indices and values must be finite")
+    return _frozen(DynamismVector.__new__(DynamismVector), interval=interval, values=values)
 
 
 def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum:
@@ -210,25 +215,31 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         curves must satisfy N >= 2*n_max + 2 so order n_max is resolvable
         on the grid, i.e. lies in the rfft output.
     drop_tol : float, optional
-        Orders whose |a_n| and |b_n| are both at most this threshold are
-        zeroed; a kept order keeps both values. Defaults to
-        1e-12 * norm(c).
+        A finite threshold >= 0 (0 keeps every nonzero order). Orders whose
+        |a_n| and |b_n| are both at most this threshold are zeroed; a kept
+        order keeps both values. Defaults to 1e-12 * norm(c).
 
     Raises
     ------
     ValueError
-        On a non-integer or non-positive n_max, or a sampled curve with
-        too few points.
+        On a non-integer or non-positive n_max, a sampled curve with too
+        few points, a NaN, infinite or negative drop_tol, or coefficients
+        that overflow.
     """
     n_max = _require_int(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if drop_tol is None:
         drop_tol = 1e-12 * norm(c)
+    elif not (math.isfinite(drop_tol) and drop_tol >= 0):
+        raise ValueError(f"drop_tol must be finite and nonnegative, got {drop_tol}")
 
     if isinstance(c, AnalyticCurve):
         a0 = 2.0 * c.constant
-        rows = np.array([h for h in c.harmonics if h.order <= n_max], dtype=float).reshape(-1, 3)
+        ab = np.zeros((2, n_max))
+        for n, ca, sa in c.harmonics:
+            if n <= n_max:
+                ab[:, n - 1] = ca, sa
     else:
         v = c.values
         n_samples = v.size
@@ -245,10 +256,12 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         shift = np.exp(-2j * np.pi * ((iv.t1 / iv.duration) % 1.0) * orders)
         z = (2.0 / iv.duration) * (np.fft.rfft(x)[: n_max + 1] * shift)
         a0 = float(z[0].real)
-        rows = np.column_stack((orders[1:], z.real[1:], -z.imag[1:]))
+        ab = np.stack((z.real[1:], -z.imag[1:]))
 
-    kept = (np.abs(rows[:, 1]) > drop_tol) | (np.abs(rows[:, 2]) > drop_tol)
-    return Spectrum(c.interval, a0, rows[kept], n_max)
+    ab[:, np.all(np.abs(ab) <= drop_tol, axis=0)] = 0.0
+    if not (math.isfinite(a0) and np.all(np.isfinite(ab))):
+        raise ValueError("spectrum orders and coefficients must be finite")
+    return _spectrum(c.interval, a0, ab)
 
 
 def synthesize(s: Spectrum) -> AnalyticCurve:

@@ -89,6 +89,18 @@ def test_characteristic_validation():
         cc.iota[0] = 99.0
 
 
+def test_characteristic_compares_by_value_and_is_unhashable():
+    cc = CostCharacteristic(UNIT, np.arange(3.0), 1)
+    assert cc == cc
+    assert cc == CostCharacteristic(UNIT, [0.0, 1.0, 2.0], 1)
+    assert cc != CostCharacteristic(UNIT, np.array([0.0, 1.0, 2.5]), 1)
+    assert cc != CostCharacteristic(Interval(0.0, 2.0), np.arange(3.0), 1)
+    assert cc != CostCharacteristic(UNIT, np.arange(5.0), 2)
+    assert cc != "cc"
+    with pytest.raises(TypeError):
+        hash(cc)
+
+
 # ---------------------------------------------------------------------------
 # calibrate_iota
 # ---------------------------------------------------------------------------
@@ -172,33 +184,6 @@ def test_calibration_argument_validation():
     obs = _observations(np.random.default_rng(6), np.ones(3), 1, count=3)
     with pytest.raises(ValueError, match="n_max"):
         calibrate_iota(obs, 0)
-    with pytest.raises(ValueError, match="ridge"):
-        calibrate_iota(obs, 1, ridge=-1.0)
-
-
-@pytest.mark.parametrize("ridge", [math.nan, math.inf])
-def test_calibration_rejects_non_finite_ridge(ridge):
-    obs = _observations(np.random.default_rng(6), np.ones(3), 1, count=3)
-    with pytest.raises(ValueError, match="ridge must be finite"):
-        calibrate_iota(obs, 1, ridge=ridge)
-
-
-def test_tiny_ridge_stays_near_least_squares():
-    rng = np.random.default_rng(12)
-    iota_true = rng.uniform(-3, 3, size=5)
-    obs = _observations(rng, iota_true, 2, count=12, noise=0.1)
-    plain = calibrate_iota(obs, 2)
-    ridged = calibrate_iota(obs, 2, ridge=1e-9)
-    assert np.allclose(plain.iota, ridged.iota, atol=1e-6)
-
-
-def test_large_ridge_shrinks_the_solution():
-    rng = np.random.default_rng(13)
-    iota_true = rng.uniform(-3, 3, size=5)
-    obs = _observations(rng, iota_true, 2, count=12, noise=0.1)
-    plain = calibrate_iota(obs, 2)
-    heavy = calibrate_iota(obs, 2, ridge=1e4)
-    assert np.linalg.norm(heavy.iota) < 0.5 * np.linalg.norm(plain.iota)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,23 @@ def test_decompose_drop_tol_prunes_small_harmonics(capsys, l1_profile):
     assert [h["order"] for h in doc["harmonics"]] == [5, 20]
 
 
+@pytest.mark.parametrize("drop_tol", ["nan", "inf", "-1"])
+def test_decompose_rejects_non_finite_or_negative_drop_tol(capsys, l1_profile, drop_tol):
+    code, out, err = run_cli(capsys, "decompose", l1_profile, f"--drop-tol={drop_tol}")
+    assert code == 3
+    assert out == "" and "drop_tol" in err
+
+
+def test_decompose_of_large_finite_values_does_not_overflow(capsys, tmp_path):
+    profile = write_rows(tmp_path / "big.csv", [["t", "power"], *([t, "1e200"] for t in range(5))])
+    code, out, err = run_cli(capsys, "decompose", profile, "--nmax", "1")
+    assert code == 0 and err == ""
+    assert out.endswith("parseval energy inf / norm^2 inf = 1\n")
+    code, out, _ = run_cli(capsys, "decompose", profile, "--nmax", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["parseval_ratio"] == pytest.approx(1.0, rel=1e-15)
+
+
 def test_decompose_rejects_unresolvable_nmax(capsys, tmp_path, l1):
     path = write_profile(tmp_path / "short.csv", l1, 40)
     code, _, err = run_cli(capsys, "decompose", path, "--nmax", "100")
@@ -322,13 +339,6 @@ def test_calibrate_table_output(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "calibrate", manifest, "--nmax", "2")
     assert code == 0
     assert "cost characteristic" in out and "residual max" in out
-
-
-def test_calibrate_rejects_nan_ridge(capsys, tmp_path):
-    manifest, _ = _calibration_manifest(tmp_path, 6)
-    code, out, err = run_cli(capsys, "calibrate", manifest, "--nmax", "2", "--ridge", "nan")
-    assert code == 3
-    assert out == "" and "ridge" in err
 
 
 def test_calibrate_underdetermined(capsys, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from loadspace import (
     AnalyticCurve,
+    DynamismRates,
     DynamismVector,
     Harmonic,
     Interval,
@@ -19,13 +20,16 @@ from loadspace import (
     Spectrum,
     add,
     analyze,
+    builtin_plans,
     energy,
     evaluate,
+    incentive_direction,
     inner_product,
     mu_index_cos,
     mu_index_sin,
     norm,
     parseval_energy,
+    payment_gradient,
     sample,
     scale,
     synthesize,
@@ -33,7 +37,7 @@ from loadspace import (
     truncation_error,
 )
 
-from conftest import UNIT, analytic_curves
+from conftest import UNIT, amplitudes, analytic_curves
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -104,6 +108,14 @@ def test_analyze_drop_threshold_configurable():
     c = AnalyticCurve(UNIT, 50.0, (Harmonic(2, 1e-9, 0.0),))
     assert analyze(c, 4).coefficient(2)[0] == 1e-9  # above default 1e-12*norm
     assert analyze(c, 4, drop_tol=1e-6).coefficient(2) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("drop_tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_analyze_rejects_non_finite_or_negative_drop_tol(l1, drop_tol):
+    for c in (l1, sample(l1, 256)):
+        with pytest.raises(ValueError, match="drop_tol"):
+            analyze(c, 100, drop_tol=drop_tol)
+    assert analyze(l1, 100, drop_tol=0.0) == analyze(l1, 100)
 
 
 def _trapezoid_spectrum(c: SampledCurve, n_max: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -376,3 +388,66 @@ def test_truncation_error_rejects_mismatched_interval(l1):
     s = analyze(AnalyticCurve(Interval(0.0, 2.0), 1.0), 1)
     with pytest.raises(ValueError, match="incompatible intervals"):
         truncation_error(l1, s)
+
+
+# ---------------------------------------------------------------------------
+# values the package builds equal the ones its constructors parse
+# ---------------------------------------------------------------------------
+
+def _assert_same_spectrum(s: Spectrum, n_max: int) -> None:
+    rebuilt = Spectrum(s.interval, s.a0, s.harmonics, s.n_max)
+    assert s.n_max == n_max and s == rebuilt
+    assert s.a.tobytes() == rebuilt.a.tobytes() and s.b.tobytes() == rebuilt.b.tobytes()
+    assert not (s.a.flags.writeable or s.b.flags.writeable)
+
+
+def _assert_same_vector(v: DynamismVector) -> None:
+    rebuilt = DynamismVector(v.interval, v.coords)
+    assert v == rebuilt
+    # value for value (+0.0 and -0.0 alike: `coords` lists no zero coordinate)
+    assert np.array_equal(v.values, rebuilt.dense(v.values.size))
+    assert not v.values.flags.writeable
+
+
+drop_tols = st.one_of(st.none(), st.just(0.0), st.floats(min_value=0.0, max_value=1e3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_for_analysis(), drop_tols)
+def test_sampled_analysis_equals_its_constructor_rebuild(case, drop_tol):
+    c, n_max = case
+    s = analyze(c, n_max, drop_tol)
+    _assert_same_spectrum(s, n_max)
+    _assert_same_vector(to_mu_vector(s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(analytic_curves(interval=None, max_order=30), st.integers(min_value=1, max_value=40), drop_tols)
+def test_analytic_analysis_equals_its_constructor_rebuild(c, n_max, drop_tol):
+    s = analyze(c, n_max, drop_tol)
+    _assert_same_spectrum(s, n_max)
+    _assert_same_vector(to_mu_vector(s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    analytic_curves(max_order=20),
+    st.sets(st.integers(min_value=1, max_value=25), max_size=8),
+    st.booleans(),
+    hnp.arrays(np.float64, st.integers(min_value=1, max_value=30), elements=amplitudes()),
+)
+def test_gradients_equal_their_constructor_rebuild(c, orders, with_supply, lam):
+    supply = analyze(c, 20) if with_supply else None
+    for plan in builtin_plans():
+        _assert_same_vector(payment_gradient(plan, UNIT, orders=orders, supply=supply))
+        _assert_same_vector(incentive_direction(plan, UNIT, orders=orders, supply=supply))
+    rates = DynamismRates(UNIT, tuple(lam))
+    _assert_same_vector(payment_gradient(rates))
+    _assert_same_vector(incentive_direction(rates))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_to_mu_vector_refuses_overflowing_coordinates():
+    # mu_0 = (a0/2)*sqrt(T0) = 0.5e308 * 20 is past the largest float
+    with pytest.raises(ValueError, match="finite"):
+        to_mu_vector(Spectrum(Interval(0.0, 400.0), 1e308, (), 1))
