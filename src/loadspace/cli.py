@@ -104,21 +104,23 @@ def _read_profile(path: str) -> SampledCurve:
     anything Python's ``float()`` reads, including ``1_000``, ``nan`` and
     ``inf`` (non-finite values are then refused). Rows that are empty or
     whose fields are all whitespace are skipped; ``#`` starts no comment.
-    The file is parsed in one pass by ``np.loadtxt``. Only when that fails
-    is it read again row by row, to name the first bad line (lines are
-    numbered by CSV row, the header being line 1) or to read the fields
-    that only ``float()`` accepts, such as ``1_000``.
+    Only the blank rows before the first data row are skipped here; the
+    rest of the open file is parsed in one pass by ``np.loadtxt``, which
+    skips empty lines itself. Only when that fails (a later row that is
+    whitespace-only or all empty fields makes it fail too) is the file read
+    again row by row, to name the first bad line (lines are numbered by CSV
+    row, the header being line 1) or to read what only ``float()`` accepts,
+    such as ``1_000``.
     """
     try:
         with open(path, newline="") as fh:
             _read_header(path, fh, _PROFILE_HEADER)
-            lines = (line for line in fh if line.replace(",", "").strip())
-            first = next(lines, None)
+            first = next((line for line in fh if line.replace(",", "").strip()), None)
             table: np.ndarray | None = np.empty((0, 2))
             if first is not None:
                 try:
                     table = np.loadtxt(
-                        itertools.chain((first,), lines),
+                        itertools.chain((first,), fh),
                         delimiter=",",
                         comments=None,
                         quotechar='"',
@@ -174,10 +176,7 @@ def _read_plan(path: str) -> TariffPlan:
         if kind == "flat":
             return FlatPlan(float(doc["unit_price"]))
         if kind == "spot":
-            return SpotPlan(
-                Interval(float(doc["t1"]), float(doc["t2"])),
-                tuple(float(p) for p in doc["unit_prices"]),
-            )
+            return SpotPlan(Interval(float(doc["t1"]), float(doc["t2"])), doc["unit_prices"])
         if kind == "dynamism":
             return DynamismPlan(
                 alpha0=float(doc["alpha0"]),

@@ -160,7 +160,7 @@ def _require_same_interval(c1: LoadCurve, c2: LoadCurve) -> Interval:
 
 def sample(c: AnalyticCurve, n: int) -> SampledCurve:
     """Render an analytic curve onto an n-point uniform grid."""
-    if n < 2:
+    if _require_int(n, "sample count") < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     t = np.linspace(c.interval.t1, c.interval.t2, n)
     return SampledCurve(c.interval, _evaluate_analytic(c, t))
@@ -356,9 +356,12 @@ def integrate(c: LoadCurve, lo: float, hi: float) -> float:
     Raises
     ------
     ValueError
-        If [lo, hi] is not contained in the curve's interval or lo > hi.
+        If a bound is not finite, [lo, hi] is not contained in the curve's
+        interval, or lo > hi.
     """
     iv = c.interval
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"integration bounds must be finite, got [{lo}, {hi}]")
     if lo > hi:
         raise ValueError(f"integration bounds out of order: {lo} > {hi}")
     if lo < iv.t1 or hi > iv.t2:

@@ -20,7 +20,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curve import AnalyticCurve, Harmonic, Interval, LoadCurve, _frozen, _require_int, distance, norm
+from .curve import (
+    AnalyticCurve,
+    Harmonic,
+    Interval,
+    LoadCurve,
+    _frozen,
+    _power_of_two_near,
+    _require_int,
+    distance,
+    norm,
+)
 
 __all__ = [
     "Spectrum",
@@ -291,9 +301,17 @@ def parseval_energy(s: Spectrum) -> float:
 
     T0*a0^2/4 + (T0/2)*sum(a_n^2 + b_n^2); equals norm(source)^2 up to
     quadrature error in the coefficients.
+
+    As `norm` does, the coefficients are divided by a power of two near
+    their largest magnitude before they are squared, so coefficients whose
+    squares overflow give inf without a warning. Scaling by a power of two
+    is exact, so wherever no square overflows or underflows the result is
+    the unscaled sum bit for bit.
     """
     t0 = s.interval.duration
-    return t0 * s.a0 * s.a0 / 4.0 + 0.5 * t0 * float(s.a @ s.a + s.b @ s.b)
+    m = _power_of_two_near(max(abs(s.a0), float(np.max(np.abs(s.a))), float(np.max(np.abs(s.b)))))
+    a0, a, b = s.a0 / m, s.a / m, s.b / m
+    return m * (m * (t0 * a0 * a0 / 4.0 + 0.5 * t0 * float(a @ a + b @ b)))
 
 
 def truncation_error(c: LoadCurve, s: Spectrum) -> float:

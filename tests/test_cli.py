@@ -125,6 +125,14 @@ def test_decompose_of_large_finite_values_does_not_overflow(capsys, tmp_path):
     assert json.loads(out)["parseval_ratio"] == pytest.approx(1.0, rel=1e-15)
 
 
+def test_decompose_of_large_finite_harmonics_does_not_overflow(capsys, tmp_path):
+    rows = [["t", "power"], *([t, repr(1e200 * (1 + t % 3))] for t in range(9))]
+    profile = write_rows(tmp_path / "big.csv", rows)
+    code, out, err = run_cli(capsys, "decompose", profile, "--nmax", "3")
+    assert code == 0 and err == ""
+    assert out.endswith("parseval energy inf / norm^2 inf = 0.972973\n")
+
+
 def test_decompose_rejects_unresolvable_nmax(capsys, tmp_path, l1):
     path = write_profile(tmp_path / "short.csv", l1, 40)
     code, _, err = run_cli(capsys, "decompose", path, "--nmax", "100")
@@ -278,6 +286,22 @@ def test_bill_plan_negative_spot_price(capsys, tmp_path, l1_profile):
     code, _, err = run_cli(capsys, "bill", l1_profile, plan)
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "prices, message",
+    [
+        ([10.0, "cheap"], "could not convert string to float: 'cheap'"),
+        ([10.0, None], "float() argument must be a string or a real number, not 'NoneType'"),
+        (10.0, "'float' object is not iterable"),
+    ],
+)
+def test_bill_plan_bad_spot_prices(capsys, tmp_path, l1_profile, prices, message):
+    doc = {"kind": "spot", "t1": 0.0, "t2": 1.0, "unit_prices": prices}
+    plan = write_plan(tmp_path / "p.json", doc)
+    code, out, err = run_cli(capsys, "bill", l1_profile, plan)
+    assert code == 2
+    assert out == "" and err == f"error: {plan}: {message}\n"
 
 
 def test_bill_spot_interval_mismatch(capsys, tmp_path, l1_profile):

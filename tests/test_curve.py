@@ -87,6 +87,16 @@ def test_sampled_times_span_interval():
     assert np.array_equal(c.times(), [2.0, 3.0, 4.0])
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+def test_sample_refuses_non_integer_counts(l1, n):
+    with pytest.raises(ValueError, match="sample count must be an integer"):
+        sample(l1, n)
+
+
+def test_sample_accepts_numpy_integer_counts(l1):
+    assert sample(l1, np.int64(3)).values.size == 3
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -322,6 +332,14 @@ def test_integrate_degenerate_and_bounds(l1):
         integrate(l1, 0.7, 0.3)
     with pytest.raises(ValueError, match="outside"):
         integrate(l1, -0.1, 0.5)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "sampled"])
+@pytest.mark.parametrize("lo, hi", [(math.nan, 0.5), (0.1, math.nan), (math.nan, math.nan)])
+def test_integrate_refuses_nan_bounds(l1, kind, lo, hi):
+    c = l1 if kind == "analytic" else sample(l1, 101)
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        integrate(c, lo, hi)
 
 
 def test_integrate_sampled_partition_additivity(l1):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadspace import Interval, SampledCurve
+from loadspace import cli
 from loadspace.cli import InputFormatError, _read_profile, main
 
 
@@ -171,12 +172,50 @@ def test_reader_matches_csv_module_reader(profile_path, text):
         ' "0",1\n1,2\n',
         '"",""\n0,1\n1,2\n',
         '""\n""\n',  # only empty quoted fields: no data, and no loadtxt warning
+        "\n\n",  # only newlines
+        "\r\n\r\n",
+        "\n   \n , \n0,1\n1,2\n",  # blank lines before the data
+        "\r\n\t\r\n,\r\n0,1\r\n1,2\r\n",
+        "0,1\n   \n1,2\n\t\n2,3\n",  # whitespace-only rows between data rows
+        "0,1\r\n \r\n1,2\r\n",
+        "0,1\n1,2\n2,3",  # a last row with no newline
     ],
 )
 def test_reader_matches_csv_module_reader_on_edge_cases(tmp_path, body):
     path = tmp_path / "p.csv"
     path.write_text("t,power\n" + body, newline="")
     assert outcome(_read_profile, str(path)) == outcome(reference_read_profile, str(path))
+
+
+def year_body() -> str:
+    """35,040 quarter-hour rows, as a year of meter readings is written."""
+    values = np.random.default_rng(0).normal(50.0, 10.0, 35_040).tolist()
+    return "".join(f"{i * 0.25!r},{v!r}\n" for i, v in enumerate(values))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0,1\n0.5,2\n1,3\n",
+        "0,1\r\n0.5,2\r\n1,3\r\n",
+        "0,1\r0.5,2\r1,3\r",
+        '"0" ,  1\t\n" 0.5 ","2" \n  1 ,3\n',  # quoted and padded fields
+        "\n   \n , \n,\n0,1\n0.5,2\n1,3\n",  # blank lines before the data
+        "\r\n\t\r\n0,1\r\n0.5,2\r\n1,3\r\n",
+        "0,1\n\n0.5,2\r\n\r\n1,3",  # empty lines between rows, no final newline
+        pytest.param(year_body(), id="year"),
+    ],
+)
+def test_well_formed_profiles_are_read_in_one_pass(tmp_path, monkeypatch, body):
+    def rescan(path):
+        raise AssertionError(f"{path} was read again row by row")
+
+    monkeypatch.setattr(cli, "_profile_rows", rescan)
+    path = tmp_path / "p.csv"
+    path.write_text("t,power\n" + body, newline="")
+    got = outcome(_read_profile, str(path))
+    assert got[0] == "curve"
+    assert got == outcome(reference_read_profile, str(path))
 
 
 def test_empty_profile_exits_2_without_a_warning(tmp_path):

@@ -309,6 +309,30 @@ def test_parseval_trivial_cases():
     assert parseval_energy(analyze(AnalyticCurve(UNIT, 0.0), 1)) == 0.0
 
 
+def test_parseval_energy_of_large_finite_coefficients_is_inf_without_a_warning():
+    # harmonics near 1e200, whose squares overflow; the pytest settings turn a warning into an error
+    s = analyze(SampledCurve(Interval(0.0, 8.0), [1e200 * (1 + i % 3) for i in range(9)]), 3)
+    assert max(abs(s.a0), *np.abs(s.a), *np.abs(s.b)) > 1e199
+    assert parseval_energy(s) == math.inf
+
+
+def coefficients():
+    """Zero, or a finite float whose square neither overflows nor underflows."""
+    signs = st.sampled_from((-1.0, 1.0))
+    return st.builds(lambda s, m: s * m, signs, st.one_of(st.just(0.0), st.floats(1e-100, 1e150)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.1, 10.0),
+    coefficients(),
+    st.lists(st.tuples(coefficients(), coefficients()), min_size=1, max_size=40),
+)
+def test_parseval_energy_is_the_unscaled_sum_bit_for_bit(t0, a0, ab):
+    s = Spectrum(Interval(0.0, t0), a0, [(n, a, b) for n, (a, b) in enumerate(ab, start=1)], len(ab))
+    assert parseval_energy(s) == t0 * a0 * a0 / 4.0 + 0.5 * t0 * float(s.a @ s.a + s.b @ s.b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(analytic_curves(interval=None, max_harmonics=10, max_order=20))
 def test_parseval_analytic(c):
