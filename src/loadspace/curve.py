@@ -81,7 +81,10 @@ def _frozen(obj, **fields):
     """Set a frozen instance's fields and return it; arrays are stored as given (no copy), read-only."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+            # not `value.flags.writeable = False`: that setter looks `setflags` up by a
+            # name string made per call, and CPython's type attribute cache keeps such
+            # strings alive, so a fleet of small meters piles up traced memory
+            value.setflags(write=False)
         object.__setattr__(obj, name, value)
     return obj
 
@@ -137,7 +140,7 @@ class SampledCurve:
             raise ValueError("sample values must be one-dimensional")
         if v.size < 2:
             raise ValueError(f"need at least 2 samples, got {v.size}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("sample values must be finite")
         _frozen(self, values=v.copy())
 
@@ -243,7 +246,7 @@ def scale(a: float, c: LoadCurve) -> LoadCurve:
 
 def _trapezoid(values: np.ndarray, t1: float, t2: float) -> float:
     dt = (t2 - t1) / (values.size - 1)
-    return float(dt * (np.sum(values) - 0.5 * (values[0] + values[-1])))
+    return float(dt * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
 def inner_product(c1: LoadCurve, c2: LoadCurve) -> float:
@@ -317,9 +320,10 @@ def _scaled_square_norm(c: LoadCurve) -> tuple[float, float]:
             ca, sa = ca / s, sa / s
             total += 0.5 * iv.duration * (ca * ca + sa * sa)
     else:
-        s = _power_of_two_near(float(np.max(np.abs(c.values))))
+        s = _power_of_two_near(float(np.abs(c.values).max()))
         w = c.values / s
-        total = _trapezoid(w * w, iv.t1, iv.t2)
+        w *= w
+        total = _trapezoid(w, iv.t1, iv.t2)
     return s, total
 
 
@@ -403,9 +407,12 @@ def _antiderivative(c: LoadCurve, bounds: np.ndarray) -> np.ndarray:
             out += (ca * np.sin(w * bounds) - sa * np.cos(w * bounds)) / w
         return out
     t, v = c.times(), c.values
-    dt = np.diff(t)
-    cumulative = np.concatenate(([0.0], np.cumsum(0.5 * dt * (v[1:] + v[:-1]))))
-    k = np.clip(np.searchsorted(t, bounds, side="right") - 1, 0, v.size - 2)
+    dt = t[1:] - t[:-1]
+    # ufuncs and t.searchsorted, not np.cumsum, np.clip and np.searchsorted: those reach
+    # numpy through per-call name lookups whose objects CPython keeps alive (see _frozen)
+    cumulative = np.concatenate(([0.0], np.add.accumulate(0.5 * dt * (v[1:] + v[:-1]))))
+    k = t.searchsorted(bounds, side="right") - 1
+    np.minimum(np.maximum(k, 0, out=k), v.size - 2, out=k)
     step = bounds - t[k]
     slope = (v[k + 1] - v[k]) / dt[k]
     return cumulative[k] + step * (v[k] + 0.5 * slope * step)

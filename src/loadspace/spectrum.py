@@ -14,6 +14,7 @@ coordinate 2n.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -193,6 +194,18 @@ def _dense_vector(interval: Interval, values: np.ndarray) -> DynamismVector:
     return _frozen(DynamismVector.__new__(DynamismVector), interval=interval, values=values)
 
 
+@functools.lru_cache(maxsize=32)
+def _phase(offset: float, n_max: int) -> np.ndarray:
+    """The read-only phase factors exp(-2 pi i n offset), n = 0..n_max, computed once per key.
+
+    `offset` is t1/T0 reduced modulo 1, so every interval with the same
+    offset shares one entry and no curve is kept.
+    """
+    shift = np.exp(-2j * np.pi * offset * np.arange(n_max + 1))
+    shift.setflags(write=False)
+    return shift
+
+
 def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum:
     """Fourier-analyze a curve up to order n_max.
 
@@ -262,14 +275,15 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         dt = iv.duration / (n_samples - 1)
         x = dt * v[:-1]
         x[0] = 0.5 * dt * (v[0] + v[-1])
-        orders = np.arange(n_max + 1)
-        shift = np.exp(-2j * np.pi * ((iv.t1 / iv.duration) % 1.0) * orders)
-        z = (2.0 / iv.duration) * (np.fft.rfft(x)[: n_max + 1] * shift)
+        z = np.fft.rfft(x)[: n_max + 1]
+        z *= _phase((iv.t1 / iv.duration) % 1.0, n_max)
+        z *= 2.0 / iv.duration
         a0 = float(z[0].real)
         ab = np.stack((z.real[1:], -z.imag[1:]))
 
-    ab[:, np.all(np.abs(ab) <= drop_tol, axis=0)] = 0.0
-    if not (math.isfinite(a0) and np.all(np.isfinite(ab))):
+    # copyto with a mask, not a boolean-index assignment, which builds index arrays on every call
+    np.copyto(ab, 0.0, where=(np.abs(ab) <= drop_tol).all(axis=0))
+    if not (math.isfinite(a0) and np.isfinite(ab).all()):
         raise ValueError("spectrum orders and coefficients must be finite")
     return _spectrum(c.interval, a0, ab)
 

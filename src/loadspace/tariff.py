@@ -16,6 +16,7 @@ T0 * sum(lambda_k * mu_k) with no polarity adjustment.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
@@ -90,11 +91,36 @@ def price_frequency_value(pff: PriceFrequencyFunction, f):
     same shape. NaN, inf and negative frequencies raise ValueError.
     """
     fs = np.asarray(f, dtype=float)
-    if not np.all((0.0 <= fs) & (fs < np.inf)):
+    if not ((0.0 <= fs) & (fs < np.inf)).all():
         raise ValueError(f"frequency must be finite and nonnegative, got {f}")
     upper = pff.base + pff.slope * np.log10(np.maximum(fs, pff.cutoff) - pff.log_offset)
     price = np.where(fs < pff.cutoff, pff.base, upper)
     return float(price) if price.ndim == 0 else price
+
+
+def _real_tuple(values, name: str) -> tuple[float, ...]:
+    """A flat sequence or 1-D array of real numbers as a tuple of floats.
+
+    A str, bytes, mapping, set, bool or array of another dimension raises
+    ValueError, as does an entry that is a bool or itself iterable. Other
+    entries go through float(), whose own error a non-numeric one raises;
+    so does iterating a value that is not iterable at all.
+
+    The checks use concrete types and attributes, not the collections.abc
+    classes, whose isinstance caches would grow on first use.
+    """
+    if (
+        isinstance(values, (str, bytes, bytearray, set, frozenset, bool))
+        or hasattr(values, "keys")
+        or getattr(values, "ndim", 1) != 1
+    ):
+        raise ValueError(f"{name} must be a flat sequence of real numbers, got {type(values).__name__}")
+    items = tuple(values)
+    # one check per distinct entry type, not per entry: a year of hourly prices is 8,760 entries
+    for kind in set(map(type, items)):
+        if issubclass(kind, (bool, np.bool_)) or (hasattr(kind, "__iter__") and not issubclass(kind, str)):
+            raise ValueError(f"{name} must be real numbers, got an entry of type {kind.__name__}")
+    return tuple(map(float, items))
 
 
 @dataclass(frozen=True)
@@ -114,7 +140,7 @@ class SpotPlan:
     unit_prices: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        prices = tuple(float(p) for p in self.unit_prices)
+        prices = _real_tuple(self.unit_prices, "spot prices")
         if not prices:
             raise ValueError("spot plan needs at least one cycle price")
         if not all(math.isfinite(p) and p > 0 for p in prices):
@@ -147,7 +173,7 @@ class DynamismRates:
     lam: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        lam = tuple(float(x) for x in self.lam)
+        lam = _real_tuple(self.lam, "rates")
         if not lam:
             raise ValueError("rates vector must be non-empty")
         if not all(math.isfinite(x) for x in lam):
@@ -239,7 +265,28 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
             f"[{c.interval.t1}, {c.interval.t2}]"
         )
     bounds = np.linspace(plan.interval.t1, plan.interval.t2, plan.cycle_count + 1)
-    return float(np.diff(_antiderivative(c, bounds)) @ np.asarray(plan.unit_prices))
+    F = _antiderivative(c, bounds)
+    return float((F[1:] - F[:-1]) @ np.asarray(plan.unit_prices))
+
+
+@functools.lru_cache(maxsize=32)
+def _order_frequencies(f0: float, n_max: int) -> np.ndarray:
+    """The read-only frequencies n*f0 of orders 1..n_max, computed once per (f0, n_max)."""
+    f = np.arange(1, n_max + 1) * f0
+    f.setflags(write=False)
+    return f
+
+
+@functools.lru_cache(maxsize=32)
+def _order_prices(pff: PriceFrequencyFunction, f0: float, n_max: int) -> np.ndarray:
+    """The read-only published prices pff(n*f0) of orders 1..n_max, computed once per key.
+
+    The key holds only values (a frozen price function, f0, n_max), so
+    equal plans share an entry and no plan, curve or spectrum is kept.
+    """
+    price = price_frequency_value(pff, _order_frequencies(f0, n_max))
+    price.setflags(write=False)
+    return price
 
 
 def _polarity(supply: np.ndarray, load) -> np.ndarray:
@@ -278,19 +325,23 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
     """
     if supply is not None and supply.interval != s.interval:
         raise ValueError("incompatible intervals: supply spectrum on a different interval")
-    t0 = s.interval.duration
-    orders = np.arange(1, s.n_max + 1)
-    f = orders * s.interval.f0
-    sup_a, sup_b = (s.a, s.b) if supply is None else _supply_coefficients(supply, orders)
+    iv, n_max = s.interval, s.n_max
+    t0 = iv.duration
+    f = _order_frequencies(iv.f0, n_max)
+    sup_a, sup_b = (s.a, s.b) if supply is None else _supply_coefficients(supply, np.arange(1, n_max + 1))
     non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
-    lines = np.empty((1 + 2 * s.n_max, 4))
+    lines = np.empty((1 + 2 * n_max, 4))
     lines[0] = (0.0, s.a0, plan.alpha0, non_dynamic)
     for first, coef, sup, pff in ((1, s.a, sup_a, plan.alpha), (2, s.b, sup_b, plan.beta)):
-        price = price_frequency_value(pff, f)
-        lines[first::2] = np.column_stack((f, coef, price, t0 * _polarity(sup, coef) * price * coef))
-    lines.flags.writeable = False
+        price = _order_prices(pff, iv.f0, n_max)
+        rows = lines[first::2]
+        rows[:, 0] = f
+        rows[:, 1] = coef
+        rows[:, 2] = price
+        rows[:, 3] = t0 * _polarity(sup, coef) * price * coef
+    lines.setflags(write=False)
     # starting from +0.0, as a running sum would, keeps an all-zero dynamic part from reading -0.0
-    dynamic = float(np.sum(lines[1:, 3], initial=0.0))
+    dynamic = float(lines[1:, 3].sum(initial=0.0))
     return Bill(non_dynamic, dynamic, lines)
 
 

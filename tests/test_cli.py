@@ -304,6 +304,15 @@ def test_bill_plan_bad_spot_prices(capsys, tmp_path, l1_profile, prices, message
     assert out == "" and err == f"error: {plan}: {message}\n"
 
 
+@pytest.mark.parametrize("prices", ["12", True, [True, 2.0], {"10": 1.0}, [[10.0, 30.0]]], ids=repr)
+def test_bill_plan_refuses_spot_prices_that_are_not_a_list_of_numbers(capsys, tmp_path, l1_profile, prices):
+    doc = {"kind": "spot", "t1": 0.0, "t2": 1.0, "unit_prices": prices}
+    plan = write_plan(tmp_path / "p.json", doc)
+    code, out, err = run_cli(capsys, "bill", l1_profile, plan)
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {plan}: spot prices must be ") and "real numbers" in err
+
+
 def test_bill_spot_interval_mismatch(capsys, tmp_path, l1_profile):
     doc = {"kind": "spot", "t1": 0.0, "t2": 2.0, "unit_prices": [10.0, 30.0]}
     plan = write_plan(tmp_path / "p.json", doc)

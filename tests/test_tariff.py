@@ -32,6 +32,7 @@ from loadspace import (
     price_frequency_value,
     rates_payment,
     sample,
+    scale,
     spot_payment,
     to_mu_vector,
     unit_price_from_gross,
@@ -265,6 +266,60 @@ def test_spot_payment_equals_per_cycle_integrals(c, data):
     assert spot_payment(plan, c) == pytest.approx(expected, rel=1e-12, abs=1e-12 * (1.0 + magnitude))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(sampled_curves(), analytic_curves(interval=None, max_order=40)),
+    st.floats(min_value=0.01, max_value=500.0),
+)
+def test_one_cycle_spot_plan_bills_as_classic(c, p):
+    # a signed load can cancel to a total near zero, so the absolute part
+    # of the tolerance scales with the curve's peak over its interval
+    if isinstance(c, SampledCurve):
+        peak = float(np.max(np.abs(c.values)))
+    else:
+        peak = abs(c.constant) + sum(abs(a) for h in c.harmonics for a in h[1:])
+    size = p * c.interval.duration * peak
+    expected = classic_payment(p, c)
+    assert spot_payment(SpotPlan(c.interval, [p]), c) == pytest.approx(expected, rel=1e-12, abs=1e-12 * size)
+
+
+_NOT_VECTORS = [
+    "12",
+    b"12",
+    {1.0: 2.0, 3.0: 4.0},
+    {1.0, 2.0},
+    True,
+    (True, 2.0),
+    [1.0, np.True_],
+    [[1.0, 2.0]],
+    [np.array([1.0, 2.0])],
+    np.ones((2, 2)),
+    np.array(3.0),
+    np.float64(3.0),
+    np.array([True, False]),
+]
+
+
+@pytest.mark.parametrize("values", _NOT_VECTORS, ids=repr)
+@pytest.mark.parametrize("vector", [lambda v: SpotPlan(UNIT, v), lambda v: DynamismRates(UNIT, v)],
+                         ids=["spot", "rates"])
+def test_price_and_rate_vectors_refuse_anything_but_flat_reals(vector, values):
+    with pytest.raises(ValueError, match="must be .*real numbers"):
+        vector(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [lambda: [10.0, 30], lambda: (10.0, 30.0), lambda: np.array([10.0, 30.0]), lambda: np.array([10, 30]),
+     lambda: (x for x in (10.0, 30.0)), lambda: [np.float64(10.0), np.int64(30)]],
+    ids=["list", "tuple", "float array", "int array", "generator", "numpy scalars"],
+)
+def test_price_and_rate_vectors_accept_flat_reals(values):
+    spot, rates = SpotPlan(UNIT, values()), DynamismRates(UNIT, values())
+    assert spot.unit_prices == rates.lam == (10.0, 30.0)
+    assert all(type(x) is float for x in spot.unit_prices + rates.lam)
+
+
 def test_spot_interval_mismatch_raises(l1):
     plan = SpotPlan(Interval(0.0, 2.0), (10.0, 30.0))
     with pytest.raises(ValueError, match="partition"):
@@ -371,6 +426,33 @@ def test_payment_linear_in_spectrum_under_fixed_supply(plan1):
             + dynamism_payment(plan1, analyze(c2, 10), supply).total
         )
         assert joint == pytest.approx(split, rel=1e-9)
+
+
+def _nonzero_coefficients():
+    return st.floats(min_value=0.1, max_value=100.0).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dynamism_bill_is_linear_in_the_load_under_fixed_supply(data):
+    # every supply coefficient is nonzero, so no order falls back to the load's own sign
+    interval = data.draw(intervals(max_length=20.0))
+    n_max = data.draw(st.integers(min_value=1, max_value=30))
+    plan = DynamismPlan(data.draw(st.floats(min_value=0.1, max_value=100.0)), data.draw(_pffs()), data.draw(_pffs()))
+    sup = data.draw(st.lists(st.tuples(_nonzero_coefficients(), _nonzero_coefficients()),
+                             min_size=n_max, max_size=n_max))
+    supply = Spectrum(interval, 1.0, [(n, a, b) for n, (a, b) in enumerate(sup, start=1)], n_max)
+    x = data.draw(analytic_curves(interval=interval, max_order=n_max))
+    y = data.draw(analytic_curves(interval=interval, max_order=n_max))
+    a = data.draw(st.floats(min_value=-10.0, max_value=10.0))
+
+    def bill(c):
+        return dynamism_payment(plan, analyze(c, n_max, drop_tol=0.0), supply)
+
+    bx, by = bill(x), bill(y)
+    joint = bill(add(scale(a, x), y))
+    magnitude = abs(a) * np.abs(bx.lines[:, 3]).sum() + np.abs(by.lines[:, 3]).sum()
+    assert joint.total == pytest.approx(a * bx.total + by.total, rel=1e-12, abs=1e-12 * magnitude)
 
 
 def test_bill_to_dict_shape(l1, plan1):
