@@ -427,6 +427,13 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _curve_csv(curve: SampledCurve):
+    """CSV rows of a sampled curve: header, then (t, power) at every grid point."""
+    yield ["t", "power"]
+    for t, v in zip(curve.times(), curve.values):
+        yield [_full(t), _full(v)]
+
+
 def _pff_csv(plan: DynamismPlan, fmax: float, fstep: float):
     """CSV rows of both price-frequency functions at f_i = i*fstep, up to fmax.
 
@@ -454,8 +461,7 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
             raise ValueError(f"fmax must be finite, nonnegative and within range of fstep, got {args.fmax}")
         rows = _pff_csv(plan, args.fmax, args.fstep)
     elif args.what == "curve":
-        curve = _read_profile(args.source)
-        rows = [["t", "power"], *([_full(t), _full(v)] for t, v in zip(curve.times(), curve.values))]
+        rows = _curve_csv(_read_profile(args.source))
     else:
         rows = _spectrum_csv(analyze(_read_profile(args.source), args.nmax))
 

@@ -70,6 +70,17 @@ class Harmonic(NamedTuple):
     sin_amp: float
 
 
+def _uniform_grid(interval: Interval, num: int) -> np.ndarray:
+    """np.linspace(t1, t2, num) for num >= 2, bit for bit: the same arithmetic without its per-call overhead."""
+    step = interval.duration / (num - 1)
+    if step == 0.0:  # a subnormal interval, which linspace scales in another order
+        return np.linspace(interval.t1, interval.t2, num)
+    grid = np.arange(num) * step
+    grid += interval.t1
+    grid[-1] = interval.t2
+    return grid
+
+
 def _require_int(value, name: str) -> int:
     """`value` as an int; ValueError unless it is an integer (bool is refused)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -146,7 +157,7 @@ class SampledCurve:
 
     def times(self) -> np.ndarray:
         """The sample grid, endpoints included."""
-        return np.linspace(self.interval.t1, self.interval.t2, self.values.size)
+        return _uniform_grid(self.interval, self.values.size)
 
 
 LoadCurve = Union[AnalyticCurve, SampledCurve]
@@ -165,7 +176,7 @@ def sample(c: AnalyticCurve, n: int) -> SampledCurve:
     """Render an analytic curve onto an n-point uniform grid."""
     if _require_int(n, "sample count") < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    t = np.linspace(c.interval.t1, c.interval.t2, n)
+    t = _uniform_grid(c.interval, n)
     return SampledCurve(c.interval, _evaluate_analytic(c, t))
 
 
@@ -204,7 +215,7 @@ def _common_grid(c1: LoadCurve, c2: LoadCurve) -> tuple[np.ndarray, np.ndarray, 
     n1 = c1.values.size if isinstance(c1, SampledCurve) else 0
     n2 = c2.values.size if isinstance(c2, SampledCurve) else 0
     n = max(n1, n2)
-    t = np.linspace(c1.interval.t1, c1.interval.t2, n)
+    t = _uniform_grid(c1.interval, n)
 
     def on_grid(c: LoadCurve) -> np.ndarray:
         if isinstance(c, AnalyticCurve):
@@ -390,13 +401,17 @@ def integrate(c: LoadCurve, lo: float, hi: float) -> float:
 def _antiderivative(c: LoadCurve, bounds: np.ndarray) -> np.ndarray:
     """An antiderivative F of the curve at every entry of `bounds`, in one pass.
 
-    `bounds` must lie inside the curve's interval; only differences of F
-    are meaningful, and F(hi) - F(lo) is the integral over [lo, hi].
-    Analytic curves use the closed form `integrate` uses, vectorised over
-    the bounds. Sampled curves take the cumulative trapezoid sum at the
-    grid points and add the linear interpolant's integral over the partial
-    cell each bound closes, found by binary search. Time and memory are
-    O(N + len(bounds)).
+    `bounds` must lie inside the curve's interval (this is not checked);
+    only differences of F are meaningful, and F(hi) - F(lo) is the
+    integral over [lo, hi]. Analytic curves use the closed form `integrate`
+    uses, vectorised over the bounds. Sampled curves take the cumulative
+    trapezoid sum at the grid points and add the linear interpolant's
+    integral over the partial cell each bound closes. The cell index comes
+    from arithmetic on the uniform step h = T0/(N-1), floor((bound - t1)/h)
+    with t2 put in the last cell, not from a binary search over the grid.
+    The cell widths are those of the grid `times()` gives, the same
+    rounded widths `integrate` sums, so the two agree to rounding even
+    where t1 is large against T0. Time and memory are O(N + len(bounds)).
     """
     iv = c.interval
     if isinstance(c, AnalyticCurve):
@@ -408,11 +423,16 @@ def _antiderivative(c: LoadCurve, bounds: np.ndarray) -> np.ndarray:
         return out
     t, v = c.times(), c.values
     dt = t[1:] - t[:-1]
-    # ufuncs and t.searchsorted, not np.cumsum, np.clip and np.searchsorted: those reach
-    # numpy through per-call name lookups whose objects CPython keeps alive (see _frozen)
-    cumulative = np.concatenate(([0.0], np.add.accumulate(0.5 * dt * (v[1:] + v[:-1]))))
-    k = t.searchsorted(bounds, side="right") - 1
-    np.minimum(np.maximum(k, 0, out=k), v.size - 2, out=k)
+    # ufuncs, not np.cumsum or np.clip: those reach numpy through per-call
+    # name lookups whose objects CPython keeps alive (see _frozen)
+    cumulative = np.empty(v.size)
+    cumulative[0] = 0.0
+    np.add.accumulate(dt * (v[1:] + v[:-1]), out=cumulative[1:])
+    cumulative *= 0.5
+    # the cell of each bound, floor((bound - t1)/h), by arithmetic on the uniform step h:
+    # truncation is floor for bounds at or above t1, and t2 belongs to the last cell
+    k = ((bounds - iv.t1) / (iv.duration / (v.size - 1))).astype(np.intp)
+    np.minimum(k, v.size - 2, out=k)
     step = bounds - t[k]
     slope = (v[k + 1] - v[k]) / dt[k]
     return cumulative[k] + step * (v[k] + 0.5 * slope * step)

@@ -122,7 +122,11 @@ class Spectrum:
         )
 
     def coefficient(self, n: int) -> tuple[float, float]:
-        """(a_n, b_n) for order n; (0, 0) when the order is absent."""
+        """(a_n, b_n) for order n; (0, 0) when the order is absent.
+
+        ValueError unless n is an integer (bool is refused).
+        """
+        n = _require_int(n, "order")
         if 1 <= n <= self.n_max:
             return (float(self.a[n - 1]), float(self.b[n - 1]))
         return (0.0, 0.0)
@@ -171,10 +175,12 @@ class DynamismVector:
     def dense(self, size: int | None = None) -> np.ndarray:
         """Coordinates as a new dense vector of the given length (default: the stored one).
 
-        A size below the last nonzero coordinate raises ValueError.
+        A size that is not an integer >= 0, or is below the last nonzero
+        coordinate, raises ValueError.
         """
-        if size is None:
-            size = self.values.size
+        size = self.values.size if size is None else _require_int(size, "size")
+        if size < 0:
+            raise ValueError(f"size must be >= 0, got {size}")
         if np.any(self.values[size:]):
             raise ValueError(f"size {size} too small for coordinate index {np.flatnonzero(self.values)[-1]}")
         out = np.zeros(size)
@@ -195,13 +201,13 @@ def _dense_vector(interval: Interval, values: np.ndarray) -> DynamismVector:
 
 
 @functools.lru_cache(maxsize=32)
-def _phase(offset: float, n_max: int) -> np.ndarray:
-    """The read-only phase factors exp(-2 pi i n offset), n = 0..n_max, computed once per key.
+def _conjugate_phase(offset: float, n_max: int) -> np.ndarray:
+    """The read-only conjugated phase factors conj(exp(-2 pi i n offset)), n = 0..n_max, once per key.
 
     `offset` is t1/T0 reduced modulo 1, so every interval with the same
     offset shares one entry and no curve is kept.
     """
-    shift = np.exp(-2j * np.pi * offset * np.arange(n_max + 1))
+    shift = np.conjugate(np.exp(-2j * np.pi * offset * np.arange(n_max + 1)))
     shift.setflags(write=False)
     return shift
 
@@ -222,12 +228,14 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
     folds onto the first and the quadrature is one real FFT of length N-1:
 
         x_0 = h*(v_0 + v_{N-1})/2,  x_i = h*v_i  (0 < i < N-1)
-        z_n = exp(-2 pi i n t1/T0) * rfft(x)_n
-        a_n = (2/T0) Re z_n,  b_n = -(2/T0) Im z_n
+        w_n = conj(rfft(x)_n) * conj(exp(-2 pi i n t1/T0))
+        a_n = (2/T0) Re w_n,  b_n = (2/T0) Im w_n
 
-    with t1/T0 reduced modulo 1 before the phase is formed. This is the
-    same trapezoid sum an n_max x N cos/sin matrix would give, in
-    O(N log N) time and O(N) memory.
+    with t1/T0 reduced modulo 1 before the phase is formed. w_n is the
+    conjugate of the phase-shifted bin, so b_n is its imaginary part with
+    no sign flip, and `a`, `b` are strided views of the one complex array
+    w, not copies. This is the same trapezoid sum an n_max x N cos/sin
+    matrix would give, in O(N log N) time and O(N) memory.
 
     Parameters
     ----------
@@ -275,14 +283,17 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         dt = iv.duration / (n_samples - 1)
         x = dt * v[:-1]
         x[0] = 0.5 * dt * (v[0] + v[-1])
-        z = np.fft.rfft(x)[: n_max + 1]
-        z *= _phase((iv.t1 / iv.duration) % 1.0, n_max)
-        z *= 2.0 / iv.duration
-        a0 = float(z[0].real)
-        ab = np.stack((z.real[1:], -z.imag[1:]))
+        # a new array, not the rfft buffer conjugated in place: the spectrum's views
+        # would keep all N/2 bins alive where it needs n_max + 1
+        w = np.conjugate(np.fft.rfft(x)[: n_max + 1])
+        w *= _conjugate_phase((iv.t1 / iv.duration) % 1.0, n_max)
+        w *= 2.0 / iv.duration
+        a0 = float(w[0].real)
+        ab = w[1:].view(float).reshape(n_max, 2).T  # ab[0] = Re w_n = a_n, ab[1] = Im w_n = b_n
 
     # copyto with a mask, not a boolean-index assignment, which builds index arrays on every call
-    np.copyto(ab, 0.0, where=(np.abs(ab) <= drop_tol).all(axis=0))
+    magnitude = np.abs(ab)
+    np.copyto(ab, 0.0, where=np.maximum(magnitude[0], magnitude[1], out=magnitude[0]) <= drop_tol)
     if not (math.isfinite(a0) and np.isfinite(ab).all()):
         raise ValueError("spectrum orders and coefficients must be finite")
     return _spectrum(c.interval, a0, ab)

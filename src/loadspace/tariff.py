@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .curve import Interval, LoadCurve, _antiderivative, _require_int, energy
+from .curve import Interval, LoadCurve, _antiderivative, _require_int, _uniform_grid, energy
 from .spectrum import DynamismVector, Spectrum, _dense_vector, mu_index_cos, mu_index_sin
 
 __all__ = [
@@ -264,29 +264,29 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
             f"[{plan.interval.t1}, {plan.interval.t2}], curve on "
             f"[{c.interval.t1}, {c.interval.t2}]"
         )
-    bounds = np.linspace(plan.interval.t1, plan.interval.t2, plan.cycle_count + 1)
-    F = _antiderivative(c, bounds)
-    return float((F[1:] - F[:-1]) @ np.asarray(plan.unit_prices))
+    F = _antiderivative(c, _uniform_grid(plan.interval, plan.cycle_count + 1))
+    prices = np.fromiter(plan.unit_prices, float, plan.cycle_count)
+    return float((F[1:] - F[:-1]) @ prices)
 
 
 @functools.lru_cache(maxsize=32)
-def _order_frequencies(f0: float, n_max: int) -> np.ndarray:
-    """The read-only frequencies n*f0 of orders 1..n_max, computed once per (f0, n_max)."""
-    f = np.arange(1, n_max + 1) * f0
-    f.setflags(write=False)
-    return f
+def _order_columns(alpha: PriceFrequencyFunction, beta: PriceFrequencyFunction, f0: float, n_max: int) -> np.ndarray:
+    """The read-only frequency and published-price columns of a bill's 2*n_max order lines.
 
-
-@functools.lru_cache(maxsize=32)
-def _order_prices(pff: PriceFrequencyFunction, f0: float, n_max: int) -> np.ndarray:
-    """The read-only published prices pff(n*f0) of orders 1..n_max, computed once per key.
-
-    The key holds only values (a frozen price function, f0, n_max), so
-    equal plans share an entry and no plan, curve or spectrum is kept.
+    Row 2n-2 is order n's cosine line, (n*f0, alpha(n*f0)), and row 2n-1
+    its sine line, (n*f0, beta(n*f0)): the interleaving of `Bill.lines[1:]`.
+    Computed once per key; the key holds only values (two frozen price
+    functions, f0, n_max), so equal plans share an entry and no plan,
+    curve or spectrum is kept.
     """
-    price = price_frequency_value(pff, _order_frequencies(f0, n_max))
-    price.setflags(write=False)
-    return price
+    f = np.arange(1, n_max + 1) * f0
+    columns = np.empty((n_max, 2, 2))
+    columns[:, :, 0] = f[:, None]
+    columns[:, 0, 1] = price_frequency_value(alpha, f)
+    columns[:, 1, 1] = price_frequency_value(beta, f)
+    columns = columns.reshape(2 * n_max, 2)
+    columns.setflags(write=False)
+    return columns
 
 
 def _polarity(supply: np.ndarray, load) -> np.ndarray:
@@ -327,18 +327,25 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
         raise ValueError("incompatible intervals: supply spectrum on a different interval")
     iv, n_max = s.interval, s.n_max
     t0 = iv.duration
-    f = _order_frequencies(iv.f0, n_max)
-    sup_a, sup_b = (s.a, s.b) if supply is None else _supply_coefficients(supply, np.arange(1, n_max + 1))
+    columns = _order_columns(plan.alpha, plan.beta, iv.f0, n_max)
     non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
     lines = np.empty((1 + 2 * n_max, 4))
     lines[0] = (0.0, s.a0, plan.alpha0, non_dynamic)
-    for first, coef, sup, pff in ((1, s.a, sup_a, plan.alpha), (2, s.b, sup_b, plan.beta)):
-        price = _order_prices(pff, iv.f0, n_max)
-        rows = lines[first::2]
-        rows[:, 0] = f
-        rows[:, 1] = coef
-        rows[:, 2] = price
-        rows[:, 3] = t0 * _polarity(sup, coef) * price * coef
+    body = lines[1:]
+    body[:, ::2] = columns  # frequency and published price
+    coef, amount = body[:, 1], body[:, 3]
+    coef[::2] = s.a
+    coef[1::2] = s.b
+    # t0 * price * coef, times the polarity: multiplying by a sign is exact, so this is
+    # the amount t0 * polarity * price * coef bit for bit
+    np.multiply(columns[:, 1], t0, out=amount)
+    amount *= coef
+    if supply is None:
+        np.absolute(amount, out=amount)  # the load's own sign: copysign(1, coef) * coef = |coef|
+    else:
+        sup = np.empty(2 * n_max)
+        sup[::2], sup[1::2] = _supply_coefficients(supply, np.arange(1, n_max + 1))
+        amount *= _polarity(sup, coef)
     lines.setflags(write=False)
     # starting from +0.0, as a running sum would, keeps an all-zero dynamic part from reading -0.0
     dynamic = float(lines[1:, 3].sum(initial=0.0))

@@ -13,13 +13,14 @@ from loadspace import (
     AnalyticCurve,
     Harmonic,
     Interval,
+    SampledCurve,
     SpotPlan,
     analyze,
     sample,
     spot_payment,
     to_mu_vector,
 )
-from loadspace.cli import main
+from loadspace.cli import _curve_csv, main
 from loadspace.scenarios import ScenarioCheck, ScenarioReport
 
 from conftest import UNIT
@@ -559,6 +560,27 @@ def test_plotdata_curve_round_trips_profile(capsys, tmp_path, l1):
     assert len(rows) == 52
     sc = sample(l1, 51)
     assert float(rows[1][1]) == sc.values[0]
+
+
+def test_plotdata_curve_output_is_unchanged(capsys, tmp_path):
+    # the grid is printed, not the file's times: 0.3 and 0.7 come back as linspace gives them
+    path = write_rows(tmp_path / "small.csv", [
+        ["t", "power"], ["0.1", "5"], ["0.2", "-1.25"], ["0.3", "3.1"], ["0.4", "0.1"],
+        ["0.5", "1e-3"], ["0.6", "7"], ["0.7", "2.5"], ["0.8", "-0.0"],
+    ])
+    out = tmp_path / "curve.csv"
+    assert run_cli(capsys, "plotdata", path, "--what", "curve", "--out", str(out))[0] == 0
+    assert out.read_bytes() == (
+        b"t,power\n0.1,5.0\n0.2,-1.25\n0.30000000000000004,3.1\n0.4,0.1\n"
+        b"0.5,0.001\n0.6,7.0\n0.7000000000000001,2.5\n0.8,-0.0\n"
+    )
+
+
+def test_plotdata_curve_streams_its_rows():
+    rows = _curve_csv(SampledCurve(Interval(0.0, 1.0), np.arange(5.0)))
+    assert iter(rows) is rows  # a generator: no row is built before it is written
+    assert next(rows) == ["t", "power"]
+    assert next(rows) == ["0.0", "0.0"]
 
 
 def test_plotdata_spectrum(capsys, l1_profile):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loadspace import (
@@ -85,6 +85,15 @@ def test_sampled_curve_is_immutable():
 def test_sampled_times_span_interval():
     c = SampledCurve(Interval(2.0, 4.0), np.array([0.0, 1.0, 4.0]))
     assert np.array_equal(c.times(), [2.0, 3.0, 4.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals(start_bound=1e6, max_length=1e4), st.integers(min_value=2, max_value=500))
+@example(Interval(0.0, 5e-324), 3)  # a step that underflows to zero, which linspace scales in another order
+@example(Interval(-12.25, 987.75), 8761)
+def test_sample_grid_is_linspace_bit_for_bit(interval, n):
+    c = SampledCurve(interval, np.zeros(n))
+    assert c.times().tobytes() == np.linspace(interval.t1, interval.t2, n).tobytes()
 
 
 @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])

@@ -195,6 +195,18 @@ def test_spectrum_is_dense_and_read_only():
         s.a[0] = 1.0
 
 
+def test_spectrum_coefficient_accepts_integer_orders_of_any_integer_type():
+    s = Spectrum(UNIT, 2.0, [(5, 1.0, -2.0)], n_max=5)
+    assert s.coefficient(np.int64(5)) == s.coefficient(5) == (1.0, -2.0)
+
+
+@pytest.mark.parametrize("order", [True, 2.5, 5.0, "5"], ids=["bool", "fraction", "integral-float", "str"])
+def test_spectrum_coefficient_refuses_an_order_that_is_not_an_integer(order):
+    s = Spectrum(UNIT, 2.0, [(1, 4.0, 0.0), (5, 1.0, -2.0)], n_max=5)
+    with pytest.raises(ValueError, match="order must be an integer"):
+        s.coefficient(order)
+
+
 # ---------------------------------------------------------------------------
 # synthesize and round trips
 # ---------------------------------------------------------------------------
@@ -289,6 +301,25 @@ def test_dynamism_vector_validation_and_dense():
     assert np.array_equal(v.dense(6), [1.0, 0.0, 0.0, 2.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="too small"):
         v.dense(2)
+
+
+@pytest.mark.parametrize(
+    "size, message",
+    [(-1, "size must be >= 0"), (2.5, "size must be an integer"), (4.0, "size must be an integer"),
+     (True, "size must be an integer"), ("4", "size must be an integer")],
+    ids=["negative", "fraction", "integral-float", "bool", "str"],
+)
+def test_dynamism_vector_dense_refuses_a_bad_size(size, message):
+    v = DynamismVector(UNIT, (MuCoord(0, 1.0), MuCoord(3, 2.0)))
+    with pytest.raises(ValueError, match=message):
+        v.dense(size)
+
+
+def test_dynamism_vector_dense_of_size_zero_holds_only_zero_coordinates():
+    assert DynamismVector(UNIT, ()).dense(0).shape == (0,)
+    assert np.array_equal(DynamismVector(UNIT, (MuCoord(0, 1.0),)).dense(np.int64(2)), [1.0, 0.0])
+    with pytest.raises(ValueError, match="too small"):
+        DynamismVector(UNIT, (MuCoord(0, 1.0),)).dense(0)
 
 
 # ---------------------------------------------------------------------------

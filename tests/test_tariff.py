@@ -266,6 +266,49 @@ def test_spot_payment_equals_per_cycle_integrals(c, data):
     assert spot_payment(plan, c) == pytest.approx(expected, rel=1e-12, abs=1e-12 * (1.0 + magnitude))
 
 
+def _assert_spot_matches_per_cycle_integrals(plan: SpotPlan, c) -> None:
+    expected, magnitude = _spot_per_cycle(plan, c)
+    assert spot_payment(plan, c) == pytest.approx(expected, rel=1e-12, abs=1e-12 * (1.0 + magnitude))
+
+
+# The sampled spot kernel finds each bound's cell by arithmetic on the uniform
+# step, so its edge cases are bounds that land on grid points, many bounds per
+# cell, a single cell, and a t1 that is large against the cell width.
+_spot_starts = st.sampled_from([-12.25, 1e3])
+_spot_lengths = st.floats(min_value=0.1, max_value=10.0)
+
+
+def _samples(n: int):
+    return hnp.arrays(np.float64, n, elements=st.floats(min_value=-1e3, max_value=1e3))
+
+
+def _spot_prices(cycles: int):
+    return st.lists(st.floats(min_value=0.01, max_value=500.0), min_size=cycles, max_size=cycles)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spot_starts, _spot_lengths, st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=8), st.data())
+def test_spot_kernel_with_bounds_on_grid_points(t1, length, cycles, cells_per_cycle, data):
+    n_samples = cycles * cells_per_cycle + 1  # the cycle count divides N - 1
+    c = SampledCurve(Interval(t1, t1 + length), data.draw(_samples(n_samples)))
+    _assert_spot_matches_per_cycle_integrals(SpotPlan(c.interval, data.draw(_spot_prices(cycles))), c)
+
+
+@settings(max_examples=5, deadline=None)
+@given(_spot_starts, _spot_lengths, st.data())
+def test_spot_kernel_with_more_cycles_than_cells(t1, length, data):
+    c = SampledCurve(Interval(t1, t1 + length), data.draw(_samples(96)))
+    prices = data.draw(hnp.arrays(np.float64, 8760, elements=st.floats(min_value=0.01, max_value=500.0)))
+    _assert_spot_matches_per_cycle_integrals(SpotPlan(c.interval, prices), c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spot_starts, _spot_lengths, st.integers(min_value=1, max_value=50), st.data())
+def test_spot_kernel_on_two_samples(t1, length, cycles, data):
+    c = SampledCurve(Interval(t1, t1 + length), data.draw(_samples(2)))
+    _assert_spot_matches_per_cycle_integrals(SpotPlan(c.interval, data.draw(_spot_prices(cycles))), c)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(sampled_curves(), analytic_curves(interval=None, max_order=40)),
