@@ -50,6 +50,8 @@ class Interval:
             raise ValueError("interval endpoints must be finite")
         if not self.t1 < self.t2:
             raise ValueError(f"interval requires t1 < t2, got [{self.t1}, {self.t2}]")
+        if not math.isfinite(self.t2 - self.t1):
+            raise ValueError(f"interval length must be finite, got [{self.t1}, {self.t2}]")
 
     @property
     def duration(self) -> float:
@@ -248,7 +250,9 @@ def add(c1: LoadCurve, c2: LoadCurve) -> LoadCurve:
 
 
 def scale(a: float, c: LoadCurve) -> LoadCurve:
-    """Scalar multiple a*c."""
+    """Scalar multiple a*c; ValueError unless a is finite."""
+    if not math.isfinite(a):
+        raise ValueError(f"scale factor must be finite, got {a}")
     if isinstance(c, AnalyticCurve):
         harmonics = tuple(Harmonic(h.order, a * h.cos_amp, a * h.sin_amp) for h in c.harmonics)
         return AnalyticCurve(c.interval, a * c.constant, harmonics)
@@ -362,11 +366,12 @@ def average_power(c: LoadCurve) -> float:
 def integrate(c: LoadCurve, lo: float, hi: float) -> float:
     """Integral of the curve over a sub-interval [lo, hi].
 
-    Analytic curves use the closed-form antiderivative. Sampled curves
-    integrate their linear interpolant exactly, splitting at every grid
-    point that falls strictly inside (lo, hi); as a consequence the
-    integrals over the cells of any partition of [t1, t2] sum exactly
-    (up to rounding) to the full-interval integral.
+    Computed as spot billing computes its cycles: the closed form for
+    analytic curves, and for sampled curves the exact integral of the
+    linear interpolant on the grid t1 + i*h, h = T0/(N-1), the trapezoid
+    rule `energy` and `analyze` use. Integrals over the cells of any
+    partition of [t1, t2] therefore sum (up to rounding) to the
+    full-interval integral.
 
     Raises
     ------
@@ -383,35 +388,21 @@ def integrate(c: LoadCurve, lo: float, hi: float) -> float:
         raise ValueError(f"integration bounds outside interval [{iv.t1}, {iv.t2}]")
     if lo == hi:
         return 0.0
-    if isinstance(c, AnalyticCurve):
-        total = c.constant * (hi - lo)
-        w0 = 2.0 * np.pi * iv.f0
-        for n, ca, sa in c.harmonics:
-            w = w0 * n
-            total += ca * (math.sin(w * hi) - math.sin(w * lo)) / w
-            total += sa * (math.cos(w * lo) - math.cos(w * hi)) / w
-        return float(total)
-    t = c.times()
-    inside = t[(t > lo) & (t < hi)]
-    knots = np.concatenate(([lo], inside, [hi]))
-    v = np.interp(knots, t, c.values)
-    return float(0.5 * np.sum((knots[1:] - knots[:-1]) * (v[1:] + v[:-1])))
+    return float(_integrals(c, np.array([lo, hi]))[0])
 
 
-def _antiderivative(c: LoadCurve, bounds: np.ndarray) -> np.ndarray:
-    """An antiderivative F of the curve at every entry of `bounds`, in one pass.
+def _integrals(c: LoadCurve, bounds: np.ndarray) -> np.ndarray:
+    """Integrals of the curve between consecutive entries of `bounds`, in one pass.
 
-    `bounds` must lie inside the curve's interval (this is not checked);
-    only differences of F are meaningful, and F(hi) - F(lo) is the
-    integral over [lo, hi]. Analytic curves use the closed form `integrate`
-    uses, vectorised over the bounds. Sampled curves take the cumulative
-    trapezoid sum at the grid points and add the linear interpolant's
-    integral over the partial cell each bound closes. The cell index comes
-    from arithmetic on the uniform step h = T0/(N-1), floor((bound - t1)/h)
-    with t2 put in the last cell, not from a binary search over the grid.
-    The cell widths are those of the grid `times()` gives, the same
-    rounded widths `integrate` sums, so the two agree to rounding even
-    where t1 is large against T0. Time and memory are O(N + len(bounds)).
+    `bounds` must be ascending and inside the curve's interval (this is not
+    checked). Analytic curves take differences of the closed-form
+    antiderivative. Sampled curves integrate their linear interpolant with
+    the exact step h = T0/(N-1) of `energy` and `analyze`, in positions
+    counted in steps from t1 (grid point i at i, a bound at
+    x = (bound - t1)/h in cell floor(x), t2 in the last cell): the bounds
+    are merged into the grid points, each just after the point that opens
+    its cell, and each integral sums its own trapezoid pieces. Time and
+    memory are O(N + len(bounds)).
     """
     iv = c.interval
     if isinstance(c, AnalyticCurve):
@@ -420,19 +411,28 @@ def _antiderivative(c: LoadCurve, bounds: np.ndarray) -> np.ndarray:
         for n, ca, sa in c.harmonics:
             w = w0 * n
             out += (ca * np.sin(w * bounds) - sa * np.cos(w * bounds)) / w
-        return out
-    t, v = c.times(), c.values
-    dt = t[1:] - t[:-1]
-    # ufuncs, not np.cumsum or np.clip: those reach numpy through per-call
-    # name lookups whose objects CPython keeps alive (see _frozen)
-    cumulative = np.empty(v.size)
-    cumulative[0] = 0.0
-    np.add.accumulate(dt * (v[1:] + v[:-1]), out=cumulative[1:])
-    cumulative *= 0.5
-    # the cell of each bound, floor((bound - t1)/h), by arithmetic on the uniform step h:
-    # truncation is floor for bounds at or above t1, and t2 belongs to the last cell
-    k = ((bounds - iv.t1) / (iv.duration / (v.size - 1))).astype(np.intp)
+        return out[1:] - out[:-1]
+    v = c.values
+    h = iv.duration / (v.size - 1)
+    if h == 0.0:  # a subnormal interval whose step underflows: every cell weighs zero, as in `energy`
+        return np.zeros(bounds.size - 1)
+    x = (bounds - iv.t1) / h
+    # truncation is floor for positions at or above 0, and t2 belongs to the last cell;
+    # np.minimum, not np.clip: that reaches numpy through per-call name lookups whose
+    # objects CPython keeps alive (see _frozen)
+    k = x.astype(np.intp)
     np.minimum(k, v.size - 2, out=k)
-    step = bounds - t[k]
-    slope = (v[k + 1] - v[k]) / dt[k]
-    return cumulative[k] + step * (v[k] + 0.5 * slope * step)
+    at = k + np.arange(1, k.size + 1)  # where each bound lands among the merged knots
+    grid = np.ones(v.size + k.size, dtype=bool)
+    grid[at] = False
+    position = np.empty(grid.size)
+    position[grid] = np.arange(v.size)
+    position[at] = x
+    value = np.empty(grid.size)
+    value[grid] = v
+    value[at] = v[k] + (v[k + 1] - v[k]) * (x - k)
+    pieces = position[1:] - position[:-1]
+    pieces *= value[1:] + value[:-1]
+    # each integral adds only its own pieces: differences of a running total would
+    # carry that total's rounding into every integral, magnified by a cycle's price
+    return (0.5 * h) * np.add.reduceat(pieces, at)[:-1]

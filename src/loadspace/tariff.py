@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .curve import Interval, LoadCurve, _antiderivative, _require_int, _uniform_grid, energy
+from .curve import Interval, LoadCurve, _integrals, _require_int, _uniform_grid, energy
 from .spectrum import DynamismVector, Spectrum, _dense_vector, mu_index_cos, mu_index_sin
 
 __all__ = [
@@ -264,9 +264,9 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
             f"[{plan.interval.t1}, {plan.interval.t2}], curve on "
             f"[{c.interval.t1}, {c.interval.t2}]"
         )
-    F = _antiderivative(c, _uniform_grid(plan.interval, plan.cycle_count + 1))
+    cycles = _integrals(c, _uniform_grid(plan.interval, plan.cycle_count + 1))
     prices = np.fromiter(plan.unit_prices, float, plan.cycle_count)
-    return float((F[1:] - F[:-1]) @ prices)
+    return float(cycles @ prices)
 
 
 @functools.lru_cache(maxsize=32)

@@ -41,6 +41,13 @@ def test_interval_rejects_empty_and_reversed():
         Interval(0.0, math.inf)
 
 
+def test_interval_rejects_a_length_that_overflows():
+    # finite endpoints whose difference is inf would give f0 = 0 and an infinite energy
+    with pytest.raises(ValueError, match="interval length must be finite"):
+        Interval(-1e308, 1e308)
+    assert Interval(-1e308, 7e307).duration == pytest.approx(1.7e308)
+
+
 def test_interval_duration_and_f0():
     iv = Interval(1.0, 3.0)
     assert iv.duration == 2.0
@@ -225,6 +232,16 @@ def test_scale_doubles_coefficients(l1):
 def test_scale_sampled():
     c = SampledCurve(UNIT, np.array([1.0, -2.0, 3.0]))
     assert np.array_equal(scale(-2.0, c).values, [-2.0, 4.0, -6.0])
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["analytic", "sampled"])
+def test_scale_refuses_a_non_finite_factor(l1, kind, a):
+    # inf * 0.0 is nan: without the up-front check a sampled curve warns in the multiply
+    # and an analytic one is refused for its "constant term"
+    c = l1 if kind == "analytic" else SampledCurve(UNIT, [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="scale factor must be finite"):
+        scale(a, c)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,6 +24,7 @@ from loadspace import (
     analyze,
     classic_payment,
     dynamism_payment,
+    energy,
     incentive_direction,
     integrate,
     mu_index_cos,
@@ -235,17 +236,83 @@ def test_spot_sampled_matches_per_cycle_trapezoid(l1):
     assert spot_payment(plan, c) == pytest.approx(10.0 * first + 30.0 * second, rel=1e-12)
 
 
+# The sampled spot kernel finds each bound's cell by arithmetic on the uniform
+# step, so its edge cases are bounds that land on grid points, many bounds per
+# cell, a single cell, and a t1 that is large against the cell width.
+_spot_starts = st.sampled_from([-12.25, 1e3])
+_spot_lengths = st.floats(min_value=0.1, max_value=10.0)
+_spot_intervals = st.builds(lambda t1, length: Interval(t1, t1 + length), _spot_starts, _spot_lengths)
+
+
+def _samples(n: int, allow_subnormal: bool = True):
+    return hnp.arrays(np.float64, n, elements=st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=allow_subnormal))
+
+
 @st.composite
-def sampled_curves(draw):
+def sampled_curves(draw, interval=intervals(), allow_subnormal: bool = True):
+    """2 to 200 samples in [-1e3, 1e3] on a drawn interval.
+
+    Pass allow_subnormal=False where the tolerance is relative to the curve's
+    size alone: subnormal samples carry fewer significant bits than that asks.
+    """
     n_samples = draw(st.integers(min_value=2, max_value=200))
-    values = draw(hnp.arrays(np.float64, n_samples, elements=st.floats(min_value=-1e3, max_value=1e3)))
-    return SampledCurve(draw(intervals()), values)
+    return SampledCurve(draw(interval), draw(_samples(n_samples, allow_subnormal)))
+
+
+def _reference_integral(c, lo: float, hi: float) -> float:
+    """Integral of c over [lo, hi], computed apart from the package's kernel.
+
+    A sampled curve integrates its linear interpolant on the exact-step grid
+    t1 + i*h, h = T0/(N-1), in offsets from t1 counted in steps (grid point
+    i at i): split at every grid point strictly inside the bounds, one
+    trapezoid per piece, so a whole cell weighs exactly h. An analytic
+    curve takes its closed form one scalar term at a time.
+    """
+    iv = c.interval
+    if isinstance(c, SampledCurve):
+        h = iv.duration / (c.values.size - 1)
+        grid = np.arange(c.values.size, dtype=float)
+        a, b = (lo - iv.t1) / h, (hi - iv.t1) / h
+        knots = np.concatenate(([a], grid[(grid > a) & (grid < b)], [b]))
+        v = np.interp(knots, grid, c.values)
+        return float(0.5 * h * np.sum((knots[1:] - knots[:-1]) * (v[1:] + v[:-1])))
+    total = c.constant * (hi - lo)
+    w0 = 2.0 * math.pi * iv.f0
+    for n, ca, sa in c.harmonics:
+        w = w0 * n
+        total += ca * (math.sin(w * hi) - math.sin(w * lo)) / w
+        total += sa * (math.cos(w * lo) - math.cos(w * hi)) / w
+    return total
+
+
+def _peak(c) -> float:
+    """A bound on the curve's magnitude over its interval."""
+    if isinstance(c, SampledCurve):
+        return float(np.max(np.abs(c.values)))
+    return abs(c.constant) + sum(abs(a) for h in c.harmonics for a in h[1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        sampled_curves(_spot_intervals, allow_subnormal=False),
+        _spot_intervals.flatmap(lambda iv: analytic_curves(interval=iv, max_order=40)),
+    ),
+    st.data(),
+)
+def test_integrate_matches_reference_integral(c, data):
+    iv = c.interval
+    lo, hi = sorted(data.draw(st.floats(min_value=iv.t1, max_value=iv.t2)) for _ in range(2))
+    # a signed load can cancel to a small integral, and the analytic closed form is a difference
+    # of two values of its antiderivative, so the absolute part scales with the whole interval's size
+    size = iv.duration * _peak(c)
+    assert integrate(c, lo, hi) == pytest.approx(_reference_integral(c, lo, hi), rel=1e-12, abs=1e-12 * size)
 
 
 def _spot_per_cycle(plan: SpotPlan, c) -> tuple[float, float]:
-    """Sum of p_k * integrate(c, b_k, b_k+1), and the same sum of absolute terms."""
+    """Sum of p_k times the reference integral over cycle k, and the same sum of absolute terms."""
     bounds = np.linspace(plan.interval.t1, plan.interval.t2, plan.cycle_count + 1)
-    terms = [p * integrate(c, bounds[k], bounds[k + 1]) for k, p in enumerate(plan.unit_prices)]
+    terms = [p * _reference_integral(c, bounds[k], bounds[k + 1]) for k, p in enumerate(plan.unit_prices)]
     return sum(terms), sum(abs(x) for x in terms)
 
 
@@ -269,17 +336,6 @@ def test_spot_payment_equals_per_cycle_integrals(c, data):
 def _assert_spot_matches_per_cycle_integrals(plan: SpotPlan, c) -> None:
     expected, magnitude = _spot_per_cycle(plan, c)
     assert spot_payment(plan, c) == pytest.approx(expected, rel=1e-12, abs=1e-12 * (1.0 + magnitude))
-
-
-# The sampled spot kernel finds each bound's cell by arithmetic on the uniform
-# step, so its edge cases are bounds that land on grid points, many bounds per
-# cell, a single cell, and a t1 that is large against the cell width.
-_spot_starts = st.sampled_from([-12.25, 1e3])
-_spot_lengths = st.floats(min_value=0.1, max_value=10.0)
-
-
-def _samples(n: int):
-    return hnp.arrays(np.float64, n, elements=st.floats(min_value=-1e3, max_value=1e3))
 
 
 def _spot_prices(cycles: int):
@@ -309,21 +365,54 @@ def test_spot_kernel_on_two_samples(t1, length, cycles, data):
     _assert_spot_matches_per_cycle_integrals(SpotPlan(c.interval, data.draw(_spot_prices(cycles))), c)
 
 
+def test_a_cycle_takes_no_rounding_from_the_cycles_before_it():
+    # a large, cheap first cycle, then a dear one over zeros: billed as a difference of a
+    # running total, the second cycle would pay 500 times that total's last-digit rounding
+    c = SampledCurve(Interval(-12.25, -8.75), [890.0, 0.0, 0.0, 0.0])
+    _assert_spot_matches_per_cycle_integrals(SpotPlan(c.interval, [0.01, 500.0, 1.0]), c)
+
+
+def test_integrals_on_a_subnormal_step_follow_energy():
+    # a subnormal step h = T0/(N-1) weights the cells as energy does, and no sample difference
+    # is divided by it (1e300 / h would overflow)
+    c = SampledCurve(Interval(0.0, 1e-310), [0.0, 1e300, -1e300, 0.0])
+    assert integrate(c, 0.0, 1e-310) == pytest.approx(energy(c), rel=1e-12)
+    assert spot_payment(SpotPlan(c.interval, [2.0]), c) == pytest.approx(classic_payment(2.0, c), rel=1e-12)
+    assert integrate(c, 0.0, 5e-311) == pytest.approx(c.interval.duration / 3 * 1e300 * (1 / 2 + 1 / 4), rel=1e-12)
+    # T0/(N-1) underflows to zero, so every cell weighs zero in all three
+    c = SampledCurve(Interval(0.0, 5e-324), [1.0, 2.0, 3.0])
+    assert energy(c) == integrate(c, 0.0, 5e-324) == spot_payment(SpotPlan(c.interval, [1.0, 2.0]), c) == 0.0
+
+
+def _assert_one_cycle_spot_plan_bills_as_classic(c, p: float) -> None:
+    # a signed load can cancel to a total near zero, so the absolute part
+    # of the tolerance scales with the curve's peak over its interval
+    size = p * c.interval.duration * _peak(c)
+    expected = classic_payment(p, c)
+    assert spot_payment(SpotPlan(c.interval, [p]), c) == pytest.approx(expected, rel=1e-12, abs=1e-12 * size)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(sampled_curves(), analytic_curves(interval=None, max_order=40)),
     st.floats(min_value=0.01, max_value=500.0),
 )
 def test_one_cycle_spot_plan_bills_as_classic(c, p):
-    # a signed load can cancel to a total near zero, so the absolute part
-    # of the tolerance scales with the curve's peak over its interval
-    if isinstance(c, SampledCurve):
-        peak = float(np.max(np.abs(c.values)))
-    else:
-        peak = abs(c.constant) + sum(abs(a) for h in c.harmonics for a in h[1:])
-    size = p * c.interval.duration * peak
-    expected = classic_payment(p, c)
-    assert spot_payment(SpotPlan(c.interval, [p]), c) == pytest.approx(expected, rel=1e-12, abs=1e-12 * size)
+    _assert_one_cycle_spot_plan_bills_as_classic(c, p)
+
+
+# Far from zero, t1 = 1e3 against T0 <= 10, a grid point's time and its offset
+# i*h round differently; the flat bill weights every cell by the exact step h,
+# and so must the spot bill.
+@settings(max_examples=200, deadline=None)
+@given(
+    sampled_curves(st.builds(lambda length: Interval(1e3, 1e3 + length), _spot_lengths), allow_subnormal=False),
+    st.floats(min_value=0.01, max_value=500.0),
+)
+# summed over the rounded cell widths of t1 + i*h, this bill missed by 19 times the tolerance
+@example(SampledCurve(Interval(1e3, 1e3 + 0.1), np.round(1e3 * np.sin(np.arange(185)))), 1.0)
+def test_one_cycle_spot_plan_bills_as_classic_far_from_zero(c, p):
+    _assert_one_cycle_spot_plan_bills_as_classic(c, p)
 
 
 _NOT_VECTORS = [
