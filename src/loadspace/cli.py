@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .calibrate import CostCharacteristic, CostObservation, _fit_iota, supply_cost
-from .curve import Interval, SampledCurve, _scaled_square_norm, distance
-from .spectrum import Spectrum, _dense_vector, _spectrum, analyze, mu_index_cos, mu_index_sin, parseval_energy
+from .curve import Interval, SampledCurve, _scaled_square_norm, _series_energy, distance
+from .spectrum import Spectrum, _dense_vector, analyze, mu_index_cos, mu_index_sin, parseval_energy
 from .tariff import (
     Bill,
     DynamismPlan,
@@ -280,9 +280,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     # exact: in range, nsq is inner_product(curve, curve) and ratio is pe / nsq.
     s, q = _scaled_square_norm(curve)
     nsq = s * (s * q)
-    scaled = _spectrum(spec.interval, spec.a0 / s, np.stack((spec.a, spec.b)) / s)
-    ratio = parseval_energy(scaled) / q if q > 0 else None
     iv = spec.interval
+    _, p = _series_energy(iv.duration, 0.5 * spec.a0, spec.a, spec.b, s)
+    ratio = p / q if q > 0 else None
 
     if args.format == "json":
         _print_json(

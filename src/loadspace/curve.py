@@ -102,25 +102,38 @@ def _frozen(obj, **fields):
     return obj
 
 
-def _canonical_harmonics(harmonics) -> tuple[Harmonic, ...]:
-    """Sort by order, validate, and drop components that are exactly zero."""
-    seen: set[int] = set()
-    kept: list[Harmonic] = []
-    for h in harmonics:
-        h = Harmonic(_require_int(h[0], "harmonic order"), float(h[1]), float(h[2]))
-        if h.order < 1:
-            raise ValueError(f"harmonic order must be >= 1, got {h.order}")
-        if h.order in seen:
-            raise ValueError(f"duplicate harmonic order {h.order}")
-        if not (math.isfinite(h.cos_amp) and math.isfinite(h.sin_amp)):
-            raise ValueError(f"harmonic {h.order} has non-finite amplitude")
-        seen.add(h.order)
-        if h.cos_amp != 0.0 or h.sin_amp != 0.0:
-            kept.append(h)
-    return tuple(sorted(kept, key=lambda h: h.order))
+def _indices(column: np.ndarray, name: str) -> np.ndarray:
+    """A finite float column of indices as integers; ValueError on a fraction or a repeat."""
+    index = column.astype(np.intp)
+    if np.any(index != column):
+        raise ValueError(f"every {name} must be an integer")
+    ordered = np.sort(index)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise ValueError(f"duplicate {name} {repeated[0]}")
+    return index
 
 
-@dataclass(frozen=True)
+def _harmonic_arrays(harmonics, n_max: int | None = None) -> np.ndarray:
+    """Outside (order, a_n, b_n) rows (tuples or a (k, 3) array) as a new (2, n_max) array, order n in column n-1.
+
+    n_max defaults to the highest order given. ValueError on a non-finite
+    value, or an order that is not an integer, repeats, or is outside 1..n_max.
+    """
+    rows = np.asarray(harmonics, dtype=float).reshape(-1, 3)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("harmonic orders and amplitudes must be finite")
+    orders = _indices(rows[:, 0], "harmonic order")
+    n_max = int(orders.max(initial=0)) if n_max is None else n_max
+    outside = orders[(orders < 1) | (orders > n_max)]
+    if outside.size:
+        raise ValueError(f"harmonic order {outside[0]} outside 1..{n_max}")
+    ab = np.zeros((2, n_max))
+    ab[:, orders - 1] = rows[:, 1:].T
+    return ab
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class AnalyticCurve:
     """Trig polynomial: constant + sum of harmonics aligned with f0 = 1/T0.
 
@@ -128,16 +141,46 @@ class AnalyticCurve:
     the interval, so its integral over [t1, t2] is exactly zero and Fourier
     analysis reads coefficients off directly. Arbitrary closed forms must
     be sampled first.
+
+    Stored as a Spectrum is: the constant plus read-only float arrays `a`, `b`
+    of cosine and sine amplitudes, order n at position n-1 and zeros where
+    an order is absent; `harmonics` is a view of them. Two curves are equal
+    when interval, constant and harmonics are.
     """
 
     interval: Interval
     constant: float
-    harmonics: tuple[Harmonic, ...] = ()
+    a: np.ndarray
+    b: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.constant):
+    def __init__(self, interval: Interval, constant: float, harmonics=()) -> None:
+        if not math.isfinite(constant):
             raise ValueError("constant term must be finite")
-        object.__setattr__(self, "harmonics", _canonical_harmonics(self.harmonics))
+        # stricter than Spectrum: 2.0, True and np.float64(3.0) are not orders of a curve
+        ab = _harmonic_arrays([(_require_int(h[0], "harmonic order"), h[1], h[2]) for h in harmonics])
+        _frozen(self, interval=interval, constant=float(constant), a=ab[0], b=ab[1])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AnalyticCurve):
+            return NotImplemented
+        return (self.interval, self.constant, self.harmonics) == (other.interval, other.constant, other.harmonics)
+
+    @property
+    def harmonics(self) -> tuple[Harmonic, ...]:
+        """The orders with a nonzero entry in `a` or `b`, ascending, as Harmonic tuples."""
+        present = np.flatnonzero((self.a != 0.0) | (self.b != 0.0))
+        return tuple(
+            Harmonic(n, a, b)
+            for n, a, b in zip((present + 1).tolist(), self.a[present].tolist(), self.b[present].tolist())
+        )
+
+
+def _analytic(interval: Interval, constant: float, ab) -> AnalyticCurve:
+    """The AnalyticCurve with amplitude arrays (a, b) = ab, stored as given, not copied; ValueError unless finite."""
+    if not (math.isfinite(constant) and np.isfinite(ab[0]).all() and np.isfinite(ab[1]).all()):
+        raise ValueError("curve amplitudes must be finite")
+    curve = AnalyticCurve.__new__(AnalyticCurve)
+    return _frozen(curve, interval=interval, constant=float(constant), a=ab[0], b=ab[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,13 +281,10 @@ def add(c1: LoadCurve, c2: LoadCurve) -> LoadCurve:
     """
     iv = _require_same_interval(c1, c2)
     if isinstance(c1, AnalyticCurve) and isinstance(c2, AnalyticCurve):
-        merged: dict[int, list[float]] = {}
-        for h in c1.harmonics + c2.harmonics:
-            amp = merged.setdefault(h.order, [0.0, 0.0])
-            amp[0] += h.cos_amp
-            amp[1] += h.sin_amp
-        harmonics = tuple(Harmonic(n, ca, sa) for n, (ca, sa) in merged.items())
-        return AnalyticCurve(iv, c1.constant + c2.constant, harmonics)
+        ab = np.zeros((2, max(c1.a.size, c2.a.size)))
+        for c in (c1, c2):
+            ab[:, : c.a.size] += (c.a, c.b)
+        return _analytic(iv, c1.constant + c2.constant, ab)
     _, v1, v2 = _common_grid(c1, c2)
     return SampledCurve(iv, v1 + v2)
 
@@ -254,8 +294,7 @@ def scale(a: float, c: LoadCurve) -> LoadCurve:
     if not math.isfinite(a):
         raise ValueError(f"scale factor must be finite, got {a}")
     if isinstance(c, AnalyticCurve):
-        harmonics = tuple(Harmonic(h.order, a * h.cos_amp, a * h.sin_amp) for h in c.harmonics)
-        return AnalyticCurve(c.interval, a * c.constant, harmonics)
+        return _analytic(c.interval, a * c.constant, (a * c.a, a * c.b))
     return SampledCurve(c.interval, a * c.values)
 
 
@@ -290,13 +329,9 @@ def inner_product(c1: LoadCurve, c2: LoadCurve) -> float:
     """
     iv = _require_same_interval(c1, c2)
     if isinstance(c1, AnalyticCurve) and isinstance(c2, AnalyticCurve):
-        total = iv.duration * c1.constant * c2.constant
-        amps2 = {h.order: (h.cos_amp, h.sin_amp) for h in c2.harmonics}
-        for n, ca, sa in c1.harmonics:
-            if n in amps2:
-                cb, sb = amps2[n]
-                total += 0.5 * iv.duration * (ca * cb + sa * sb)
-        return total
+        n = min(c1.a.size, c2.a.size)
+        dot = c1.a[:n] @ c2.a[:n] + c1.b[:n] @ c2.b[:n]
+        return iv.duration * c1.constant * c2.constant + 0.5 * iv.duration * float(dot)
     t, v1, v2 = _common_grid(c1, c2)
     return _trapezoid(v1 * v2, iv.t1, iv.t2)
 
@@ -327,19 +362,24 @@ def _scaled_square_norm(c: LoadCurve) -> tuple[float, float]:
     """
     iv = c.interval
     if isinstance(c, AnalyticCurve):
-        amps = [abs(c.constant), *(abs(a) for h in c.harmonics for a in (h.cos_amp, h.sin_amp))]
-        s = _power_of_two_near(max(amps))
-        a0 = c.constant / s
-        total = iv.duration * a0 * a0
-        for _, ca, sa in c.harmonics:
-            ca, sa = ca / s, sa / s
-            total += 0.5 * iv.duration * (ca * ca + sa * sa)
-    else:
-        s = _power_of_two_near(float(np.abs(c.values).max()))
-        w = c.values / s
-        w *= w
-        total = _trapezoid(w, iv.t1, iv.t2)
-    return s, total
+        return _series_energy(iv.duration, c.constant, c.a, c.b)
+    s = _power_of_two_near(float(np.abs(c.values).max()))
+    w = c.values / s
+    w *= w
+    return s, _trapezoid(w, iv.t1, iv.t2)
+
+
+def _series_energy(t0: float, c: float, a: np.ndarray, b: np.ndarray, s: float | None = None) -> tuple[float, float]:
+    """(s, q) for the series c + sum of a_n*cos + b_n*sin on an interval of length t0.
+
+    q = t0*c**2 + (t0/2)*sum(a_n**2 + b_n**2) from the values divided by s
+    (default: a power of two near their peak), so s * (s * q) is the squared
+    L2 norm, bit for bit wherever no square overflows or underflows.
+    """
+    if s is None:
+        s = _power_of_two_near(float(np.abs(np.concatenate(([c], a, b))).max()))
+    c, a, b = c / s, a / s, b / s
+    return s, t0 * c * c + 0.5 * t0 * float(a @ a + b @ b)
 
 
 def distance(c1: LoadCurve, c2: LoadCurve) -> float:
@@ -396,21 +436,28 @@ def _integrals(c: LoadCurve, bounds: np.ndarray) -> np.ndarray:
 
     `bounds` must be ascending and inside the curve's interval (this is not
     checked). Analytic curves take differences of the closed-form
-    antiderivative. Sampled curves integrate their linear interpolant with
-    the exact step h = T0/(N-1) of `energy` and `analyze`, in positions
-    counted in steps from t1 (grid point i at i, a bound at
-    x = (bound - t1)/h in cell floor(x), t2 in the last cell): the bounds
-    are merged into the grid points, each just after the point that opens
-    its cell, and each integral sums its own trapezoid pieces. Time and
-    memory are O(N + len(bounds)).
+    antiderivative in offsets u = bound - t1, order n adding
+    (a'*sin(w*u) + b'*(1 - cos(w*u)))/w with (a', b') its amplitudes at t1,
+    one present order at a time in O(len(bounds)) memory. Sampled curves
+    integrate their linear interpolant with the exact step h = T0/(N-1) of
+    `energy` and `analyze`, in positions counted in steps from t1 (grid
+    point i at i, a bound at x = (bound - t1)/h in cell floor(x), t2 in the
+    last cell): the bounds are merged into the grid points, each just after
+    the point that opens its cell, and each integral sums its own trapezoid
+    pieces. Time and memory are O(N + len(bounds)).
     """
     iv = c.interval
     if isinstance(c, AnalyticCurve):
-        out = c.constant * (bounds - iv.t1)
-        w0 = 2.0 * np.pi * iv.f0
-        for n, ca, sa in c.harmonics:
-            w = w0 * n
-            out += (ca * np.sin(w * bounds) - sa * np.cos(w * bounds)) / w
+        u = bounds - iv.t1
+        # each present order's amplitudes rotated by its phase at t1, taken modulo one
+        # cycle as `analyze` takes it, so that sin and cos see offsets, not absolute times
+        n = np.flatnonzero((c.a != 0.0) | (c.b != 0.0)) + 1
+        phase = 2.0 * np.pi * ((n * ((iv.t1 / iv.duration) % 1.0)) % 1.0)
+        cos, sin = np.cos(phase), np.sin(phase)
+        a, b = c.a[n - 1] * cos + c.b[n - 1] * sin, c.b[n - 1] * cos - c.a[n - 1] * sin
+        out = c.constant * u
+        for w, a_n, b_n in zip(((2.0 * np.pi * iv.f0) * n).tolist(), a.tolist(), b.tolist()):
+            out += (a_n * np.sin(w * u) + b_n * (1.0 - np.cos(w * u))) / w
         return out[1:] - out[:-1]
     v = c.values
     h = iv.duration / (v.size - 1)

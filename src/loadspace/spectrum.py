@@ -23,12 +23,14 @@ import numpy as np
 
 from .curve import (
     AnalyticCurve,
-    Harmonic,
     Interval,
     LoadCurve,
+    _analytic,
     _frozen,
-    _power_of_two_near,
+    _harmonic_arrays,
+    _indices,
     _require_int,
+    _series_energy,
     distance,
     norm,
 )
@@ -57,28 +59,17 @@ def mu_index_sin(n: int) -> int:
     return 2 * n
 
 
-def _indices(column: np.ndarray, name: str) -> np.ndarray:
-    """A finite float column of indices as integers; ValueError on a fraction or a repeat."""
-    index = column.astype(np.intp)
-    if np.any(index != column):
-        raise ValueError(f"every {name} must be an integer")
-    ordered = np.sort(index)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    if repeated.size:
-        raise ValueError(f"duplicate {name} {repeated[0]}")
-    return index
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class Spectrum:
     """Truncated Fourier description of a curve on its interval.
 
     Stored densely: a0 plus read-only float arrays `a` and `b` of length
     n_max, where a[n-1], b[n-1] are the cosine and sine coefficients of
-    order n and every absent order holds zeros. The constructor takes the
-    present orders as (order, a_n, b_n) rows, Harmonic tuples or a (k, 3)
-    array; `n_max`, `harmonics` and `coefficient` are views of the arrays.
-    Two spectra are equal when interval, a0 and both arrays are.
+    order n and every absent order holds zeros, as in an AnalyticCurve. The
+    constructor takes the present orders as (order, a_n, b_n) rows, Harmonic
+    tuples or a (k, 3) array, through AnalyticCurve's row parser; `n_max`,
+    `harmonics` and `coefficient` are views of the arrays. Two spectra are
+    equal when interval, a0 and both arrays are.
     """
 
     interval: Interval
@@ -90,15 +81,9 @@ class Spectrum:
         n_max = _require_int(n_max, "n_max")
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
-        rows = np.asarray(harmonics, dtype=float).reshape(-1, 3)
-        if not (np.isfinite(a0) and np.all(np.isfinite(rows))):
-            raise ValueError("spectrum orders and coefficients must be finite")
-        orders = _indices(rows[:, 0], "harmonic order")
-        outside = orders[(orders < 1) | (orders > n_max)]
-        if outside.size:
-            raise ValueError(f"harmonic order {outside[0]} outside 1..{n_max}")
-        ab = np.zeros((2, n_max))
-        ab[:, orders - 1] = rows[:, 1:].T
+        if not np.isfinite(a0):
+            raise ValueError("spectrum a0 must be finite")
+        ab = _harmonic_arrays(harmonics, n_max)
         _frozen(self, interval=interval, a0=float(a0), a=ab[0], b=ab[1])
 
     def __eq__(self, other) -> bool:
@@ -112,14 +97,7 @@ class Spectrum:
         """Truncation order: the length of `a` and `b`."""
         return self.a.size
 
-    @property
-    def harmonics(self) -> tuple[Harmonic, ...]:
-        """The orders with a nonzero coefficient, ascending, as Harmonic tuples."""
-        present = np.flatnonzero((self.a != 0.0) | (self.b != 0.0))
-        return tuple(
-            Harmonic(n, a, b)
-            for n, a, b in zip((present + 1).tolist(), self.a[present].tolist(), self.b[present].tolist())
-        )
+    harmonics = AnalyticCurve.harmonics
 
     def coefficient(self, n: int) -> tuple[float, float]:
         """(a_n, b_n) for order n; (0, 0) when the order is absent.
@@ -268,9 +246,8 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
     if isinstance(c, AnalyticCurve):
         a0 = 2.0 * c.constant
         ab = np.zeros((2, n_max))
-        for n, ca, sa in c.harmonics:
-            if n <= n_max:
-                ab[:, n - 1] = ca, sa
+        kept = min(n_max, c.a.size)
+        ab[:, :kept] = c.a[:kept], c.b[:kept]
     else:
         v = c.values
         n_samples = v.size
@@ -300,8 +277,8 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
 
 
 def synthesize(s: Spectrum) -> AnalyticCurve:
-    """Curve with constant a0/2 and the spectrum's harmonics (the Fourier series)."""
-    return AnalyticCurve(s.interval, 0.5 * s.a0, s.harmonics)
+    """Curve with constant a0/2 and the spectrum's harmonics (the Fourier series), sharing its arrays."""
+    return _analytic(s.interval, 0.5 * s.a0, (s.a, s.b))
 
 
 def to_mu_vector(s: Spectrum) -> DynamismVector:
@@ -333,10 +310,8 @@ def parseval_energy(s: Spectrum) -> float:
     is exact, so wherever no square overflows or underflows the result is
     the unscaled sum bit for bit.
     """
-    t0 = s.interval.duration
-    m = _power_of_two_near(max(abs(s.a0), float(np.max(np.abs(s.a))), float(np.max(np.abs(s.b)))))
-    a0, a, b = s.a0 / m, s.a / m, s.b / m
-    return m * (m * (t0 * a0 * a0 / 4.0 + 0.5 * t0 * float(a @ a + b @ b)))
+    m, q = _series_energy(s.interval.duration, 0.5 * s.a0, s.a, s.b)
+    return m * (m * q)
 
 
 def truncation_error(c: LoadCurve, s: Spectrum) -> float:

@@ -74,6 +74,16 @@ def test_analytic_curve_drops_zero_harmonics_and_sorts():
     assert [h.order for h in c.harmonics] == [3, 7]
 
 
+def test_analytic_curve_is_dense_read_only_and_unhashable():
+    c = AnalyticCurve(UNIT, 2.0, (Harmonic(3, 0.0, -1.5), Harmonic(1, 4.0, 0.0)))
+    assert np.array_equal(c.a, [4.0, 0.0, 0.0]) and np.array_equal(c.b, [0.0, 0.0, -1.5])
+    assert c.harmonics == (Harmonic(1, 4.0, 0.0), Harmonic(3, 0.0, -1.5))
+    with pytest.raises(ValueError):
+        c.a[0] = 1.0
+    with pytest.raises(TypeError):
+        hash(c)
+
+
 def test_sampled_curve_validation():
     with pytest.raises(ValueError, match="at least 2"):
         SampledCurve(UNIT, np.array([1.0]))

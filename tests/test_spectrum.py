@@ -37,7 +37,7 @@ from loadspace import (
     truncation_error,
 )
 
-from conftest import UNIT, amplitudes, analytic_curves
+from conftest import UNIT, amplitudes, analytic_curves, intervals
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -456,6 +456,11 @@ def _assert_same_spectrum(s: Spectrum, n_max: int) -> None:
     assert not (s.a.flags.writeable or s.b.flags.writeable)
 
 
+def _assert_same_curve(c: AnalyticCurve) -> None:
+    assert c == AnalyticCurve(c.interval, c.constant, c.harmonics)
+    assert not (c.a.flags.writeable or c.b.flags.writeable)
+
+
 def _assert_same_vector(v: DynamismVector) -> None:
     rebuilt = DynamismVector(v.interval, v.coords)
     assert v == rebuilt
@@ -482,6 +487,27 @@ def test_analytic_analysis_equals_its_constructor_rebuild(c, n_max, drop_tol):
     s = analyze(c, n_max, drop_tol)
     _assert_same_spectrum(s, n_max)
     _assert_same_vector(to_mu_vector(s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    intervals().flatmap(lambda iv: st.tuples(analytic_curves(interval=iv), analytic_curves(interval=iv))),
+    st.floats(min_value=-10, max_value=10),
+    st.integers(min_value=1, max_value=40),
+    drop_tols,
+)
+def test_built_curves_equal_their_constructor_rebuild(pair, k, n_max, drop_tol):
+    c1, c2 = pair
+    _assert_same_curve(add(c1, c2))
+    _assert_same_curve(scale(k, c1))
+    _assert_same_curve(synthesize(analyze(c1, n_max, drop_tol)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(analytic_curves(interval=None, max_order=30), st.integers(min_value=0, max_value=10))
+def test_synthesize_inverts_analyze_exactly(c, extra):
+    n_max = max((h.order for h in c.harmonics), default=1) + extra
+    assert synthesize(analyze(c, n_max, drop_tol=0.0)) == c
 
 
 @settings(max_examples=100, deadline=None)

@@ -292,21 +292,33 @@ def _peak(c) -> float:
     return abs(c.constant) + sum(abs(a) for h in c.harmonics for a in h[1:])
 
 
+def _abs_tol(size: float) -> float:
+    """1e-12 of a magnitude, but at least a few of its ulps: 1e-12 * size underflows when size is subnormal."""
+    return max(1e-12 * size, 4 * math.ulp(size))
+
+
+@st.composite
+def _curves_and_bounds(draw):
+    c = draw(
+        st.one_of(
+            sampled_curves(_spot_intervals, allow_subnormal=False),
+            _spot_intervals.flatmap(lambda iv: analytic_curves(interval=iv, max_order=40)),
+        )
+    )
+    lo, hi = sorted(draw(st.floats(min_value=c.interval.t1, max_value=c.interval.t2)) for _ in range(2))
+    return c, lo, hi
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    st.one_of(
-        sampled_curves(_spot_intervals, allow_subnormal=False),
-        _spot_intervals.flatmap(lambda iv: analytic_curves(interval=iv, max_order=40)),
-    ),
-    st.data(),
-)
-def test_integrate_matches_reference_integral(c, data):
-    iv = c.interval
-    lo, hi = sorted(data.draw(st.floats(min_value=iv.t1, max_value=iv.t2)) for _ in range(2))
+@given(_curves_and_bounds())
+# a subnormal constant: the two sides round 5e-324 * 0.5 in different orders, to 5e-324 and to 0.0
+@example((AnalyticCurve(Interval(-12.25, -2.25), 5e-324), -3.0, -2.5))
+def test_integrate_matches_reference_integral(case):
+    c, lo, hi = case
     # a signed load can cancel to a small integral, and the analytic closed form is a difference
     # of two values of its antiderivative, so the absolute part scales with the whole interval's size
-    size = iv.duration * _peak(c)
-    assert integrate(c, lo, hi) == pytest.approx(_reference_integral(c, lo, hi), rel=1e-12, abs=1e-12 * size)
+    size = c.interval.duration * _peak(c)
+    assert integrate(c, lo, hi) == pytest.approx(_reference_integral(c, lo, hi), rel=1e-12, abs=_abs_tol(size))
 
 
 def _spot_per_cycle(plan: SpotPlan, c) -> tuple[float, float]:
@@ -330,6 +342,11 @@ def test_spot_payment_equals_per_cycle_integrals(c, data):
     # a signed load can cancel to a total near zero; rounding in either sum
     # is set by the terms, so the absolute tolerance scales with their sum
     # (which is |total| for a nonnegative load)
+    if isinstance(c, AnalyticCurve):
+        # an analytic term is a difference of two closed-form values whose rounding is set by
+        # the whole interval's size, as in test_integrate_matches_reference_integral, even where
+        # the term itself is zero (a whole period of a harmonic): so each cycle adds p_k * T0 * peak
+        magnitude += sum(prices) * c.interval.duration * _peak(c)
     assert spot_payment(plan, c) == pytest.approx(expected, rel=1e-12, abs=1e-12 * (1.0 + magnitude))
 
 
@@ -389,7 +406,7 @@ def _assert_one_cycle_spot_plan_bills_as_classic(c, p: float) -> None:
     # of the tolerance scales with the curve's peak over its interval
     size = p * c.interval.duration * _peak(c)
     expected = classic_payment(p, c)
-    assert spot_payment(SpotPlan(c.interval, [p]), c) == pytest.approx(expected, rel=1e-12, abs=1e-12 * size)
+    assert spot_payment(SpotPlan(c.interval, [p]), c) == pytest.approx(expected, rel=1e-12, abs=_abs_tol(size))
 
 
 @settings(max_examples=200, deadline=None)
@@ -397,20 +414,30 @@ def _assert_one_cycle_spot_plan_bills_as_classic(c, p: float) -> None:
     st.one_of(sampled_curves(), analytic_curves(interval=None, max_order=40)),
     st.floats(min_value=0.01, max_value=500.0),
 )
+# subnormal samples, whose bills differ in the last subnormal place: 1e-12 of their size is 0.0
+@example(SampledCurve(Interval(0.0, 1.0), [4.4e-311, 2.2e-311]), 1.0)
 def test_one_cycle_spot_plan_bills_as_classic(c, p):
     _assert_one_cycle_spot_plan_bills_as_classic(c, p)
 
 
 # Far from zero, t1 = 1e3 against T0 <= 10, a grid point's time and its offset
 # i*h round differently; the flat bill weights every cell by the exact step h,
-# and so must the spot bill.
+# and so must the spot bill. An analytic curve's sin and cos at absolute times
+# t ~ 1e4 carry the rounding of w*t; the flat bill is exact there.
 @settings(max_examples=200, deadline=None)
 @given(
-    sampled_curves(st.builds(lambda length: Interval(1e3, 1e3 + length), _spot_lengths), allow_subnormal=False),
+    st.one_of(
+        sampled_curves(st.builds(lambda length: Interval(1e3, 1e3 + length), _spot_lengths), allow_subnormal=False),
+        st.builds(lambda t1, length: Interval(t1, t1 + length), st.sampled_from([1e3, 1e4]), _spot_lengths).flatmap(
+            lambda iv: analytic_curves(interval=iv, max_order=40)
+        ),
+    ),
     st.floats(min_value=0.01, max_value=500.0),
 )
 # summed over the rounded cell widths of t1 + i*h, this bill missed by 19 times the tolerance
 @example(SampledCurve(Interval(1e3, 1e3 + 0.1), np.round(1e3 * np.sin(np.arange(185)))), 1.0)
+# integrated at absolute times, this bill missed by 9 times the tolerance
+@example(AnalyticCurve(Interval(1e4, 1e4 + 0.1), 0.0, ((40, 50.0, 0.0),)), 500.0)
 def test_one_cycle_spot_plan_bills_as_classic_far_from_zero(c, p):
     _assert_one_cycle_spot_plan_bills_as_classic(c, p)
 
