@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .calibrate import CostCharacteristic, CostObservation, _fit_iota, supply_cost
-from .curve import Interval, SampledCurve, _scaled_square_norm, _series_energy, distance
-from .spectrum import Spectrum, _dense_vector, analyze, mu_index_cos, mu_index_sin, parseval_energy
+from .curve import Interval, SampledCurve, _scaled_square_norm, distance
+from .spectrum import Spectrum, _dense_vector, analyze, mu_index_cos, mu_index_sin, parseval_energy, synthesize
 from .tariff import (
     Bill,
     DynamismPlan,
@@ -275,14 +275,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     curve = _read_profile(args.profile)
     spec = analyze(curve, args.nmax, drop_tol=args.drop_tol)
     pe = parseval_energy(spec)
-    # Both energies are formed from values divided by the curve's power of two
-    # s, so a curve whose squares overflow still gets its ratio. Scaling by s is
-    # exact: in range, nsq is inner_product(curve, curve) and ratio is pe / nsq.
+    # Both energies are formed from values divided by a power of two near their
+    # peak, m or s, so a curve whose squares overflow still gets its ratio. Scaling
+    # is exact: in range, nsq is inner_product(curve, curve) and ratio is pe / nsq.
     s, q = _scaled_square_norm(curve)
     nsq = s * (s * q)
     iv = spec.interval
-    _, p = _series_energy(iv.duration, 0.5 * spec.a0, spec.a, spec.b, s)
-    ratio = p / q if q > 0 else None
+    m, p = _scaled_square_norm(synthesize(spec))
+    ratio = (m / s) * ((m / s) * p) / q if q > 0 else None
 
     if args.format == "json":
         _print_json(

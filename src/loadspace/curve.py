@@ -12,6 +12,7 @@ can be shared freely across threads.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -114,17 +115,16 @@ def _indices(column: np.ndarray, name: str) -> np.ndarray:
     return index
 
 
-def _harmonic_arrays(harmonics, n_max: int | None = None) -> np.ndarray:
+def _harmonic_arrays(constant: float, harmonics, n_max: int) -> np.ndarray:
     """Outside (order, a_n, b_n) rows (tuples or a (k, 3) array) as a new (2, n_max) array, order n in column n-1.
 
-    n_max defaults to the highest order given. ValueError on a non-finite
-    value, or an order that is not an integer, repeats, or is outside 1..n_max.
+    ValueError on a non-finite constant or value, or an order that is not an
+    integer, repeats, or is outside 1..n_max.
     """
     rows = np.asarray(harmonics, dtype=float).reshape(-1, 3)
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("harmonic orders and amplitudes must be finite")
+    if not (math.isfinite(constant) and np.all(np.isfinite(rows))):
+        raise ValueError("constant, harmonic orders and amplitudes must be finite")
     orders = _indices(rows[:, 0], "harmonic order")
-    n_max = int(orders.max(initial=0)) if n_max is None else n_max
     outside = orders[(orders < 1) | (orders > n_max)]
     if outside.size:
         raise ValueError(f"harmonic order {outside[0]} outside 1..{n_max}")
@@ -142,10 +142,10 @@ class AnalyticCurve:
     analysis reads coefficients off directly. Arbitrary closed forms must
     be sampled first.
 
-    Stored as a Spectrum is: the constant plus read-only float arrays `a`, `b`
-    of cosine and sine amplitudes, order n at position n-1 and zeros where
-    an order is absent; `harmonics` is a view of them. Two curves are equal
-    when interval, constant and harmonics are.
+    Stored as a Spectrum is (`harmonics` is a view): the constant plus
+    read-only float arrays `a`, `b`, order n at position n-1, zeros where
+    absent, up to the highest order (at most 2**20). Equal when interval,
+    constant and harmonics are.
     """
 
     interval: Interval
@@ -154,10 +154,12 @@ class AnalyticCurve:
     b: np.ndarray
 
     def __init__(self, interval: Interval, constant: float, harmonics=()) -> None:
-        if not math.isfinite(constant):
-            raise ValueError("constant term must be finite")
         # stricter than Spectrum: 2.0, True and np.float64(3.0) are not orders of a curve
-        ab = _harmonic_arrays([(_require_int(h[0], "harmonic order"), h[1], h[2]) for h in harmonics])
+        rows = [(_require_int(h[0], "harmonic order"), h[1], h[2]) for h in harmonics]
+        n_max = max((row[0] for row in rows), default=0)
+        if n_max > 2**20:
+            raise ValueError(f"harmonic order {n_max} outside 1..{2**20}")
+        ab = _harmonic_arrays(constant, rows, n_max)
         _frozen(self, interval=interval, constant=float(constant), a=ab[0], b=ab[1])
 
     def __eq__(self, other) -> bool:
@@ -168,11 +170,16 @@ class AnalyticCurve:
     @property
     def harmonics(self) -> tuple[Harmonic, ...]:
         """The orders with a nonzero entry in `a` or `b`, ascending, as Harmonic tuples."""
-        present = np.flatnonzero((self.a != 0.0) | (self.b != 0.0))
+        present = _present(self)
         return tuple(
             Harmonic(n, a, b)
             for n, a, b in zip((present + 1).tolist(), self.a[present].tolist(), self.b[present].tolist())
         )
+
+
+def _present(c) -> np.ndarray:
+    """Positions n - 1 of the orders n whose a_n or b_n is nonzero, ascending (an AnalyticCurve or a Spectrum)."""
+    return np.flatnonzero((c.a != 0.0) | (c.b != 0.0))
 
 
 def _analytic(interval: Interval, constant: float, ab) -> AnalyticCurve:
@@ -228,12 +235,12 @@ def sample(c: AnalyticCurve, n: int) -> SampledCurve:
 def _evaluate_analytic(c: AnalyticCurve, t: np.ndarray) -> np.ndarray:
     out = np.full_like(t, c.constant, dtype=float)
     w0 = 2.0 * np.pi * c.interval.f0
-    for n, ca, sa in c.harmonics:
-        phase = (w0 * n) * t
-        if ca != 0.0:
-            out += ca * np.cos(phase)
-        if sa != 0.0:
-            out += sa * np.sin(phase)
+    for i in _present(c).tolist():
+        phase = (w0 * (i + 1)) * t
+        if c.a[i] != 0.0:
+            out += c.a[i] * np.cos(phase)
+        if c.b[i] != 0.0:
+            out += c.b[i] * np.sin(phase)
     return out
 
 
@@ -362,24 +369,14 @@ def _scaled_square_norm(c: LoadCurve) -> tuple[float, float]:
     """
     iv = c.interval
     if isinstance(c, AnalyticCurve):
-        return _series_energy(iv.duration, c.constant, c.a, c.b)
+        # Parseval: (c, c) = T0*constant**2 + (T0/2)*sum(a_n**2 + b_n**2)
+        s = _power_of_two_near(float(np.abs(np.concatenate(([c.constant], c.a, c.b))).max()))
+        c0, a, b = c.constant / s, c.a / s, c.b / s
+        return s, iv.duration * c0 * c0 + 0.5 * iv.duration * float(a @ a + b @ b)
     s = _power_of_two_near(float(np.abs(c.values).max()))
     w = c.values / s
     w *= w
     return s, _trapezoid(w, iv.t1, iv.t2)
-
-
-def _series_energy(t0: float, c: float, a: np.ndarray, b: np.ndarray, s: float | None = None) -> tuple[float, float]:
-    """(s, q) for the series c + sum of a_n*cos + b_n*sin on an interval of length t0.
-
-    q = t0*c**2 + (t0/2)*sum(a_n**2 + b_n**2) from the values divided by s
-    (default: a power of two near their peak), so s * (s * q) is the squared
-    L2 norm, bit for bit wherever no square overflows or underflows.
-    """
-    if s is None:
-        s = _power_of_two_near(float(np.abs(np.concatenate(([c], a, b))).max()))
-    c, a, b = c / s, a / s, b / s
-    return s, t0 * c * c + 0.5 * t0 * float(a @ a + b @ b)
 
 
 def distance(c1: LoadCurve, c2: LoadCurve) -> float:
@@ -431,33 +428,45 @@ def integrate(c: LoadCurve, lo: float, hi: float) -> float:
     return float(_integrals(c, np.array([lo, hi]))[0])
 
 
+@functools.lru_cache(maxsize=32)
+def _conjugate_phase(offset: float, n_max: int) -> np.ndarray:
+    """The read-only conjugated phase factors conj(exp(-2 pi i n offset)), n = 0..n_max, once per key.
+
+    `offset` is t1/T0 reduced modulo 1, so every interval with the same
+    offset shares one entry and no curve is kept.
+    """
+    shift = np.conjugate(np.exp(-2j * np.pi * offset * np.arange(n_max + 1)))
+    shift.setflags(write=False)
+    return shift
+
+
 def _integrals(c: LoadCurve, bounds: np.ndarray) -> np.ndarray:
     """Integrals of the curve between consecutive entries of `bounds`, in one pass.
 
     `bounds` must be ascending and inside the curve's interval (this is not
     checked). Analytic curves take differences of the closed-form
-    antiderivative in offsets u = bound - t1, order n adding
-    (a'*sin(w*u) + b'*(1 - cos(w*u)))/w with (a', b') its amplitudes at t1,
-    one present order at a time in O(len(bounds)) memory. Sampled curves
-    integrate their linear interpolant with the exact step h = T0/(N-1) of
-    `energy` and `analyze`, in positions counted in steps from t1 (grid
-    point i at i, a bound at x = (bound - t1)/h in cell floor(x), t2 in the
-    last cell): the bounds are merged into the grid points, each just after
-    the point that opens its cell, and each integral sums its own trapezoid
-    pieces. Time and memory are O(N + len(bounds)).
+    antiderivative in offsets from t1. Sampled curves integrate their linear
+    interpolant with the exact step h = T0/(N-1) of `energy` and `analyze`,
+    in positions counted in steps from t1 (grid point i at i, a bound at
+    x = (bound - t1)/h in cell floor(x), t2 in the last cell): the bounds
+    are merged into the grid points, each just after the point that opens
+    its cell, and each integral sums its own trapezoid pieces. Time and
+    memory are O(N + len(bounds)).
     """
     iv = c.interval
     if isinstance(c, AnalyticCurve):
         u = bounds - iv.t1
-        # each present order's amplitudes rotated by its phase at t1, taken modulo one
-        # cycle as `analyze` takes it, so that sin and cos see offsets, not absolute times
-        n = np.flatnonzero((c.a != 0.0) | (c.b != 0.0)) + 1
-        phase = 2.0 * np.pi * ((n * ((iv.t1 / iv.duration) % 1.0)) % 1.0)
-        cos, sin = np.cos(phase), np.sin(phase)
-        a, b = c.a[n - 1] * cos + c.b[n - 1] * sin, c.b[n - 1] * cos - c.a[n - 1] * sin
+        i = _present(c)
+        # order n adds (a'*sin(w*u) + b'*(1 - cos(w*u)))/w, (a', b') its amplitudes rotated to t1
+        # as `analyze` rotates its bins, so that sin and cos see offsets, not absolute times, and
+        # w*u taken in turns n*u/T0 modulo 1, so that a whole number of periods adds exactly 0
+        shift = _conjugate_phase((iv.t1 / iv.duration) % 1.0, c.a.size)[i + 1]
+        a, b = c.a[i] * shift.real + c.b[i] * shift.imag, c.b[i] * shift.real - c.a[i] * shift.imag
         out = c.constant * u
-        for w, a_n, b_n in zip(((2.0 * np.pi * iv.f0) * n).tolist(), a.tolist(), b.tolist()):
-            out += (a_n * np.sin(w * u) + b_n * (1.0 - np.cos(w * u))) / w
+        turns = u / iv.duration
+        for n, a_n, b_n in zip((i + 1).tolist(), a.tolist(), b.tolist()):
+            phase = 2.0 * np.pi * ((n * turns) % 1.0)
+            out += (a_n * np.sin(phase) + b_n * (1.0 - np.cos(phase))) / ((2.0 * np.pi * iv.f0) * n)
         return out[1:] - out[:-1]
     v = c.values
     h = iv.duration / (v.size - 1)

@@ -14,7 +14,6 @@ coordinate 2n.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -26,11 +25,12 @@ from .curve import (
     Interval,
     LoadCurve,
     _analytic,
+    _conjugate_phase,
     _frozen,
     _harmonic_arrays,
     _indices,
     _require_int,
-    _series_energy,
+    _scaled_square_norm,
     distance,
     norm,
 )
@@ -81,9 +81,7 @@ class Spectrum:
         n_max = _require_int(n_max, "n_max")
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
-        if not np.isfinite(a0):
-            raise ValueError("spectrum a0 must be finite")
-        ab = _harmonic_arrays(harmonics, n_max)
+        ab = _harmonic_arrays(a0, harmonics, n_max)
         _frozen(self, interval=interval, a0=float(a0), a=ab[0], b=ab[1])
 
     def __eq__(self, other) -> bool:
@@ -176,18 +174,6 @@ def _dense_vector(interval: Interval, values: np.ndarray) -> DynamismVector:
     if not np.all(np.isfinite(values)):
         raise ValueError("coordinate indices and values must be finite")
     return _frozen(DynamismVector.__new__(DynamismVector), interval=interval, values=values)
-
-
-@functools.lru_cache(maxsize=32)
-def _conjugate_phase(offset: float, n_max: int) -> np.ndarray:
-    """The read-only conjugated phase factors conj(exp(-2 pi i n offset)), n = 0..n_max, once per key.
-
-    `offset` is t1/T0 reduced modulo 1, so every interval with the same
-    offset shares one entry and no curve is kept.
-    """
-    shift = np.conjugate(np.exp(-2j * np.pi * offset * np.arange(n_max + 1)))
-    shift.setflags(write=False)
-    return shift
 
 
 def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum:
@@ -310,7 +296,7 @@ def parseval_energy(s: Spectrum) -> float:
     is exact, so wherever no square overflows or underflows the result is
     the unscaled sum bit for bit.
     """
-    m, q = _series_energy(s.interval.duration, 0.5 * s.a0, s.a, s.b)
+    m, q = _scaled_square_norm(synthesize(s))
     return m * (m * q)
 
 

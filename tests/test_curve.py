@@ -84,6 +84,13 @@ def test_analytic_curve_is_dense_read_only_and_unhashable():
         hash(c)
 
 
+@pytest.mark.parametrize("order", [2**20 + 1, 10**9, 2**64 + 1])
+def test_analytic_curve_refuses_an_order_too_high_to_store(order):
+    # its arrays are as long as its highest order: refused as an int, before any rounding or allocation
+    with pytest.raises(ValueError, match=f"harmonic order {order} outside 1..{2**20}"):
+        AnalyticCurve(UNIT, 0.0, ((order, 1.0, 0.0),))
+
+
 def test_sampled_curve_validation():
     with pytest.raises(ValueError, match="at least 2"):
         SampledCurve(UNIT, np.array([1.0]))
@@ -248,7 +255,7 @@ def test_scale_sampled():
 @pytest.mark.parametrize("kind", ["analytic", "sampled"])
 def test_scale_refuses_a_non_finite_factor(l1, kind, a):
     # inf * 0.0 is nan: without the up-front check a sampled curve warns in the multiply
-    # and an analytic one is refused for its "constant term"
+    # and an analytic one is refused for its amplitudes
     c = l1 if kind == "analytic" else SampledCurve(UNIT, [0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="scale factor must be finite"):
         scale(a, c)
