@@ -12,7 +12,6 @@ can be shared freely across threads.
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -203,7 +202,7 @@ class SampledCurve:
             raise ValueError("sample values must be one-dimensional")
         if v.size < 2:
             raise ValueError(f"need at least 2 samples, got {v.size}")
-        if not np.isfinite(v).all():
+        if not np.logical_and.reduce(np.isfinite(v)):
             raise ValueError("sample values must be finite")
         _frozen(self, values=v.copy())
 
@@ -307,7 +306,7 @@ def scale(a: float, c: LoadCurve) -> LoadCurve:
 
 def _trapezoid(values: np.ndarray, t1: float, t2: float) -> float:
     dt = (t2 - t1) / (values.size - 1)
-    return float(dt * (values.sum() - 0.5 * (values[0] + values[-1])))
+    return float(dt * (np.add.reduce(values) - 0.5 * (values[0] + values[-1])))
 
 
 def inner_product(c1: LoadCurve, c2: LoadCurve) -> float:
@@ -367,16 +366,19 @@ def _scaled_square_norm(c: LoadCurve) -> tuple[float, float]:
 
     s * (s * q) is inner_product(c, c) bit for bit wherever that neither overflows nor underflows.
     """
-    iv = c.interval
     if isinstance(c, AnalyticCurve):
-        # Parseval: (c, c) = T0*constant**2 + (T0/2)*sum(a_n**2 + b_n**2)
-        s = _power_of_two_near(float(np.abs(np.concatenate(([c.constant], c.a, c.b))).max()))
-        c0, a, b = c.constant / s, c.a / s, c.b / s
-        return s, iv.duration * c0 * c0 + 0.5 * iv.duration * float(a @ a + b @ b)
-    s = _power_of_two_near(float(np.abs(c.values).max()))
+        return _scaled_parseval(c.interval.duration, c.constant, c.a, c.b)
+    s = _power_of_two_near(float(np.maximum.reduce(np.abs(c.values))))
     w = c.values / s
     w *= w
-    return s, _trapezoid(w, iv.t1, iv.t2)
+    return s, _trapezoid(w, c.interval.t1, c.interval.t2)
+
+
+def _scaled_parseval(t0: float, constant: float, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """`_scaled_square_norm` of constant + sum_n (a_n cos + b_n sin) on length t0, from Parseval and no curve."""
+    s = _power_of_two_near(float(np.maximum.reduce(np.abs(np.concatenate(([constant], a, b))))))
+    c0, a, b = constant / s, a / s, b / s
+    return s, t0 * c0 * c0 + 0.5 * t0 * float(a @ a + b @ b)
 
 
 def distance(c1: LoadCurve, c2: LoadCurve) -> float:
@@ -428,30 +430,16 @@ def integrate(c: LoadCurve, lo: float, hi: float) -> float:
     return float(_integrals(c, np.array([lo, hi]))[0])
 
 
-@functools.lru_cache(maxsize=32)
-def _conjugate_phase(offset: float, n_max: int) -> np.ndarray:
-    """The read-only conjugated phase factors conj(exp(-2 pi i n offset)), n = 0..n_max, once per key.
-
-    `offset` is t1/T0 reduced modulo 1, so every interval with the same
-    offset shares one entry and no curve is kept.
-    """
-    shift = np.conjugate(np.exp(-2j * np.pi * offset * np.arange(n_max + 1)))
-    shift.setflags(write=False)
-    return shift
-
-
-def _integrals(c: LoadCurve, bounds: np.ndarray) -> np.ndarray:
+def _integrals(c: LoadCurve, bounds: np.ndarray, layout=None) -> np.ndarray:
     """Integrals of the curve between consecutive entries of `bounds`, in one pass.
 
     `bounds` must be ascending and inside the curve's interval (this is not
     checked). Analytic curves take differences of the closed-form
     antiderivative in offsets from t1. Sampled curves integrate their linear
-    interpolant with the exact step h = T0/(N-1) of `energy` and `analyze`,
-    in positions counted in steps from t1 (grid point i at i, a bound at
-    x = (bound - t1)/h in cell floor(x), t2 in the last cell): the bounds
-    are merged into the grid points, each just after the point that opens
-    its cell, and each integral sums its own trapezoid pieces. Time and
-    memory are O(N + len(bounds)).
+    interpolant on the knots `_sample_layout` merges (`layout` is that
+    layout, if given), each integral summing its own trapezoid pieces, with
+    the exact step h = T0/(N-1) of `energy` and `analyze`. Time and memory
+    are O(N + len(bounds)).
     """
     iv = c.interval
     if isinstance(c, AnalyticCurve):
@@ -459,8 +447,9 @@ def _integrals(c: LoadCurve, bounds: np.ndarray) -> np.ndarray:
         i = _present(c)
         # order n adds (a'*sin(w*u) + b'*(1 - cos(w*u)))/w, (a', b') its amplitudes rotated to t1
         # as `analyze` rotates its bins, so that sin and cos see offsets, not absolute times, and
-        # w*u taken in turns n*u/T0 modulo 1, so that a whole number of periods adds exactly 0
-        shift = _conjugate_phase((iv.t1 / iv.duration) % 1.0, c.a.size)[i + 1]
+        # w*u taken in turns n*u/T0 modulo 1, so that a whole number of periods adds exactly 0;
+        # the phase factors of spectrum's `_conjugate_phase`, formed at the present orders alone
+        shift = np.conjugate(np.exp(-2j * np.pi * ((iv.t1 / iv.duration) % 1.0) * (i + 1)))
         a, b = c.a[i] * shift.real + c.b[i] * shift.imag, c.b[i] * shift.real - c.a[i] * shift.imag
         out = c.constant * u
         turns = u / iv.duration
@@ -469,26 +458,40 @@ def _integrals(c: LoadCurve, bounds: np.ndarray) -> np.ndarray:
             out += (a_n * np.sin(phase) + b_n * (1.0 - np.cos(phase))) / ((2.0 * np.pi * iv.f0) * n)
         return out[1:] - out[:-1]
     v = c.values
-    h = iv.duration / (v.size - 1)
-    if h == 0.0:  # a subnormal interval whose step underflows: every cell weighs zero, as in `energy`
+    layout = layout or _sample_layout(iv, v.size, bounds)
+    if layout is None:  # a subnormal interval whose step underflows: every cell weighs zero, as in `energy`
         return np.zeros(bounds.size - 1)
-    x = (bounds - iv.t1) / h
+    half_step, k, k1, fraction, at, grid, widths = layout
+    value = np.empty(grid.size)
+    value[grid] = v
+    vk = v[k]
+    value[at] = vk + (v[k1] - vk) * fraction
+    pieces = value[1:] + value[:-1]
+    pieces *= widths
+    # each integral adds only its own pieces: differences of a running total would
+    # carry that total's rounding into every integral, magnified by a cycle's price
+    return half_step * np.add.reduceat(pieces, at)[:-1]
+
+
+def _sample_layout(interval: Interval, n: int, bounds: np.ndarray) -> tuple | None:
+    """What no sample value enters of integrating n samples on `interval` between consecutive `bounds`.
+
+    Positions count steps h = T0/(n-1) from t1: grid point i at i, a bound at x = (bound - t1)/h in cell
+    k = floor(x) (t2 in the last), merged into the grid just after the point that opens its cell. Returns
+    (h/2, k, k + 1, x - k, the bounds' slots, the grid slot mask, the knot widths), or None if h underflows.
+    """
+    h = interval.duration / (n - 1)
+    if h == 0.0:
+        return None
+    x = (bounds - interval.t1) / h
     # truncation is floor for positions at or above 0, and t2 belongs to the last cell;
     # np.minimum, not np.clip: that reaches numpy through per-call name lookups whose
     # objects CPython keeps alive (see _frozen)
-    k = x.astype(np.intp)
-    np.minimum(k, v.size - 2, out=k)
-    at = k + np.arange(1, k.size + 1)  # where each bound lands among the merged knots
-    grid = np.ones(v.size + k.size, dtype=bool)
+    k = np.minimum(x.astype(np.intp), n - 2)
+    at = k + np.arange(1, k.size + 1)
+    grid = np.ones(n + k.size, dtype=bool)
     grid[at] = False
     position = np.empty(grid.size)
-    position[grid] = np.arange(v.size)
+    position[grid] = np.arange(n)
     position[at] = x
-    value = np.empty(grid.size)
-    value[grid] = v
-    value[at] = v[k] + (v[k + 1] - v[k]) * (x - k)
-    pieces = position[1:] - position[:-1]
-    pieces *= value[1:] + value[:-1]
-    # each integral adds only its own pieces: differences of a running total would
-    # carry that total's rounding into every integral, magnified by a cycle's price
-    return (0.5 * h) * np.add.reduceat(pieces, at)[:-1]
+    return 0.5 * h, k, k + 1, x - k, at, grid, position[1:] - position[:-1]

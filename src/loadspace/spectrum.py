@@ -14,6 +14,7 @@ coordinate 2n.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,12 +26,11 @@ from .curve import (
     Interval,
     LoadCurve,
     _analytic,
-    _conjugate_phase,
     _frozen,
     _harmonic_arrays,
     _indices,
     _require_int,
-    _scaled_square_norm,
+    _scaled_parseval,
     distance,
     norm,
 )
@@ -176,6 +176,18 @@ def _dense_vector(interval: Interval, values: np.ndarray) -> DynamismVector:
     return _frozen(DynamismVector.__new__(DynamismVector), interval=interval, values=values)
 
 
+@functools.lru_cache(maxsize=32)
+def _conjugate_phase(offset: float, n_max: int) -> np.ndarray:
+    """The read-only conjugated phase factors conj(exp(-2 pi i n offset)), n = 0..n_max, once per key.
+
+    `offset` is t1/T0 reduced modulo 1, so every interval with the same
+    offset shares one entry and no curve is kept.
+    """
+    shift = np.conjugate(np.exp(-2j * np.pi * offset * np.arange(n_max + 1)))
+    shift.setflags(write=False)
+    return shift
+
+
 def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum:
     """Fourier-analyze a curve up to order n_max.
 
@@ -257,7 +269,8 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
     # copyto with a mask, not a boolean-index assignment, which builds index arrays on every call
     magnitude = np.abs(ab)
     np.copyto(ab, 0.0, where=np.maximum(magnitude[0], magnitude[1], out=magnitude[0]) <= drop_tol)
-    if not (math.isfinite(a0) and np.isfinite(ab).all()):
+    # np.maximum carries a NaN through, so the largest magnitude is finite only if every coefficient is
+    if not (math.isfinite(a0) and math.isfinite(np.maximum.reduce(magnitude[0]))):
         raise ValueError("spectrum orders and coefficients must be finite")
     return _spectrum(c.interval, a0, ab)
 
@@ -296,7 +309,7 @@ def parseval_energy(s: Spectrum) -> float:
     is exact, so wherever no square overflows or underflows the result is
     the unscaled sum bit for bit.
     """
-    m, q = _scaled_square_norm(synthesize(s))
+    m, q = _scaled_parseval(s.interval.duration, 0.5 * s.a0, s.a, s.b)
     return m * (m * q)
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .curve import Interval, LoadCurve, _integrals, _require_int, _uniform_grid, energy
+from .curve import Interval, LoadCurve, SampledCurve, _integrals, _require_int, _sample_layout, _uniform_grid, energy
 from .spectrum import DynamismVector, Spectrum, _dense_vector, mu_index_cos, mu_index_sin
 
 __all__ = [
@@ -134,7 +134,7 @@ class FlatPlan:
 
 @dataclass(frozen=True)
 class SpotPlan:
-    """Per-cycle unit prices over N equal sub-intervals of `interval`."""
+    """Per-cycle unit prices over N equal sub-intervals of `interval`, kept as arrays with the last layout billed."""
 
     interval: Interval
     unit_prices: tuple[float, ...]
@@ -143,9 +143,11 @@ class SpotPlan:
         prices = _real_tuple(self.unit_prices, "spot prices")
         if not prices:
             raise ValueError("spot plan needs at least one cycle price")
-        if not all(math.isfinite(p) and p > 0 for p in prices):
+        array = np.fromiter(prices, float, len(prices))
+        if not np.logical_and.reduce((0.0 < array) & (array < np.inf)):
             raise ValueError("spot prices must be positive and finite")
-        object.__setattr__(self, "unit_prices", prices)
+        bounds = _uniform_grid(self.interval, len(prices) + 1)
+        vars(self).update(unit_prices=prices, _bounds=bounds, _prices=array, _layout=(0, None))
 
     @property
     def cycle_count(self) -> int:
@@ -264,9 +266,11 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
             f"[{plan.interval.t1}, {plan.interval.t2}], curve on "
             f"[{c.interval.t1}, {c.interval.t2}]"
         )
-    cycles = _integrals(c, _uniform_grid(plan.interval, plan.cycle_count + 1))
-    prices = np.fromiter(plan.unit_prices, float, plan.cycle_count)
-    return float(cycles @ prices)
+    held = plan._layout  # (N, layout), replaced as one pair: no thread reads one N's layout with another N
+    if isinstance(c, SampledCurve) and held[0] != c.values.size:
+        held = (c.values.size, _sample_layout(plan.interval, c.values.size, plan._bounds))
+        vars(plan)["_layout"] = held
+    return float(_integrals(c, plan._bounds, held[1]) @ plan._prices)
 
 
 @functools.lru_cache(maxsize=32)
@@ -348,7 +352,7 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
         amount *= _polarity(sup, coef)
     lines.setflags(write=False)
     # starting from +0.0, as a running sum would, keeps an all-zero dynamic part from reading -0.0
-    dynamic = float(lines[1:, 3].sum(initial=0.0))
+    dynamic = float(np.add.reduce(lines[1:, 3], initial=0.0))
     return Bill(non_dynamic, dynamic, lines)
 
 

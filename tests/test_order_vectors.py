@@ -4,21 +4,27 @@
 lines, and `analyze` its conjugated phase vector, from caches keyed on
 values (two price functions, f0, n_max; the phase offset, n_max). The
 cached arrays are read-only and exact; spot plans, curves and spectra are
-never kept; and billing many meters leaves no traced memory behind.
+never kept; and billing many meters leaves no traced memory behind. A spot
+plan holds its own cycle arrays and the sample layout of the last sample
+count it billed: a reused plan bills as a fresh one does, and the layout
+goes with the plan.
 """
 from __future__ import annotations
 
 import gc
+import sys
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from loadspace import (
+    AnalyticCurve,
     DynamismPlan,
     Interval,
     PriceFrequencyFunction,
@@ -26,14 +32,15 @@ from loadspace import (
     SpotPlan,
     analyze,
     dynamism_payment,
+    integrate,
     norm,
     price_frequency_value,
     spot_payment,
 )
 from loadspace import spectrum, tariff
 
-from conftest import UNIT, intervals
-from test_tariff import _pffs
+from conftest import UNIT, analytic_curves, intervals
+from test_tariff import _pffs, _samples, _spot_intervals, _spot_prices
 
 
 @settings(max_examples=100, deadline=None)
@@ -184,3 +191,128 @@ def test_billing_a_meter_fleet_leaves_no_traced_memory_behind(plan1):
     finally:
         tracemalloc.stop()
     assert retained < 4096
+
+
+# Interval(0, 2e-323) is four of the smallest subnormal steps long: T0/(N-1) is
+# nonzero up to N = 8 and underflows to zero from N = 9 on.
+_TINY = Interval(0.0, 2e-323)
+
+
+@st.composite
+def _plans_and_curves(draw):
+    """A spot plan and 2 to 10 curves on its interval: sampled at a few sample counts, which recur, and analytic."""
+    iv = draw(st.one_of(_spot_intervals, st.just(_TINY)))
+    plan = SpotPlan(iv, draw(st.integers(min_value=1, max_value=60).flatmap(_spot_prices)))
+    sampled = st.sampled_from([2, 5, 9, 10, 25, 96]).flatmap(_samples).map(lambda v: SampledCurve(iv, v))
+    curves = st.one_of(sampled, analytic_curves(interval=iv, max_harmonics=3, max_order=12))
+    return plan, draw(st.lists(curves, min_size=2, max_size=10))
+
+
+def _float_bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plans_and_curves())
+# sampled at two counts, an analytic curve, and steps that underflow to zero (N = 10), interleaved
+@example((
+    SpotPlan(_TINY, [1.0, 3.0, 2.0]),
+    [
+        SampledCurve(_TINY, [1.0, 2.0]),
+        SampledCurve(_TINY, np.arange(10.0)),
+        AnalyticCurve(_TINY, 1.0, ((1, 1.0, 0.5), (3, 0.2, 0.1))),
+        SampledCurve(_TINY, [2.0, 1.0]),
+        SampledCurve(_TINY, np.arange(5.0)),
+        SampledCurve(_TINY, np.arange(10.0)),
+    ],
+))
+def test_a_reused_spot_plan_bills_as_a_fresh_plan(case):
+    plan, curves = case
+    for c in curves:
+        fresh = SpotPlan(plan.interval, plan.unit_prices)
+        assert _float_bits(spot_payment(plan, c)) == _float_bits(spot_payment(fresh, c))
+
+
+def test_threads_sharing_a_spot_plan_bill_as_fresh_plans():
+    # four threads on two cores bill one plan at three sample counts, switching often: each
+    # thread reads the plan's (N, layout) pair once, so it never bills with another N's layout
+    plan = SpotPlan(UNIT, np.linspace(10.0, 30.0, 24))
+    curves = [SampledCurve(UNIT, np.linspace(5.0, 50.0, n) ** 1.5) for n in (96, 97, 25)]
+    expected = [_float_bits(spot_payment(SpotPlan(UNIT, plan.unit_prices), c)) for c in curves]
+    wrong: list[str] = []
+
+    def bill(first: int) -> None:
+        for i in range(first, first + 600):
+            k = i % len(curves)
+            try:
+                if _float_bits(spot_payment(plan, curves[k])) != expected[k]:
+                    wrong.append(f"curve {k} billed another amount")
+            except ValueError as exc:  # one N's samples scattered by another N's layout
+                wrong.append(f"curve {k}: {exc}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=bill, args=(first,)) for first in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def _traced_after(run) -> tuple[int, int]:
+    """(traced bytes that `run()` returns held, traced bytes left once that is dropped), over the baseline."""
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        held = run()
+        holding = tracemalloc.get_traced_memory()[0] - baseline
+        del held
+        gc.collect()
+        return holding, tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_spot_plan_frees_its_layout_with_it():
+    # a year of 15-minute readings under hourly prices; a cache of layouts kept apart
+    # from the plan would keep this one (about 1 MiB) after the plan is gone
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    year = Interval(0.0, 365.0)
+    c = SampledCurve(year, np.linspace(5.0, 50.0, 35_040))
+    prices = np.linspace(10.0, 30.0, 8_760)
+    spot_payment(SpotPlan(year, prices), c)  # a first bill, so that nothing it sets up once is counted
+
+    def bill():
+        plan = SpotPlan(year, prices)
+        spot_payment(plan, c)
+        return plan
+
+    holding, retained = _traced_after(bill)
+    assert holding > 768 * 1024  # the price tuple (280 KB), the cycle arrays and the layout (670 KB)
+    assert retained < 4096
+
+
+def test_analytic_integrals_keep_no_long_phase_vectors():
+    # the analytic kernel forms phase factors at the present orders alone; entries of
+    # the phase cache are as long as the largest sampled n_max + 1 (here 41), where
+    # one per offset up to each curve's top order would be 2**16 + 1 factors (1 MiB)
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    n_max = 40
+    analyze(SampledCurve(UNIT, np.linspace(5.0, 50.0, 97)), n_max)
+
+    def integrate_all():
+        for k in range(40):
+            iv = Interval(0.37 * k, 0.37 * k + 1.0)  # 40 distinct offsets t1/T0 mod 1
+            c = AnalyticCurve(iv, 1.0, ((1, 1.0, 0.5), (2**16, 0.25, -0.5)))
+            integrate(c, iv.t1, iv.t2 - 0.25)
+            spot_payment(SpotPlan(iv, [1.0, 2.0, 3.0]), c)
+
+    _, retained = _traced_after(integrate_all)
+    assert retained < spectrum._conjugate_phase.cache_info().maxsize * (n_max + 1) * 16
