@@ -42,8 +42,7 @@ class CostCharacteristic:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.iota, dtype=float)
-        if _require_int(self.n_max, "n_max") < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        _require_int(self.n_max, "n_max", 1)
         k = 1 + 2 * self.n_max
         if v.shape != (k,):
             raise ValueError(f"iota must have length {k} for n_max={self.n_max}, got {v.shape}")
@@ -110,8 +109,7 @@ def calibrate_iota(observations: list[CostObservation], n_max: int) -> CostChara
 
 def _fit_iota(observations: list[CostObservation], n_max: int) -> tuple[CostCharacteristic, np.ndarray]:
     """`calibrate_iota`, also returning its design matrix (row i: the mu vector of observation i)."""
-    if _require_int(n_max, "n_max") < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _require_int(n_max, "n_max", 1)
     if not observations:
         raise ValueError("underdetermined: no observations")
     interval = observations[0].load.interval

@@ -83,10 +83,13 @@ def _uniform_grid(interval: Interval, num: int) -> np.ndarray:
     return grid
 
 
-def _require_int(value, name: str) -> int:
-    """`value` as an int; ValueError unless it is an integer (bool is refused)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+def _require_int(value, name: str, least: int | None = None) -> int:
+    """`value` as an int; ValueError unless it is an integer (bool is refused) and, if given, at least `least`."""
+    # an int passes before the Integral check, an abstract-class lookup that costs more than the rest
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 
@@ -102,34 +105,36 @@ def _frozen(obj, **fields):
     return obj
 
 
-def _indices(column: np.ndarray, name: str) -> np.ndarray:
-    """A finite float column of indices as integers; ValueError on a fraction or a repeat."""
-    index = column.astype(np.intp)
-    if np.any(index != column):
-        raise ValueError(f"every {name} must be an integer")
-    ordered = np.sort(index)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    if repeated.size:
-        raise ValueError(f"duplicate {name} {repeated[0]}")
-    return index
+def _dense_rows(rows, name: str, lo: int, hi: int, size: int | None, constant: float = 0.0, width: int = 3):
+    """Outside (index, value, ...) rows (tuples or a (k, width) array, any order) as a new (width - 1, size) array.
 
-
-def _harmonic_arrays(constant: float, harmonics, n_max: int) -> np.ndarray:
-    """Outside (order, a_n, b_n) rows (tuples or a (k, 3) array) as a new (2, n_max) array, order n in column n-1.
-
-    ValueError on a non-finite constant or value, or an order that is not an
-    integer, repeats, or is outside 1..n_max.
+    Index i's values land in column i - lo; `size` None runs to the largest index (with no rows, to 0).
+    ValueError on a value, index or `constant` that is not finite, then on an index outside lo..hi,
+    checked on the floats before the index is cast or the array allocated, then on one that is fractional or repeats.
     """
-    rows = np.asarray(harmonics, dtype=float).reshape(-1, 3)
-    if not (math.isfinite(constant) and np.all(np.isfinite(rows))):
-        raise ValueError("constant, harmonic orders and amplitudes must be finite")
-    orders = _indices(rows[:, 0], "harmonic order")
-    outside = orders[(orders < 1) | (orders > n_max)]
-    if outside.size:
-        raise ValueError(f"harmonic order {outside[0]} outside 1..{n_max}")
-    ab = np.zeros((2, n_max))
-    ab[:, orders - 1] = rows[:, 1:].T
-    return ab
+    try:
+        table = np.asarray(rows, dtype=float).reshape(-1, width)
+    except OverflowError:  # a Python int beyond any float
+        raise ValueError(f"every {name} and value must be finite") from None
+    if not (math.isfinite(constant) and np.isfinite(table).all()):
+        raise ValueError(f"every {name} and value must be finite")
+    column = table[:, 0]
+    floats = column.tolist()
+    if floats and not lo <= min(floats) <= max(floats) <= hi:  # on the floats: the cast cannot hold 1e19
+        bad = next(i for i in floats if not lo <= i <= hi)
+        if bad < lo:
+            raise ValueError(f"every {name} must be >= {lo}, got {bad:.17g}")
+        raise ValueError(f"{name} {bad:.17g} outside {lo}..{hi}")
+    index = column.astype(np.intp)
+    indices = index.tolist()
+    if indices != floats:  # the cast truncated a fraction
+        raise ValueError(f"every {name} must be an integer, got {next(i for i, j in zip(floats, indices) if i != j)}")
+    if len(set(indices)) < len(indices):
+        ordered = sorted(indices)
+        raise ValueError(f"duplicate {name} {next(i for i, j in zip(ordered, ordered[1:]) if i == j)}")
+    out = np.zeros((width - 1, max(indices, default=0) + 1 - lo if size is None else size))
+    out.T[index - lo] = table[:, 1:]
+    return out
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -153,12 +158,13 @@ class AnalyticCurve:
     b: np.ndarray
 
     def __init__(self, interval: Interval, constant: float, harmonics=()) -> None:
-        # stricter than Spectrum: 2.0, True and np.float64(3.0) are not orders of a curve
+        # stricter than Spectrum: 2.0, True and np.float64(3.0) are not orders of a curve; and the
+        # highest order is bounded here, as the int given, which a float may not name (2**64 + 1)
         rows = [(_require_int(h[0], "harmonic order"), h[1], h[2]) for h in harmonics]
-        n_max = max((row[0] for row in rows), default=0)
+        n_max = max([row[0] for row in rows], default=0)
         if n_max > 2**20:
             raise ValueError(f"harmonic order {n_max} outside 1..{2**20}")
-        ab = _harmonic_arrays(constant, rows, n_max)
+        ab = _dense_rows(rows, "harmonic order", 1, 2**20, n_max, constant)
         _frozen(self, interval=interval, constant=float(constant), a=ab[0], b=ab[1])
 
     def __eq__(self, other) -> bool:
@@ -225,21 +231,48 @@ def _require_same_interval(c1: LoadCurve, c2: LoadCurve) -> Interval:
 
 def sample(c: AnalyticCurve, n: int) -> SampledCurve:
     """Render an analytic curve onto an n-point uniform grid."""
-    if _require_int(n, "sample count") < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    t = _uniform_grid(c.interval, n)
+    t = _uniform_grid(c.interval, _require_int(n, "sample count", 2))
     return SampledCurve(c.interval, _evaluate_analytic(c, t))
+
+
+def _phase_factors(offset: float, orders: np.ndarray) -> np.ndarray:
+    """conj(exp(-2 pi i n offset)) for each order n: the phase of t1 at offset = t1/T0 reduced modulo 1."""
+    return np.conjugate(np.exp(-2j * np.pi * offset * orders))
+
+
+def _rotated_to_t1(c: AnalyticCurve):
+    """Each present order n of c as (n, a', b'): its amplitudes rotated to t1 by `analyze`'s phase factors
+    (formed at these orders alone), so that its term is a' cos(x) + b' sin(x) at x = 2 pi n (t - t1)/T0."""
+    iv = c.interval
+    i = _present(c)
+    shift = _phase_factors((iv.t1 / iv.duration) % 1.0, i + 1)
+    a, b = c.a[i] * shift.real + c.b[i] * shift.imag, c.b[i] * shift.real - c.a[i] * shift.imag
+    return zip((i + 1).tolist(), a.tolist(), b.tolist())
+
+
+def _terms_from_t1(c: AnalyticCurve, t: np.ndarray):
+    """Each present order n of c as (n, a', b', x), its term at times t being a' cos(x) + b' sin(x).
+
+    (a', b') are as `_rotated_to_t1` gives them and x = 2 pi (n (t - t1)/T0 mod 1): sin and cos see
+    offsets from t1 in turns, never absolute times, so rounding does not grow with t1 and a whole
+    number of periods is exactly 0 turns.
+    """
+    turns = (t - c.interval.t1) / c.interval.duration
+    for n, a_n, b_n in _rotated_to_t1(c):
+        yield n, a_n, b_n, 2.0 * np.pi * ((n * turns) % 1.0)
+
+
+def _split(x):
+    """Veltkamp's split of x, |x| <= 1: (hi, lo) with hi + lo == x exactly and at most 26 significant bits each."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
 
 
 def _evaluate_analytic(c: AnalyticCurve, t: np.ndarray) -> np.ndarray:
     out = np.full_like(t, c.constant, dtype=float)
-    w0 = 2.0 * np.pi * c.interval.f0
-    for i in _present(c).tolist():
-        phase = (w0 * (i + 1)) * t
-        if c.a[i] != 0.0:
-            out += c.a[i] * np.cos(phase)
-        if c.b[i] != 0.0:
-            out += c.b[i] * np.sin(phase)
+    for _, a_n, b_n, x in _terms_from_t1(c, t):
+        out += a_n * np.cos(x) + b_n * np.sin(x)
     return out
 
 
@@ -434,8 +467,9 @@ def _integrals(c: LoadCurve, bounds: np.ndarray, layout=None) -> np.ndarray:
     """Integrals of the curve between consecutive entries of `bounds`, in one pass.
 
     `bounds` must be ascending and inside the curve's interval (this is not
-    checked). Analytic curves take differences of the closed-form
-    antiderivative in offsets from t1. Sampled curves integrate their linear
+    checked). Analytic curves take each integral's closed form in offsets
+    s = t - t1 from t1, as a product whose whole periods cancel exactly (see
+    `_analytic_integrals`). Sampled curves integrate their linear
     interpolant on the knots `_sample_layout` merges (`layout` is that
     layout, if given), each integral summing its own trapezoid pieces, with
     the exact step h = T0/(N-1) of `energy` and `analyze`. Time and memory
@@ -443,20 +477,7 @@ def _integrals(c: LoadCurve, bounds: np.ndarray, layout=None) -> np.ndarray:
     """
     iv = c.interval
     if isinstance(c, AnalyticCurve):
-        u = bounds - iv.t1
-        i = _present(c)
-        # order n adds (a'*sin(w*u) + b'*(1 - cos(w*u)))/w, (a', b') its amplitudes rotated to t1
-        # as `analyze` rotates its bins, so that sin and cos see offsets, not absolute times, and
-        # w*u taken in turns n*u/T0 modulo 1, so that a whole number of periods adds exactly 0;
-        # the phase factors of spectrum's `_conjugate_phase`, formed at the present orders alone
-        shift = np.conjugate(np.exp(-2j * np.pi * ((iv.t1 / iv.duration) % 1.0) * (i + 1)))
-        a, b = c.a[i] * shift.real + c.b[i] * shift.imag, c.b[i] * shift.real - c.a[i] * shift.imag
-        out = c.constant * u
-        turns = u / iv.duration
-        for n, a_n, b_n in zip((i + 1).tolist(), a.tolist(), b.tolist()):
-            phase = 2.0 * np.pi * ((n * turns) % 1.0)
-            out += (a_n * np.sin(phase) + b_n * (1.0 - np.cos(phase))) / ((2.0 * np.pi * iv.f0) * n)
-        return out[1:] - out[:-1]
+        return _analytic_integrals(c, bounds - iv.t1)
     v = c.values
     layout = layout or _sample_layout(iv, v.size, bounds)
     if layout is None:  # a subnormal interval whose step underflows: every cell weighs zero, as in `energy`
@@ -471,6 +492,37 @@ def _integrals(c: LoadCurve, bounds: np.ndarray, layout=None) -> np.ndarray:
     # each integral adds only its own pieces: differences of a running total would
     # carry that total's rounding into every integral, magnified by a cycle's price
     return half_step * np.add.reduceat(pieces, at)[:-1]
+
+
+def _analytic_integrals(c: AnalyticCurve, s: np.ndarray) -> np.ndarray:
+    """Integrals of an analytic curve between consecutive offsets s from t1 (ascending, within [0, T0]).
+
+    Between s_lo and s_hi, order n adds (T0/(pi n)) sin(pi d) (a' cos(pi m) + b' sin(pi m)), with
+    d = n (s_hi - s_lo)/T0 and m = n (s_hi + s_lo)/T0. A difference of two values of the antiderivative
+    would keep their rounding, of the order of the curve's size, where whole periods cancel to almost
+    nothing, and a price would magnify it. Here d is reduced to r = d - j, j the nearest integer, with
+    error-free sums and products, and sin(pi d) = (-1)**j sin(pi r) is accurate to a few ulps of itself.
+    """
+    t0 = c.interval.duration
+    out = c.constant * s
+    out = out[1:] - out[:-1]
+    pair = (s[1:] + s[:-1]) / t0
+    # s_hi - s_lo = width + rest exactly (Fast2Sum, s_hi >= s_lo >= 0), both scaled by a power of two to T0 in [0.5, 1)
+    width = s[1:] - s[:-1]
+    rest = (-s[:-1]) - (width - s[1:])
+    unit, exponent = math.frexp(t0)
+    width, rest = np.ldexp(width, -exponent), np.ldexp(rest, -exponent)
+    (w_hi, w_lo), (u_hi, u_lo) = _split(width), _split(unit)
+    for n, a_n, b_n in _rotated_to_t1(c):
+        nw_hi, nw_lo = n * w_hi, n * w_lo  # exact: n < 2**21 and 26-bit halves
+        j = np.rint((nw_hi + nw_lo) / unit)
+        # n (s_hi - s_lo) - j T0, the first difference exact (Sterbenz), the rest far below an ulp of it
+        r = ((nw_hi - j * u_hi) + (nw_lo - j * u_lo) + n * rest) / unit
+        m = np.pi * ((n * pair) % 2.0)
+        term = np.sin(np.pi * r) * (a_n * np.cos(m) + b_n * np.sin(m))
+        term *= 1.0 - 2.0 * (j % 2.0)
+        out += (t0 / (np.pi * n)) * term
+    return out
 
 
 def _sample_layout(interval: Interval, n: int, bounds: np.ndarray) -> tuple | None:

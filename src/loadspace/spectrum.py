@@ -26,9 +26,9 @@ from .curve import (
     Interval,
     LoadCurve,
     _analytic,
+    _dense_rows,
     _frozen,
-    _harmonic_arrays,
-    _indices,
+    _phase_factors,
     _require_int,
     _scaled_parseval,
     distance,
@@ -66,10 +66,11 @@ class Spectrum:
     Stored densely: a0 plus read-only float arrays `a` and `b` of length
     n_max, where a[n-1], b[n-1] are the cosine and sine coefficients of
     order n and every absent order holds zeros, as in an AnalyticCurve. The
-    constructor takes the present orders as (order, a_n, b_n) rows, Harmonic
-    tuples or a (k, 3) array, through AnalyticCurve's row parser; `n_max`,
-    `harmonics` and `coefficient` are views of the arrays. Two spectra are
-    equal when interval, a0 and both arrays are.
+    constructor takes the present orders (1..n_max) as (order, a_n, b_n)
+    rows, Harmonic tuples or a (k, 3) array, through the row parser it shares
+    with AnalyticCurve and DynamismVector; `n_max`, `harmonics` and
+    `coefficient` are views of the arrays. Two spectra are equal when
+    interval, a0 and both arrays are.
     """
 
     interval: Interval
@@ -78,10 +79,8 @@ class Spectrum:
     b: np.ndarray
 
     def __init__(self, interval: Interval, a0: float, harmonics, n_max: int) -> None:
-        n_max = _require_int(n_max, "n_max")
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
-        ab = _harmonic_arrays(a0, harmonics, n_max)
+        n_max = _require_int(n_max, "n_max", 1)
+        ab = _dense_rows(harmonics, "harmonic order", 1, n_max, n_max, a0)
         _frozen(self, interval=interval, a0=float(a0), a=ab[0], b=ab[1])
 
     def __eq__(self, other) -> bool:
@@ -119,7 +118,7 @@ class DynamismVector:
 
     Stored densely as the read-only float array `values`, mu_0 first. The
     constructor takes (index, value) pairs, MuCoord tuples or a (k, 2)
-    array, and the array runs up to the largest index given.
+    array, and the array runs up to the largest index given, at most 2**21.
     `coords` is a sparse view: index 0 plus every nonzero coordinate.
     """
 
@@ -127,14 +126,8 @@ class DynamismVector:
     values: np.ndarray
 
     def __init__(self, interval: Interval, coords) -> None:
-        pairs = np.asarray(coords, dtype=float).reshape(-1, 2)
-        if not np.all(np.isfinite(pairs)):
-            raise ValueError("coordinate indices and values must be finite")
-        index = _indices(pairs[:, 0], "coordinate index")
-        if index.size and index.min() < 0:
-            raise ValueError("coordinate indices must be >= 0")
-        values = np.zeros(1 + (int(index.max()) if index.size else 0))
-        values[index] = pairs[:, 1]
+        # 2**21: the sine coordinate of the highest order an AnalyticCurve may hold
+        values = _dense_rows(coords, "coordinate index", 0, 2 * 2**20, None, width=2)[0]
         _frozen(self, interval=interval, values=values)
 
     def __eq__(self, other) -> bool:
@@ -154,19 +147,12 @@ class DynamismVector:
         A size that is not an integer >= 0, or is below the last nonzero
         coordinate, raises ValueError.
         """
-        size = self.values.size if size is None else _require_int(size, "size")
-        if size < 0:
-            raise ValueError(f"size must be >= 0, got {size}")
+        size = self.values.size if size is None else _require_int(size, "size", 0)
         if np.any(self.values[size:]):
             raise ValueError(f"size {size} too small for coordinate index {np.flatnonzero(self.values)[-1]}")
         out = np.zeros(size)
         out[: min(size, self.values.size)] = self.values[:size]
         return out
-
-
-def _spectrum(interval: Interval, a0: float, ab: np.ndarray) -> Spectrum:
-    """The Spectrum with coefficient arrays (a, b) = ab, stored as given, not copied."""
-    return _frozen(Spectrum.__new__(Spectrum), interval=interval, a0=float(a0), a=ab[0], b=ab[1])
 
 
 def _dense_vector(interval: Interval, values: np.ndarray) -> DynamismVector:
@@ -183,7 +169,7 @@ def _conjugate_phase(offset: float, n_max: int) -> np.ndarray:
     `offset` is t1/T0 reduced modulo 1, so every interval with the same
     offset shares one entry and no curve is kept.
     """
-    shift = np.conjugate(np.exp(-2j * np.pi * offset * np.arange(n_max + 1)))
+    shift = _phase_factors(offset, np.arange(n_max + 1))
     shift.setflags(write=False)
     return shift
 
@@ -233,9 +219,7 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         few points, a NaN, infinite or negative drop_tol, or coefficients
         that overflow.
     """
-    n_max = _require_int(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _require_int(n_max, "n_max", 1)
     if drop_tol is None:
         drop_tol = 1e-12 * norm(c)
     elif not (math.isfinite(drop_tol) and drop_tol >= 0):
@@ -255,6 +239,8 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
                 f"need at least {2 * n_max + 2}, got {n_samples}"
             )
         iv = c.interval
+        if not math.isfinite(2.0 / iv.duration):  # inf * 0.0 would make the scaling below warn
+            raise ValueError(f"interval [{iv.t1}, {iv.t2}] too short to analyze: 2/T0 overflows")
         dt = iv.duration / (n_samples - 1)
         x = dt * v[:-1]
         x[0] = 0.5 * dt * (v[0] + v[-1])
@@ -272,7 +258,7 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
     # np.maximum carries a NaN through, so the largest magnitude is finite only if every coefficient is
     if not (math.isfinite(a0) and math.isfinite(np.maximum.reduce(magnitude[0]))):
         raise ValueError("spectrum orders and coefficients must be finite")
-    return _spectrum(c.interval, a0, ab)
+    return _frozen(Spectrum.__new__(Spectrum), interval=c.interval, a0=float(a0), a=ab[0], b=ab[1])  # ab not copied
 
 
 def synthesize(s: Spectrum) -> AnalyticCurve:

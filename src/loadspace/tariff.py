@@ -91,8 +91,9 @@ def price_frequency_value(pff: PriceFrequencyFunction, f):
     same shape. NaN, inf and negative frequencies raise ValueError.
     """
     fs = np.asarray(f, dtype=float)
-    if not ((0.0 <= fs) & (fs < np.inf)).all():
-        raise ValueError(f"frequency must be finite and nonnegative, got {f}")
+    valid = (0.0 <= fs) & (fs < np.inf)
+    if not valid.all():
+        raise ValueError(f"frequency must be finite and nonnegative, got {fs[~valid].flat[0]}")
     upper = pff.base + pff.slope * np.log10(np.maximum(fs, pff.cutoff) - pff.log_offset)
     price = np.where(fs < pff.cutoff, pff.base, upper)
     return float(price) if price.ndim == 0 else price
@@ -414,9 +415,7 @@ def payment_gradient(
         raise ValueError("an interval is required to evaluate plan frequencies")
     if orders is None:
         raise ValueError("orders are required for a dynamism plan gradient")
-    n = np.array(sorted({_require_int(k, "order") for k in orders}), dtype=np.intp)
-    if n.size and n[0] < 1:
-        raise ValueError("orders must be >= 1")
+    n = np.array(sorted({_require_int(k, "order", 1) for k in orders}), dtype=np.intp)
     t0 = interval.duration
     f = n * interval.f0
     sup_a, sup_b = (1.0, 1.0) if supply is None else _supply_coefficients(supply, n)

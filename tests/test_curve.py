@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from loadspace import (
     Interval,
     SampledCurve,
     add,
+    analyze,
     average_power,
     distance,
     energy,
@@ -176,6 +178,30 @@ def test_evaluate_accepts_arrays(l1):
     out = evaluate(l1, t)
     assert out.shape == (11,)
     assert out[0] == 60.0
+
+
+def _exact_value(c: AnalyticCurve, t: float) -> float:
+    """c(t) with each order's phase n t/T0 taken exactly as a fraction and reduced to the nearest whole turn."""
+    total = c.constant
+    for n, cos_amp, sin_amp in c.harmonics:
+        x = n * Fraction(t) / Fraction(c.interval.duration)
+        r = 2.0 * math.pi * float(x - round(x))
+        total += cos_amp * math.cos(r) + sin_amp * math.sin(r)
+    return total
+
+
+@pytest.mark.parametrize("t1", [0.0, 1e3, 1e6, 1e9])
+def test_evaluate_and_sample_hold_their_accuracy_far_from_zero(l1, t1):
+    # reference load 1 moved to [t1, t1 + 1]: phases taken from absolute times lose
+    # about t1 * eps turns per order (2.1e-7 at t1 = 1e6, 2.5e-4 at 1e9)
+    c = AnalyticCurve(Interval(t1, t1 + 1.0), l1.constant, l1.harmonics)
+    tol = 1e-12 * (abs(c.constant) + sum(abs(a) + abs(b) for _, a, b in c.harmonics))
+    t = t1 + np.arange(1, 8) / 8.3
+    assert np.abs(evaluate(c, t) - [_exact_value(c, x) for x in t.tolist()]).max() <= tol
+    s = sample(c, 2001)
+    assert np.abs(s.values - [_exact_value(c, x) for x in s.times().tolist()]).max() <= tol
+    # what is left is the grid's own times, rounded to ulp(t1) (1.2e-7 at t1 = 1e9): 1.2e-9 there, was 5.3e-7
+    assert analyze(s, 100).b[99] == pytest.approx(5.0, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

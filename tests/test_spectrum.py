@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,109 @@ def test_dynamism_vector_dense_of_size_zero_holds_only_zero_coordinates():
         DynamismVector(UNIT, (MuCoord(0, 1.0),)).dense(0)
 
 
+# one parser takes the outside rows of all three constructors; each refuses an index past
+# its bound on the floats, before anything is cast or allocated (a cast of 1e19 warns, and
+# 1e12 coordinates are 8 TB): AnalyticCurve orders 1..2**20 (given as ints, the only orders
+# it takes), Spectrum orders 1..n_max and DynamismVector indices 0..2**21
+ROW_CONSTRUCTORS = {
+    "AnalyticCurve order": lambda i: AnalyticCurve(UNIT, 1.0, ((i, 1.0, 0.0),)),
+    "Spectrum order": lambda i: Spectrum(UNIT, 1.0, ((i, 1.0, 0.0),), 4),
+    "DynamismVector index": lambda i: DynamismVector(UNIT, ((0, 1.0), (i, 1.0))),
+}
+INDICES_PAST_BOUNDS = {
+    "AnalyticCurve order": [(10**19, "outside"), (-(10**19), ">= 1"), (10**12, "outside"), (2**20 + 1, "outside")],
+    "Spectrum order": [(1e19, "outside"), (-1e19, ">= 1"), (1e12, "outside"), (5, "outside"), (0, ">= 1")],
+    "DynamismVector index": [(1e19, "outside"), (-1e19, ">= 0"), (1e12, "outside"), (2**21 + 1, "outside")],
+}
+
+
+@pytest.mark.parametrize(
+    "name, index, message",
+    [(name, i, m) for name, cases in INDICES_PAST_BOUNDS.items() for i, m in cases],
+)
+def test_row_constructors_refuse_an_index_past_the_bound_before_allocating(name, index, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            ROW_CONSTRUCTORS[name](index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+
+
+@pytest.mark.parametrize("name", ROW_CONSTRUCTORS)
+def test_row_constructors_refuse_an_int_too_large_for_a_float(name):
+    with pytest.raises(ValueError, match="finite"):
+        ROW_CONSTRUCTORS[name](-(10**400))
+
+
+@pytest.mark.parametrize("name", ["Spectrum order", "DynamismVector index"])
+@pytest.mark.parametrize("index", [1.5, 2.0 + 2**-40], ids=["half", "just-above-two"])
+def test_row_constructors_refuse_a_fractional_index_in_range(name, index):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ROW_CONSTRUCTORS[name](index)
+
+
+@st.composite
+def _rows(draw, lo: int, width: int, forms):
+    """Distinct-index (index, value, ...) rows in any order, in one of `forms`, and their expected dense array."""
+    indices = draw(st.lists(st.integers(min_value=lo, max_value=lo + 40), unique=True, max_size=8))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [(i, *(draw(values) for _ in range(width - 1))) for i in indices]
+    size = max(indices, default=0) + 1 - lo
+    expected = np.zeros((width - 1, size))
+    for i, *v in rows:
+        expected[:, i - lo] = v
+    form = draw(st.sampled_from(forms))
+    if form == "array":
+        rows = np.array(rows, dtype=float).reshape(-1, width)
+    elif form == "named":
+        rows = [(Harmonic if width == 3 else MuCoord)(*row) for row in rows]
+    return rows, expected
+
+
+def _same_bits(got: np.ndarray, expected: np.ndarray) -> bool:
+    return got.dtype == np.float64 and got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows(1, 3, ["tuples", "named"]), st.floats(-1e3, 1e3))
+def test_analytic_curve_rows_land_bit_for_bit_in_zeros(case, constant):
+    # no array form: a float array's orders are floats, which an AnalyticCurve refuses
+    rows, expected = case
+    c = AnalyticCurve(UNIT, constant, rows)
+    assert _same_bits(c.a, expected[0]) and _same_bits(c.b, expected[1])
+    present = [n for n in range(1, expected.shape[1] + 1) if expected[0, n - 1] != 0.0 or expected[1, n - 1] != 0.0]
+    assert c.harmonics == tuple(Harmonic(n, expected[0, n - 1], expected[1, n - 1]) for n in present)
+    assert c == AnalyticCurve(UNIT, constant, rows[::-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows(1, 3, ["tuples", "named", "array"]), st.integers(min_value=0, max_value=5))
+def test_spectrum_rows_land_bit_for_bit_in_zeros(case, extra):
+    rows, expected = case
+    n_max = max(expected.shape[1], 1) + extra
+    s = Spectrum(UNIT, 2.0, rows, n_max)
+    padded = np.zeros((2, n_max))
+    padded[:, : expected.shape[1]] = expected
+    assert _same_bits(s.a, padded[0]) and _same_bits(s.b, padded[1])
+    present = [n for n in range(1, n_max + 1) if padded[0, n - 1] != 0.0 or padded[1, n - 1] != 0.0]
+    assert s.harmonics == tuple(Harmonic(n, padded[0, n - 1], padded[1, n - 1]) for n in present)
+    assert s == Spectrum(UNIT, 2.0, rows[::-1], n_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows(0, 2, ["tuples", "named", "array"]))
+def test_dynamism_vector_rows_land_bit_for_bit_in_zeros(case):
+    rows, expected = case
+    v = DynamismVector(UNIT, rows)
+    assert _same_bits(v.values, expected[0]) and _same_bits(v.dense(), expected[0])
+    nonzero = [k for k in range(1, expected.shape[1]) if expected[0, k] != 0.0]
+    assert v.coords == tuple(MuCoord(k, expected[0, k]) for k in [0, *nonzero])
+    assert v == DynamismVector(UNIT, rows[::-1])
+
+
 # ---------------------------------------------------------------------------
 # Parseval
 # ---------------------------------------------------------------------------
@@ -525,6 +629,13 @@ def test_gradients_equal_their_constructor_rebuild(c, orders, with_supply, lam):
     rates = DynamismRates(UNIT, tuple(lam))
     _assert_same_vector(payment_gradient(rates))
     _assert_same_vector(incentive_direction(rates))
+
+
+@pytest.mark.parametrize("t2", [5e-324, 1e-310, 1e-309])
+def test_analyze_refuses_an_interval_too_short_for_its_scale_without_a_warning(t2):
+    # 2/T0 overflows, and inf * 0.0 would make the scaling multiply warn before the refusal
+    with pytest.raises(ValueError, match=rf"interval \[0.0, {t2}\] too short"):
+        analyze(SampledCurve(Interval(0.0, t2), np.arange(10.0)), 2)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -107,6 +107,15 @@ def test_pff_rejects_non_finite_frequency(plan1, f):
         price_frequency_value(plan1.alpha, f)
 
 
+def test_pff_names_only_the_first_bad_frequency(plan1):
+    with pytest.raises(ValueError, match=r"nonnegative, got -2\.0$"):
+        price_frequency_value(plan1.alpha, np.array([1.0, -2.0, math.nan, 4.0]))
+    # on an interval this short n*f0 is inf for every order: one is named, not all n_max
+    tiny = analyze(AnalyticCurve(Interval(0.0, 1.5e-323), 1.0), 1000)
+    with pytest.raises(ValueError, match=r"nonnegative, got inf$"):
+        dynamism_payment(plan1, tiny)
+
+
 def test_pff_rejects_prices_that_go_nonpositive():
     with pytest.raises(ValueError, match="slope"):
         PriceFrequencyFunction(base=20.0, cutoff=10.0, slope=-5.0)
@@ -396,6 +405,14 @@ def test_a_cycle_takes_no_rounding_from_the_cycles_before_it():
     # running total, the second cycle would pay 500 times that total's last-digit rounding
     c = SampledCurve(Interval(-12.25, -8.75), [890.0, 0.0, 0.0, 0.0])
     _assert_spot_matches_per_cycle_integrals(SpotPlan(c.interval, [0.01, 500.0, 1.0]), c)
+
+
+def test_whole_periods_in_each_cycle_bill_only_their_cell_widths():
+    # order 4 over 4 cycles: each cycle holds one period, up to the rounding of its linspace bounds.
+    # As a difference of two antiderivative values, the dear last cycle billed -2.47e-12 against
+    # an exact -1.47e-12 and a tolerance of 1e-12
+    c = AnalyticCurve(Interval(0.0, 6.732300588697727), 0.0, ((4, 12.0, 0.0),))
+    _assert_spot_matches_per_cycle_integrals(SpotPlan(c.interval, [1.0, 1.0, 1.0, 276.0]), c)
 
 
 def test_integrals_on_a_subnormal_step_follow_energy():
