@@ -72,17 +72,6 @@ class Harmonic(NamedTuple):
     sin_amp: float
 
 
-def _uniform_grid(interval: Interval, num: int) -> np.ndarray:
-    """np.linspace(t1, t2, num) for num >= 2, bit for bit: the same arithmetic without its per-call overhead."""
-    step = interval.duration / (num - 1)
-    if step == 0.0:  # a subnormal interval, which linspace scales in another order
-        return np.linspace(interval.t1, interval.t2, num)
-    grid = np.arange(num) * step
-    grid += interval.t1
-    grid[-1] = interval.t2
-    return grid
-
-
 def _require_int(value, name: str, least: int | None = None) -> int:
     """`value` as an int; ValueError unless it is an integer (bool is refused) and, if given, at least `least`."""
     # an int passes before the Integral check, an abstract-class lookup that costs more than the rest
@@ -213,8 +202,8 @@ class SampledCurve:
         _frozen(self, values=v.copy())
 
     def times(self) -> np.ndarray:
-        """The sample grid, endpoints included."""
-        return _uniform_grid(self.interval, self.values.size)
+        """The grid np.linspace(t1, t2, N): each t1 + i*h rounded, where quadrature counts exact steps h."""
+        return np.linspace(self.interval.t1, self.interval.t2, self.values.size)
 
 
 LoadCurve = Union[AnalyticCurve, SampledCurve]
@@ -231,35 +220,29 @@ def _require_same_interval(c1: LoadCurve, c2: LoadCurve) -> Interval:
 
 def sample(c: AnalyticCurve, n: int) -> SampledCurve:
     """Render an analytic curve onto an n-point uniform grid."""
-    t = _uniform_grid(c.interval, _require_int(n, "sample count", 2))
+    t = np.linspace(c.interval.t1, c.interval.t2, _require_int(n, "sample count", 2))
     return SampledCurve(c.interval, _evaluate_analytic(c, t))
 
 
+def _t1_turns(interval: Interval) -> float:
+    """t1/T0 modulo 1, the phase of t1 in turns, rounded once: the remainder fmod(t1, T0) is exact, where
+    t1/T0 would round by up to ulp(t1/T0) turns before the reduction, an error order n multiplies by n."""
+    return (math.fmod(interval.t1, interval.duration) / interval.duration) % 1.0
+
+
 def _phase_factors(offset: float, orders: np.ndarray) -> np.ndarray:
-    """conj(exp(-2 pi i n offset)) for each order n: the phase of t1 at offset = t1/T0 reduced modulo 1."""
+    """conj(exp(-2 pi i n offset)) for each order n, offset = `_t1_turns(interval)`: the phase of t1, whose
+    bits `analyze` and `_rotated_to_t1` share (exp(+2 pi i n offset) differs in the last bits)."""
     return np.conjugate(np.exp(-2j * np.pi * offset * orders))
 
 
 def _rotated_to_t1(c: AnalyticCurve):
     """Each present order n of c as (n, a', b'): its amplitudes rotated to t1 by `analyze`'s phase factors
     (formed at these orders alone), so that its term is a' cos(x) + b' sin(x) at x = 2 pi n (t - t1)/T0."""
-    iv = c.interval
     i = _present(c)
-    shift = _phase_factors((iv.t1 / iv.duration) % 1.0, i + 1)
+    shift = _phase_factors(_t1_turns(c.interval), i + 1)
     a, b = c.a[i] * shift.real + c.b[i] * shift.imag, c.b[i] * shift.real - c.a[i] * shift.imag
     return zip((i + 1).tolist(), a.tolist(), b.tolist())
-
-
-def _terms_from_t1(c: AnalyticCurve, t: np.ndarray):
-    """Each present order n of c as (n, a', b', x), its term at times t being a' cos(x) + b' sin(x).
-
-    (a', b') are as `_rotated_to_t1` gives them and x = 2 pi (n (t - t1)/T0 mod 1): sin and cos see
-    offsets from t1 in turns, never absolute times, so rounding does not grow with t1 and a whole
-    number of periods is exactly 0 turns.
-    """
-    turns = (t - c.interval.t1) / c.interval.duration
-    for n, a_n, b_n in _rotated_to_t1(c):
-        yield n, a_n, b_n, 2.0 * np.pi * ((n * turns) % 1.0)
 
 
 def _split(x):
@@ -270,8 +253,12 @@ def _split(x):
 
 
 def _evaluate_analytic(c: AnalyticCurve, t: np.ndarray) -> np.ndarray:
+    """c at times t, order n adding a' cos(x) + b' sin(x), (a', b') from `_rotated_to_t1` and x = 2 pi (n (t - t1)/T0
+    mod 1): offsets from t1 in turns, never absolute times, so rounding does not grow with t1."""
+    turns = (t - c.interval.t1) / c.interval.duration
     out = np.full_like(t, c.constant, dtype=float)
-    for _, a_n, b_n, x in _terms_from_t1(c, t):
+    for n, a_n, b_n in _rotated_to_t1(c):
+        x = 2.0 * np.pi * ((n * turns) % 1.0)
         out += a_n * np.cos(x) + b_n * np.sin(x)
     return out
 
@@ -294,12 +281,10 @@ def evaluate(c: LoadCurve, t):
     return float(out) if np.isscalar(t) or ts.ndim == 0 else out
 
 
-def _common_grid(c1: LoadCurve, c2: LoadCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Align two curves (at least one sampled) on the finer of their grids."""
-    n1 = c1.values.size if isinstance(c1, SampledCurve) else 0
-    n2 = c2.values.size if isinstance(c2, SampledCurve) else 0
-    n = max(n1, n2)
-    t = _uniform_grid(c1.interval, n)
+def _common_grid(c1: LoadCurve, c2: LoadCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The values of two curves (at least one sampled) on the finer of their grids."""
+    n = max(c.values.size for c in (c1, c2) if isinstance(c, SampledCurve))
+    t = np.linspace(c1.interval.t1, c1.interval.t2, n)
 
     def on_grid(c: LoadCurve) -> np.ndarray:
         if isinstance(c, AnalyticCurve):
@@ -308,7 +293,7 @@ def _common_grid(c1: LoadCurve, c2: LoadCurve) -> tuple[np.ndarray, np.ndarray, 
             return c.values
         return np.interp(t, c.times(), c.values)
 
-    return t, on_grid(c1), on_grid(c2)
+    return on_grid(c1), on_grid(c2)
 
 
 def add(c1: LoadCurve, c2: LoadCurve) -> LoadCurve:
@@ -324,7 +309,7 @@ def add(c1: LoadCurve, c2: LoadCurve) -> LoadCurve:
         for c in (c1, c2):
             ab[:, : c.a.size] += (c.a, c.b)
         return _analytic(iv, c1.constant + c2.constant, ab)
-    _, v1, v2 = _common_grid(c1, c2)
+    v1, v2 = _common_grid(c1, c2)
     return SampledCurve(iv, v1 + v2)
 
 
@@ -371,7 +356,7 @@ def inner_product(c1: LoadCurve, c2: LoadCurve) -> float:
         n = min(c1.a.size, c2.a.size)
         dot = c1.a[:n] @ c2.a[:n] + c1.b[:n] @ c2.b[:n]
         return iv.duration * c1.constant * c2.constant + 0.5 * iv.duration * float(dot)
-    t, v1, v2 = _common_grid(c1, c2)
+    v1, v2 = _common_grid(c1, c2)
     return _trapezoid(v1 * v2, iv.t1, iv.t2)
 
 

@@ -31,6 +31,7 @@ from .curve import (
     _phase_factors,
     _require_int,
     _scaled_parseval,
+    _t1_turns,
     distance,
     norm,
 )
@@ -166,7 +167,7 @@ def _dense_vector(interval: Interval, values: np.ndarray) -> DynamismVector:
 def _conjugate_phase(offset: float, n_max: int) -> np.ndarray:
     """The read-only conjugated phase factors conj(exp(-2 pi i n offset)), n = 0..n_max, once per key.
 
-    `offset` is t1/T0 reduced modulo 1, so every interval with the same
+    `offset` is `_t1_turns(interval)`, so every interval with the same
     offset shares one entry and no curve is kept.
     """
     shift = _phase_factors(offset, np.arange(n_max + 1))
@@ -193,7 +194,7 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         w_n = conj(rfft(x)_n) * conj(exp(-2 pi i n t1/T0))
         a_n = (2/T0) Re w_n,  b_n = (2/T0) Im w_n
 
-    with t1/T0 reduced modulo 1 before the phase is formed. w_n is the
+    with t1/T0 reduced modulo 1 exactly (`_t1_turns`) before the phase is formed. w_n is the
     conjugate of the phase-shifted bin, so b_n is its imaginary part with
     no sign flip, and `a`, `b` are strided views of the one complex array
     w, not copies. This is the same trapezoid sum an n_max x N cos/sin
@@ -247,7 +248,7 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         # a new array, not the rfft buffer conjugated in place: the spectrum's views
         # would keep all N/2 bins alive where it needs n_max + 1
         w = np.conjugate(np.fft.rfft(x)[: n_max + 1])
-        w *= _conjugate_phase((iv.t1 / iv.duration) % 1.0, n_max)
+        w *= _conjugate_phase(_t1_turns(iv), n_max)
         w *= 2.0 / iv.duration
         a0 = float(w[0].real)
         ab = w[1:].view(float).reshape(n_max, 2).T  # ab[0] = Re w_n = a_n, ab[1] = Im w_n = b_n

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .curve import Interval, LoadCurve, SampledCurve, _integrals, _require_int, _sample_layout, _uniform_grid, energy
+from .curve import Interval, LoadCurve, SampledCurve, _integrals, _require_int, _sample_layout, energy
 from .spectrum import DynamismVector, Spectrum, _dense_vector, mu_index_cos, mu_index_sin
 
 __all__ = [
@@ -147,7 +147,7 @@ class SpotPlan:
         array = np.fromiter(prices, float, len(prices))
         if not np.logical_and.reduce((0.0 < array) & (array < np.inf)):
             raise ValueError("spot prices must be positive and finite")
-        bounds = _uniform_grid(self.interval, len(prices) + 1)
+        bounds = np.linspace(self.interval.t1, self.interval.t2, len(prices) + 1)
         vars(self).update(unit_prices=prices, _bounds=bounds, _prices=array, _layout=(0, None))
 
     @property
@@ -398,7 +398,7 @@ def payment_gradient(
         Billing interval. Required for a DynamismPlan; for rates it
         defaults to the rates' own interval and must match it if given.
     orders : sequence of int, optional
-        Harmonic orders to include (DynamismPlan only).
+        Harmonic orders to include, each in 1..2**20 (DynamismPlan only).
     supply : Spectrum, optional
         Fixes the polarity convention (DynamismPlan only).
     """
@@ -415,7 +415,10 @@ def payment_gradient(
         raise ValueError("an interval is required to evaluate plan frequencies")
     if orders is None:
         raise ValueError("orders are required for a dynamism plan gradient")
-    n = np.array(sorted({_require_int(k, "order", 1) for k in orders}), dtype=np.intp)
+    orders = sorted({_require_int(k, "order", 1) for k in orders})
+    if orders and orders[-1] > 2**20:  # refused before a vector of that size is allocated, as AnalyticCurve does
+        raise ValueError(f"order {orders[-1]} outside 1..{2**20}")
+    n = np.array(orders, dtype=np.intp)
     t0 = interval.duration
     f = n * interval.f0
     sup_a, sup_b = (1.0, 1.0) if supply is None else _supply_coefficients(supply, n)

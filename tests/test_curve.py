@@ -190,18 +190,27 @@ def _exact_value(c: AnalyticCurve, t: float) -> float:
     return total
 
 
-@pytest.mark.parametrize("t1", [0.0, 1e3, 1e6, 1e9])
-def test_evaluate_and_sample_hold_their_accuracy_far_from_zero(l1, t1):
-    # reference load 1 moved to [t1, t1 + 1]: phases taken from absolute times lose
+# (t1, T0); the last three put t1 at a non-integer number of periods, where t1/T0 rounded before its
+# reduction modulo 1 is off by up to ulp(t1/T0) turns (4.4e-8 at 1e9/0.1), which order n multiplies by n
+FAR_FROM_ZERO = [(0.0, 1.0), (1e3, 1.0), (1e6, 1.0), (1e9, 1.0), (1e6, 0.3), (1e9, 0.1), (1.7e9, 86400.0)]
+
+
+@pytest.mark.parametrize(
+    "t1, t0", FAR_FROM_ZERO, ids=[str(t1) if t0 == 1.0 else f"{t1}-{t0}" for t1, t0 in FAR_FROM_ZERO]
+)
+def test_evaluate_and_sample_hold_their_accuracy_far_from_zero(l1, t1, t0):
+    # reference load 1 moved to [t1, t1 + T0]: phases taken from absolute times lose
     # about t1 * eps turns per order (2.1e-7 at t1 = 1e6, 2.5e-4 at 1e9)
-    c = AnalyticCurve(Interval(t1, t1 + 1.0), l1.constant, l1.harmonics)
+    c = AnalyticCurve(Interval(t1, t1 + t0), l1.constant, l1.harmonics)
     tol = 1e-12 * (abs(c.constant) + sum(abs(a) + abs(b) for _, a, b in c.harmonics))
-    t = t1 + np.arange(1, 8) / 8.3
+    t = t1 + t0 * np.arange(1, 8) / 8.3
     assert np.abs(evaluate(c, t) - [_exact_value(c, x) for x in t.tolist()]).max() <= tol
     s = sample(c, 2001)
     assert np.abs(s.values - [_exact_value(c, x) for x in s.times().tolist()]).max() <= tol
-    # what is left is the grid's own times, rounded to ulp(t1) (1.2e-7 at t1 = 1e9): 1.2e-9 there, was 5.3e-7
-    assert analyze(s, 100).b[99] == pytest.approx(5.0, abs=1e-8)
+    # what is left is the grid's own times, rounded to ulp(t1) (1.2e-7 at t1 = 1e9): 1.2e-9 there, was 5.3e-7;
+    # checked where that rounding is at most 1.2e-7 turns (at 1e9/0.1 it is 1.2e-6 turns, and b_100 misses by 2.6e-6)
+    if math.ulp(t1) / t0 <= math.ulp(1e9):
+        assert analyze(s, 100).b[99] == pytest.approx(5.0, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

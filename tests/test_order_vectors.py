@@ -38,6 +38,7 @@ from loadspace import (
     spot_payment,
 )
 from loadspace import spectrum, tariff
+from loadspace.curve import _t1_turns
 
 from conftest import UNIT, analytic_curves, intervals
 from test_tariff import _pffs, _samples, _spot_intervals, _spot_prices
@@ -77,7 +78,7 @@ def _stacked_analysis(c: SampledCurve, n_max: int) -> tuple[float, np.ndarray]:
     x = h * v[:-1]
     x[0] = 0.5 * h * (v[0] + v[-1])
     z = np.fft.rfft(x)[: n_max + 1]
-    z *= np.exp(-2j * np.pi * ((iv.t1 / iv.duration) % 1.0) * np.arange(n_max + 1))
+    z *= np.exp(-2j * np.pi * _t1_turns(iv) * np.arange(n_max + 1))
     z *= 2.0 / iv.duration
     ab = np.stack((z.real[1:], -z.imag[1:]))
     np.copyto(ab, 0.0, where=(np.abs(ab) <= 1e-12 * norm(c)).all(axis=0))

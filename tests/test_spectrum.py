@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -123,15 +124,15 @@ def _trapezoid_spectrum(c: SampledCurve, n_max: int) -> tuple[float, np.ndarray,
     """Definitional trapezoid sums for a0, a_n, b_n, as an explicit cos/sin matrix.
 
     The phase 2*pi*n*t_i/T0 is formed from t1/T0 reduced modulo 1 plus
-    i/(N-1); the reduction is exact for integer n and keeps large offsets
-    accurate.
+    i/(N-1); the reduction is exact for integer n, and t1/T0 is reduced as
+    a fraction, so large offsets stay accurate.
     """
     iv, v = c.interval, c.values
     n_samples = v.size
     w = np.full(n_samples, iv.duration / (n_samples - 1))
     w[0] *= 0.5
     w[-1] *= 0.5
-    offset = (iv.t1 / iv.duration) % 1.0 + np.arange(n_samples) / (n_samples - 1)
+    offset = float(Fraction(iv.t1) / Fraction(iv.duration) % 1) + np.arange(n_samples) / (n_samples - 1)
     phase = 2.0 * np.pi * np.outer(np.arange(1, n_max + 1), offset)
     scale_ = 2.0 / iv.duration
     return scale_ * float(w @ v), scale_ * (np.cos(phase) @ (w * v)), scale_ * (np.sin(phase) @ (w * v))
@@ -152,6 +153,8 @@ def sampled_for_analysis(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(sampled_for_analysis())
+# t1/T0 = 100000012.2, which rounds by 6.2e-9 turns before its reduction modulo 1: order 60's phase by 3.7e-7
+@example((SampledCurve(Interval(1e6 + 0.123, 1e6 + 0.133), np.linspace(-1e3, 1e3, 130)), 60))
 def test_fft_analyze_equals_trapezoid_matrix(case):
     c, n_max = case
     a0, a, b = _trapezoid_spectrum(c, n_max)
@@ -326,7 +329,8 @@ def test_dynamism_vector_dense_of_size_zero_holds_only_zero_coordinates():
 # one parser takes the outside rows of all three constructors; each refuses an index past
 # its bound on the floats, before anything is cast or allocated (a cast of 1e19 warns, and
 # 1e12 coordinates are 8 TB): AnalyticCurve orders 1..2**20 (given as ints, the only orders
-# it takes), Spectrum orders 1..n_max and DynamismVector indices 0..2**21
+# it takes), Spectrum orders 1..n_max and DynamismVector indices 0..2**21; payment_gradient orders
+# share AnalyticCurve's bound, since the gradient is a DynamismVector holding order n's sine at 2n
 ROW_CONSTRUCTORS = {
     "AnalyticCurve order": lambda i: AnalyticCurve(UNIT, 1.0, ((i, 1.0, 0.0),)),
     "Spectrum order": lambda i: Spectrum(UNIT, 1.0, ((i, 1.0, 0.0),), 4),
@@ -336,7 +340,9 @@ INDICES_PAST_BOUNDS = {
     "AnalyticCurve order": [(10**19, "outside"), (-(10**19), ">= 1"), (10**12, "outside"), (2**20 + 1, "outside")],
     "Spectrum order": [(1e19, "outside"), (-1e19, ">= 1"), (1e12, "outside"), (5, "outside"), (0, ">= 1")],
     "DynamismVector index": [(1e19, "outside"), (-1e19, ">= 0"), (1e12, "outside"), (2**21 + 1, "outside")],
+    "payment_gradient order": [(10**19, "outside"), (-(10**19), ">= 1"), (10**7, "outside"), (2**20 + 1, "outside")],
 }
+BOUNDED = {**ROW_CONSTRUCTORS, "payment_gradient order": lambda i: payment_gradient(builtin_plans()[0], UNIT, [1, i])}
 
 
 @pytest.mark.parametrize(
@@ -347,7 +353,7 @@ def test_row_constructors_refuse_an_index_past_the_bound_before_allocating(name,
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=message):
-            ROW_CONSTRUCTORS[name](index)
+            BOUNDED[name](index)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
