@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -81,7 +82,7 @@ def supply_cost(cc: CostCharacteristic, mu: DynamismVector) -> float:
     return float(cc.iota[:k] @ mu.values[:k])
 
 
-def calibrate_iota(observations: list[CostObservation], n_max: int) -> CostCharacteristic:
+def calibrate_iota(observations: Iterable[CostObservation], n_max: int) -> CostCharacteristic:
     """Fit the cost characteristic from (load, cost) observations.
 
     Builds the design matrix whose rows are the dense mu vectors of each
@@ -92,8 +93,9 @@ def calibrate_iota(observations: list[CostObservation], n_max: int) -> CostChara
 
     Parameters
     ----------
-    observations : list of CostObservation
-        At least K = 1 + 2*n_max observations on a common interval.
+    observations : iterable of CostObservation
+        At least K = 1 + 2*n_max on a common interval, in any iterable (a generator
+        included), read once: each load is analyzed as it arrives and only its mu vector kept.
     n_max : int
         Truncation order of the fitted characteristic.
 
@@ -107,32 +109,28 @@ def calibrate_iota(observations: list[CostObservation], n_max: int) -> CostChara
     return _fit_iota(observations, n_max)[0]
 
 
-def _fit_iota(observations: list[CostObservation], n_max: int) -> tuple[CostCharacteristic, np.ndarray]:
-    """`calibrate_iota`, also returning its design matrix (row i: the mu vector of observation i)."""
+def _fit_iota(observations: Iterable[CostObservation], n_max: int) -> tuple[CostCharacteristic, list[float]]:
+    """`calibrate_iota` in one pass, also returning each residual cost - supply_cost(cc, mu), in order."""
     _require_int(n_max, "n_max", 1)
-    if not observations:
-        raise ValueError("underdetermined: no observations")
-    interval = observations[0].load.interval
+    interval = None
+    mus: list[DynamismVector] = []
+    costs: list[float] = []
     for obs in observations:
+        interval = interval or obs.load.interval
         if obs.load.interval != interval:
             raise ValueError("incompatible intervals within the observation set")
+        mus.append(to_mu_vector(analyze(obs.load, n_max)))
+        costs.append(obs.observed_cost)
 
     k = 1 + 2 * n_max
-    m = len(observations)
-    if m < k:
-        raise ValueError(f"underdetermined: {m} observations for {k} unknowns")
-
-    x = np.empty((m, k))
-    y = np.empty(m)
-    for i, obs in enumerate(observations):
-        x[i] = to_mu_vector(analyze(obs.load, n_max)).values
-        y[i] = obs.observed_cost
-
+    if len(mus) < k:
+        raise ValueError(f"underdetermined: {len(mus)} observations for {k} unknowns")
     # LAPACK gelsd counts as the rank the singular values above rcond times the largest
-    iota, _, rank, _ = np.linalg.lstsq(x, y, rcond=_RANK_RTOL)
+    iota, _, rank, _ = np.linalg.lstsq(np.array([mu.values for mu in mus]), np.array(costs), rcond=_RANK_RTOL)
     if rank < k:
         raise ValueError(f"degenerate observation set: design matrix rank {rank} < {k}")
-    return CostCharacteristic(interval, iota, n_max), x
+    cc = CostCharacteristic(interval, iota, n_max)
+    return cc, [cost - supply_cost(cc, mu) for cost, mu in zip(costs, mus)]
 
 
 def pricing_from_cost(cc: CostCharacteristic, a: float) -> DynamismRates:

@@ -25,9 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibrate import CostCharacteristic, CostObservation, _fit_iota, supply_cost
-from .curve import Interval, SampledCurve, _scaled_parseval, _scaled_square_norm, distance
-from .spectrum import Spectrum, _dense_vector, analyze, mu_index_cos, mu_index_sin
+from .calibrate import CostCharacteristic, CostObservation, _fit_iota
+from .curve import Interval, SampledCurve, distance
+from .spectrum import Spectrum, _parseval_check, analyze, mu_index_cos, mu_index_sin
 from .tariff import (
     Bill,
     DynamismPlan,
@@ -275,14 +275,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     curve = _read_profile(args.profile)
     spec = analyze(curve, args.nmax, drop_tol=args.drop_tol)
     iv = spec.interval
-    # Both energies are formed from values divided by a power of two near their peak, m or s, so a
-    # curve whose squares overflow still gets its ratio. Scaling is exact: in range, pe is
-    # parseval_energy(spec), nsq is inner_product(curve, curve) and ratio is pe / nsq.
-    m, p = _scaled_parseval(iv.duration, 0.5 * spec.a0, spec.a, spec.b)
-    pe = m * (m * p)
-    s, q = _scaled_square_norm(curve)
-    nsq = s * (s * q)
-    ratio = (m / s) * ((m / s) * p) / q if q > 0 else None
+    pe, nsq, ratio = _parseval_check(curve, spec)
 
     if args.format == "json":
         _print_json(
@@ -362,28 +355,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    manifest = args.observations
+def _observations(manifest: str):
+    """Each manifest row as a CostObservation, its profile read only when the row is reached."""
     base_dir = os.path.dirname(os.path.abspath(manifest))
-    observations: list[CostObservation] = []
     for ln, (rel, cost) in _data_rows(manifest, ["profile", "cost"]):
-        rel = rel.strip()
-        path = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
+        path = os.path.join(base_dir, rel.strip())  # an absolute path replaces base_dir
         try:
             observed = float(cost)
         except ValueError as exc:
             raise InputFormatError(f"{manifest}, line {ln}: {exc}") from exc
-        observations.append(CostObservation(_read_profile(path), observed))
+        yield CostObservation(_read_profile(path), observed)
 
-    cc, x = _fit_iota(observations, args.nmax)
-    # Each mu vector is rebuilt from its row of the design matrix in turn, and
-    # the matrix is released before the output is built: holding either all
-    # the vectors or the matrix would add to the command's peak memory.
-    residuals = [
-        obs.observed_cost - supply_cost(cc, _dense_vector(cc.interval, row))
-        for obs, row in zip(observations, x)
-    ]
-    del x
+
+def _cmd_calibrate(args: argparse.Namespace) -> int:
+    cc, residuals = _fit_iota(_observations(args.observations), args.nmax)
     max_abs = max(abs(r) for r in residuals)
     rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
 

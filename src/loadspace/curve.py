@@ -219,9 +219,9 @@ def _require_same_interval(c1: LoadCurve, c2: LoadCurve) -> Interval:
 
 
 def sample(c: AnalyticCurve, n: int) -> SampledCurve:
-    """Render an analytic curve onto an n-point uniform grid."""
-    t = np.linspace(c.interval.t1, c.interval.t2, _require_int(n, "sample count", 2))
-    return SampledCurve(c.interval, _evaluate_analytic(c, t))
+    """Render an analytic curve onto an n-point uniform grid: sample i is c at the exact step t1 + i*T0/(n-1)."""
+    n = _require_int(n, "sample count", 2)
+    return SampledCurve(c.interval, _evaluate_analytic(c, np.arange(n) / (n - 1)))
 
 
 def _t1_turns(interval: Interval) -> float:
@@ -252,11 +252,10 @@ def _split(x):
     return hi, x - hi
 
 
-def _evaluate_analytic(c: AnalyticCurve, t: np.ndarray) -> np.ndarray:
-    """c at times t, order n adding a' cos(x) + b' sin(x), (a', b') from `_rotated_to_t1` and x = 2 pi (n (t - t1)/T0
-    mod 1): offsets from t1 in turns, never absolute times, so rounding does not grow with t1."""
-    turns = (t - c.interval.t1) / c.interval.duration
-    out = np.full_like(t, c.constant, dtype=float)
+def _evaluate_analytic(c: AnalyticCurve, turns: np.ndarray) -> np.ndarray:
+    """c at the times t1 + turns*T0, order n adding a' cos(x) + b' sin(x), (a', b') from `_rotated_to_t1` and
+    x = 2 pi (n turns mod 1): offsets from t1 in turns, never absolute times, so rounding does not grow with t1."""
+    out = np.full_like(turns, c.constant, dtype=float)
     for n, a_n, b_n in _rotated_to_t1(c):
         x = 2.0 * np.pi * ((n * turns) % 1.0)
         out += a_n * np.cos(x) + b_n * np.sin(x)
@@ -275,7 +274,7 @@ def evaluate(c: LoadCurve, t):
     if not np.all((iv.t1 <= ts) & (ts <= iv.t2)):
         raise ValueError(f"time outside interval [{iv.t1}, {iv.t2}]")
     if isinstance(c, AnalyticCurve):
-        out = _evaluate_analytic(c, ts)
+        out = _evaluate_analytic(c, (ts - iv.t1) / iv.duration)
     else:
         out = np.interp(ts, c.times(), c.values)
     return float(out) if np.isscalar(t) or ts.ndim == 0 else out
@@ -288,7 +287,7 @@ def _common_grid(c1: LoadCurve, c2: LoadCurve) -> tuple[np.ndarray, np.ndarray]:
 
     def on_grid(c: LoadCurve) -> np.ndarray:
         if isinstance(c, AnalyticCurve):
-            return _evaluate_analytic(c, t)
+            return _evaluate_analytic(c, (t - c.interval.t1) / c.interval.duration)
         if c.values.size == n:
             return c.values
         return np.interp(t, c.times(), c.values)

@@ -31,6 +31,7 @@ from .curve import (
     _phase_factors,
     _require_int,
     _scaled_parseval,
+    _scaled_square_norm,
     _t1_turns,
     distance,
     norm,
@@ -298,6 +299,19 @@ def parseval_energy(s: Spectrum) -> float:
     """
     m, q = _scaled_parseval(s.interval.duration, 0.5 * s.a0, s.a, s.b)
     return m * (m * q)
+
+
+def _parseval_check(curve: LoadCurve, spec: Spectrum) -> tuple[float, float, float | None]:
+    """(pe, nsq, ratio): the spectrum's Parseval energy, the curve's squared norm and pe / nsq (None if nsq is 0)."""
+    # Both energies are formed from values divided by a power of two near their peak, m or s, so a
+    # curve whose squares overflow still gets its ratio. Scaling is exact: in range, pe is
+    # parseval_energy(spec), nsq is inner_product(curve, curve) and ratio is pe / nsq.
+    m, p = _scaled_parseval(spec.interval.duration, 0.5 * spec.a0, spec.a, spec.b)
+    pe = m * (m * p)
+    s, q = _scaled_square_norm(curve)
+    nsq = s * (s * q)
+    ratio = (m / s) * ((m / s) * p) / q if q > 0 else None
+    return pe, nsq, ratio
 
 
 def truncation_error(c: LoadCurve, s: Spectrum) -> float:

@@ -21,6 +21,7 @@ from loadspace import (
     supply_cost,
     to_mu_vector,
 )
+from loadspace.calibrate import _fit_iota
 
 from conftest import UNIT
 
@@ -157,6 +158,16 @@ def test_calibration_underdetermined_raises():
         calibrate_iota(obs, 3)
     with pytest.raises(ValueError, match="underdetermined"):
         calibrate_iota((), 3)
+
+
+def test_calibration_reads_a_generator_as_it_reads_a_tuple():
+    rng = np.random.default_rng(10)
+    obs = _observations(rng, rng.uniform(-2.0, 2.0, size=7), 3, count=12, noise=0.1)
+    from_tuple = calibrate_iota(obs, 3)
+    assert calibrate_iota((o for o in obs), 3).iota.tobytes() == from_tuple.iota.tobytes()
+    cc, residuals = _fit_iota(iter(obs), 3)
+    assert cc.iota.tobytes() == from_tuple.iota.tobytes()
+    assert residuals == [o.observed_cost - supply_cost(cc, to_mu_vector(analyze(o.load, 3))) for o in obs]
 
 
 def test_calibration_degenerate_observations_raise():

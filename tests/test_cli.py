@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,6 +403,39 @@ def test_calibrate_analyzes_each_observation_once(capsys, tmp_path, monkeypatch)
     code, _, _ = run_cli(capsys, "calibrate", manifest, "--nmax", "2")
     assert code == 0
     assert calls == [2] * 7
+
+
+def _long_profiles_manifest(work, count: int) -> str:
+    """A calibration manifest in `work` over `count` profiles of 4,001 random samples."""
+    rng = np.random.default_rng(count)
+    t = np.linspace(0.0, 1.0, 4001).tolist()
+    work.mkdir()
+    rows = [["profile", "cost"]]
+    for i in range(count):
+        write_rows(work / f"p{i}.csv", [["t", "power"], *zip(t, rng.uniform(5.0, 50.0, 4001).tolist())])
+        rows.append([f"p{i}.csv", repr(rng.uniform(0.0, 100.0))])
+    return write_rows(work / "manifest.csv", rows)
+
+
+def _calibrate_peak(capsys, manifest: str) -> int:
+    """tracemalloc peak of `calibrate --nmax 2` over a manifest."""
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, "calibrate", manifest, "--nmax", "2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_calibrate_holds_one_profile_at_a_time(capsys, tmp_path):
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    few, many = (_long_profiles_manifest(tmp_path / str(n), n) for n in (10, 40))
+    run_cli(capsys, "calibrate", few, "--nmax", "2")  # one-time allocations (caches, lazy imports) out of the way
+    # 30 more profiles may add their mu vectors and costs, not their 4,001 values each
+    assert _calibrate_peak(capsys, many) - _calibrate_peak(capsys, few) < 5 * 4001 * 8
 
 
 def test_calibrate_missing_referenced_profile(capsys, tmp_path):

@@ -205,12 +205,12 @@ def test_evaluate_and_sample_hold_their_accuracy_far_from_zero(l1, t1, t0):
     tol = 1e-12 * (abs(c.constant) + sum(abs(a) + abs(b) for _, a, b in c.harmonics))
     t = t1 + t0 * np.arange(1, 8) / 8.3
     assert np.abs(evaluate(c, t) - [_exact_value(c, x) for x in t.tolist()]).max() <= tol
+    # sample i is the value at the exact step t1 + i*T0/2000 that `analyze` integrates on, not at the rounded
+    # `times()`, which lie up to ulp(t1)/T0 turns off it (1.2e-6 at 1e9/0.1, where b_100 missed by 2.6e-6)
     s = sample(c, 2001)
-    assert np.abs(s.values - [_exact_value(c, x) for x in s.times().tolist()]).max() <= tol
-    # what is left is the grid's own times, rounded to ulp(t1) (1.2e-7 at t1 = 1e9): 1.2e-9 there, was 5.3e-7;
-    # checked where that rounding is at most 1.2e-7 turns (at 1e9/0.1 it is 1.2e-6 turns, and b_100 misses by 2.6e-6)
-    if math.ulp(t1) / t0 <= math.ulp(1e9):
-        assert analyze(s, 100).b[99] == pytest.approx(5.0, abs=1e-8)
+    steps = [Fraction(t1) + Fraction(c.interval.duration) * i / 2000 for i in range(2001)]
+    assert np.abs(s.values - [_exact_value(c, x) for x in steps]).max() <= tol
+    assert analyze(s, 100).b[99] == pytest.approx(5.0, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from loadspace import (
     to_mu_vector,
     truncation_error,
 )
+from loadspace.spectrum import _parseval_check
 
 from conftest import UNIT, amplitudes, analytic_curves, intervals
 
@@ -472,6 +473,16 @@ def coefficients():
 def test_parseval_energy_is_the_unscaled_sum_bit_for_bit(t0, a0, ab):
     s = Spectrum(Interval(0.0, t0), a0, [(n, a, b) for n, (a, b) in enumerate(ab, start=1)], len(ab))
     assert parseval_energy(s) == t0 * a0 * a0 / 4.0 + 0.5 * t0 * float(s.a @ s.a + s.b @ s.b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals(), hnp.arrays(float, st.integers(4, 64), elements=coefficients()))
+def test_parseval_check_is_the_unscaled_energies_and_their_ratio_bit_for_bit(iv, values):
+    # in range: no square of a value or coefficient overflows or underflows
+    c = SampledCurve(iv, values)
+    s = analyze(c, (values.size - 2) // 2)
+    pe, nsq = parseval_energy(s), inner_product(c, c)
+    assert _parseval_check(c, s) == (pe, nsq, pe / nsq if nsq > 0 else None)
 
 
 @settings(max_examples=60, deadline=None)
