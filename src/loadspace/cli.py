@@ -7,7 +7,9 @@ strictly increasing time column. Plans are JSON objects whose ``kind`` is
 
 Exit codes: 0 success; 1 a scenario assertion failed; 2 malformed input
 file; 3 a precondition was violated (resolvability, interval mismatch,
-underdetermined calibration and the like).
+underdetermined calibration and the like); 141 (128 + SIGPIPE) the reader
+of standard output closed it before all the output was written, as
+``head`` does.
 
 Table output rounds to 6 significant digits; json and csv output keep
 full precision.
@@ -142,10 +144,12 @@ def _read_profile(path: str) -> SampledCurve:
         bad = _profile_rows(path)[0][int(np.argmax(dt <= 0)) + 1]
         raise InputFormatError(f"{path}, line {bad}: time column must be strictly increasing")
     step = (t[-1] - t[0]) / (t.size - 1)
-    gap = np.abs(dt - step)
-    if np.max(gap) > 1e-9 * abs(step):
-        bad = _profile_rows(path)[0][int(np.argmax(gap)) + 1]
+    dt -= step  # dt becomes the gap |dt - step| in place: no further N-length array
+    np.abs(dt, out=dt)
+    if np.max(dt) > 1e-9 * abs(step):
+        bad = _profile_rows(path)[0][int(np.argmax(dt)) + 1]
         raise InputFormatError(f"{path}, line {bad}: time column must be uniformly spaced")
+    del dt  # freed before the curve copies the powers
     try:
         return SampledCurve(Interval(float(t[0]), float(t[-1])), powers)
     except ValueError as exc:
@@ -209,8 +213,17 @@ def _full(x: float) -> str:
     return repr(float(x))
 
 
+# encoder chunks joined per write: a sink that keeps every string written to it
+# (io.StringIO) then keeps one object per block, not one per chunk
+_JSON_BLOCK = 1024
+
+
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    """Print ``json.dumps(payload, indent=2)``, from the same encoder, without building the whole text."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while block := "".join(itertools.islice(chunks, _JSON_BLOCK)):
+        sys.stdout.write(block)
+    sys.stdout.write("\n")
 
 
 def _write_csv(fh, rows) -> None:
@@ -526,7 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # as the Python docs advise for SIGPIPE: what is still buffered goes to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -323,7 +324,12 @@ def scale(a: float, c: LoadCurve) -> LoadCurve:
 
 def _trapezoid(values: np.ndarray, t1: float, t2: float) -> float:
     dt = (t2 - t1) / (values.size - 1)
-    return float(dt * (np.add.reduce(values) - 0.5 * (values[0] + values[-1])))
+    total, ends = np.add.reduce(values), values[0] + values[-1]
+    if 0.5 * ends * 2.0 != ends and np.maximum.reduce(np.abs(values)) < sys.float_info.min:
+        # below the normal range halving the ends can round (0.5 * 5e-324 is 0.0); halve the
+        # step instead: doubling the sum is exact, so, as in `integrate`, the product rounds once
+        return float(0.5 * dt * (2.0 * total - ends))
+    return float(dt * (total - 0.5 * ends))
 
 
 def inner_product(c1: LoadCurve, c2: LoadCurve) -> float:
@@ -471,7 +477,8 @@ def _integrals(c: LoadCurve, bounds: np.ndarray, layout=None) -> np.ndarray:
     value[grid] = v
     vk = v[k]
     value[at] = vk + (v[k1] - vk) * fraction
-    pieces = value[1:] + value[:-1]
+    pieces = value[:-1]  # in place: the output lags the input, so numpy needs no copy
+    pieces += value[1:]
     pieces *= widths
     # each integral adds only its own pieces: differences of a running total would
     # carry that total's rounding into every integral, magnified by a cycle's price

@@ -1,8 +1,10 @@
 """Command line behaviour: happy paths, formats, exit codes."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -17,11 +19,13 @@ from loadspace import (
     SampledCurve,
     SpotPlan,
     analyze,
+    builtin_plans,
+    dynamism_payment,
     sample,
     spot_payment,
     to_mu_vector,
 )
-from loadspace.cli import _curve_csv, main
+from loadspace.cli import _curve_csv, _print_json, main
 from loadspace.scenarios import ScenarioCheck, ScenarioReport
 
 from conftest import UNIT
@@ -516,6 +520,67 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_output_quietly():
+    # 200,001 rows, far more than a pipe holds: the writer meets the closed pipe mid-output
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loadspace", "plotdata", "plan1", "--what", "pff", "--fmax", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"f,alpha,beta\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+# ---------------------------------------------------------------------------
+
+def _bill_of_2001_line_items() -> dict:
+    """A dynamism bill at n_max 1000 (the energy line and 2,000 order lines), as `bill --format json` prints it."""
+    values = np.random.default_rng(7).normal(50.0, 10.0, 2101)
+    bill = dynamism_payment(builtin_plans()[0], analyze(SampledCurve(UNIT, values), 1000))
+    assert len(bill.line_items) == 2001
+    return {"kind": "dynamism", "payment": bill.total, "bill": bill.to_dict()}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        {"empty": {}, "none": [], "nested": {"a": [1, [2, {"b": None}], {}], "c": [[]]}},
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e-320, 1.7976931348623157e308, True, False, None],
+        {"Zürich": "¼ kWh ⚡", "\u2028": ["\x00\t\"\\"]},
+        "just a string",
+        pytest.param(_bill_of_2001_line_items(), id="bill-2001-lines"),
+    ],
+)
+def test_print_json_prints_what_json_dumps_gives(capsys, payload):
+    _print_json(payload)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_print_json_builds_no_whole_document(capsys):
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    payload = _bill_of_2001_line_items()
+    text = json.dumps(payload, indent=2)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        _print_json(payload)  # one-time allocations out of the way
+        tracemalloc.start()
+        try:
+            _print_json(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # an ASCII string takes a byte a character: the whole text would take more than its length
+    assert peak < len(text)
 
 
 # ---------------------------------------------------------------------------

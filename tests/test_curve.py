@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from loadspace import (
     AnalyticCurve,
@@ -396,6 +397,43 @@ def test_average_power(l1):
 def test_energy_sampled_is_trapezoid():
     c = SampledCurve(UNIT, np.array([0.0, 1.0, 0.0]))
     assert energy(c) == 0.5
+
+
+def _trapezoid_halving_the_ends(c: SampledCurve) -> float:
+    """The step times the sum less half the ends: the trapezoid rule as `energy` computes it in the normal range."""
+    v = c.values
+    dt = c.interval.duration / (v.size - 1)
+    return float(dt * (np.add.reduce(v) - 0.5 * (v[0] + v[-1])))
+
+
+def _sample_arrays(**elements):
+    """2 to 200 samples, each drawn from st.floats(**elements)."""
+    return st.integers(min_value=2, max_value=200).flatmap(
+        lambda n: hnp.arrays(np.float64, n, elements=st.floats(**elements))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(intervals(), _sample_arrays(min_value=-1e3, max_value=1e3, allow_subnormal=False))
+# normal ends that cancel to a subnormal sum, which halves inexactly: the rest is normal, so nothing changes
+@example(UNIT, np.array([2.225073858507202e-308, 1.0, -2.2250738585072014e-308]))
+def test_energy_of_normal_samples_is_unchanged(interval, values):
+    c = SampledCurve(interval, values)
+    assert energy(c) == _trapezoid_halving_the_ends(c)
+
+
+_BELOW_NORMAL = 2.0**-1030  # 200 samples of this size and their doubled sum stay in the fixed-point subnormal range
+
+
+@settings(max_examples=300, deadline=None)
+@given(intervals(), _sample_arrays(min_value=-_BELOW_NORMAL, max_value=_BELOW_NORMAL))
+# halving the ends rounded 2.5e-324 to 0.0: energy was 2.5e-323, where integrate gives 1e-323
+@example(Interval(0.0, 5.0), np.array([5e-324, 0.0]))
+def test_energy_below_the_normal_range_rounds_once(interval, values):
+    c = SampledCurve(interval, values)
+    dt = Fraction(interval.duration / (values.size - 1))
+    v = [Fraction(x) for x in values.tolist()]
+    assert energy(c) == float(dt * (sum(v) - (v[0] + v[-1]) / 2))
 
 
 def test_integrate_analytic_half_interval(l1):

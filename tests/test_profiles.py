@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,6 +217,24 @@ def test_well_formed_profiles_are_read_in_one_pass(tmp_path, monkeypatch, body):
     got = outcome(_read_profile, str(path))
     assert got[0] == "curve"
     assert got == outcome(reference_read_profile, str(path))
+
+
+def test_reading_a_year_peaks_below_32_bytes_a_row(tmp_path):
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    path = tmp_path / "p.csv"
+    path.write_text("t,power\n" + year_body(), newline="")
+    _read_profile(str(path))  # one-time allocations (caches, lazy imports) out of the way
+    tracemalloc.start()
+    try:
+        curve = _read_profile(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parsed (N, 2) table, then the time steps, then the curve's own copy of
+    # the powers: 16 + 8 bytes a row at a time, plus the parser's small buffers
+    assert curve.values.size == 35_040
+    assert peak < 32 * 35_040
 
 
 def test_empty_profile_exits_2_without_a_warning(tmp_path):
