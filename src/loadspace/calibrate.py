@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .curve import Interval, LoadCurve, _frozen, _require_int
+from .curve import Interval, LoadCurve, _eq_by, _frozen, _require_int
 from .spectrum import DynamismVector, analyze, to_mu_vector
 from .tariff import DynamismRates
 
@@ -51,11 +51,7 @@ class CostCharacteristic:
             raise ValueError("iota entries must be finite")
         _frozen(self, iota=v.copy())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CostCharacteristic):
-            return NotImplemented
-        same = (self.interval, self.n_max) == (other.interval, other.n_max)
-        return same and np.array_equal(self.iota, other.iota)
+    __eq__ = _eq_by("interval", "n_max", "iota")
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ strictly increasing time column. Plans are JSON objects whose ``kind`` is
 
 Exit codes: 0 success; 1 a scenario assertion failed; 2 malformed input
 file; 3 a precondition was violated (resolvability, interval mismatch,
-underdetermined calibration and the like); 141 (128 + SIGPIPE) the reader
-of standard output closed it before all the output was written, as
-``head`` does.
+underdetermined calibration, a payment that overflows and the like); 141
+(128 + SIGPIPE) the reader of standard output closed it before all the
+output was written, as ``head`` does.
 
 Table output rounds to 6 significant digits; json and csv output keep
 full precision.
@@ -322,16 +322,22 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _billing_result(plan: TariffPlan, curve: SampledCurve, args) -> tuple[str, float, Bill | None]:
+    """(kind, payment, the dynamism bill or None); ValueError if the payment is not finite."""
+    bill = None
     if isinstance(plan, FlatPlan):
-        return ("flat", classic_payment(plan.unit_price, curve), None)
-    if isinstance(plan, SpotPlan):
-        return ("spot", spot_payment(plan, curve), None)
-    spec = analyze(curve, args.nmax)
-    supply: Spectrum | None = None
-    if getattr(args, "supply", None):
-        supply = analyze(_read_profile(args.supply), args.nmax)
-    bill = dynamism_payment(plan, spec, supply)
-    return ("dynamism", bill.total, bill)
+        kind, payment = "flat", classic_payment(plan.unit_price, curve)
+    elif isinstance(plan, SpotPlan):
+        kind, payment = "spot", spot_payment(plan, curve)
+    else:
+        spec = analyze(curve, args.nmax)
+        supply: Spectrum | None = None
+        if getattr(args, "supply", None):
+            supply = analyze(_read_profile(args.supply), args.nmax)
+        bill = dynamism_payment(plan, spec, supply)
+        kind, payment = "dynamism", bill.total
+    if not math.isfinite(payment):
+        raise ValueError(f"the {kind} payment overflows the float range (got {payment})")
+    return kind, payment, bill
 
 
 def _cmd_bill(args: argparse.Namespace) -> int:
@@ -358,6 +364,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         kind, payment, _ = _billing_result(plan, curve, args)
         results.append({"plan": path, "kind": kind, "payment": payment})
     diff = results[0]["payment"] - results[1]["payment"]
+    if not math.isfinite(diff):
+        raise ValueError(f"the payment difference overflows the float range (got {diff})")
     if args.format == "json":
         _print_json({"profile": args.profile, "plans": results, "difference": diff})
     else:

@@ -95,6 +95,21 @@ def _frozen(obj, **fields):
     return obj
 
 
+def _eq_by(*names: str):
+    """An `__eq__` for a value class: NotImplemented for another type, else equal when each named
+    attribute is, arrays compared by value."""
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(
+            np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+            for x, y in ((getattr(self, name), getattr(other, name)) for name in names)
+        )
+
+    return __eq__
+
+
 def _dense_rows(rows, name: str, lo: int, hi: int, size: int | None, constant: float = 0.0, width: int = 3):
     """Outside (index, value, ...) rows (tuples or a (k, width) array, any order) as a new (width - 1, size) array.
 
@@ -157,10 +172,7 @@ class AnalyticCurve:
         ab = _dense_rows(rows, "harmonic order", 1, 2**20, n_max, constant)
         _frozen(self, interval=interval, constant=float(constant), a=ab[0], b=ab[1])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AnalyticCurve):
-            return NotImplemented
-        return (self.interval, self.constant, self.harmonics) == (other.interval, other.constant, other.harmonics)
+    __eq__ = _eq_by("interval", "constant", "harmonics")  # the sparse view: trailing zeros do not count
 
     @property
     def harmonics(self) -> tuple[Harmonic, ...]:
@@ -187,7 +199,10 @@ def _analytic(interval: Interval, constant: float, ab) -> AnalyticCurve:
 
 @dataclass(frozen=True, eq=False)
 class SampledCurve:
-    """Power samples on the uniform grid t_i = t1 + i*(T0/(N-1)), i = 0..N-1."""
+    """Power samples on the uniform grid t_i = t1 + i*(T0/(N-1)), i = 0..N-1.
+
+    The largest sample magnitude is kept as the private `_peak`, for bounds that take no pass over the samples.
+    """
 
     interval: Interval
     values: np.ndarray
@@ -198,9 +213,11 @@ class SampledCurve:
             raise ValueError("sample values must be one-dimensional")
         if v.size < 2:
             raise ValueError(f"need at least 2 samples, got {v.size}")
-        if not np.logical_and.reduce(np.isfinite(v)):
+        # np.maximum carries a NaN through, so the peak is finite only if every sample is
+        peak = float(np.maximum.reduce(np.abs(v)))
+        if not math.isfinite(peak):
             raise ValueError("sample values must be finite")
-        _frozen(self, values=v.copy())
+        _frozen(self, values=v.copy(), _peak=peak)
 
     def times(self) -> np.ndarray:
         """The grid np.linspace(t1, t2, N): each t1 + i*h rounded, where quadrature counts exact steps h."""
@@ -291,7 +308,15 @@ def _common_grid(c1: LoadCurve, c2: LoadCurve) -> tuple[np.ndarray, np.ndarray]:
             return _evaluate_analytic(c, (t - c.interval.t1) / c.interval.duration)
         if c.values.size == n:
             return c.values
-        return np.interp(t, c.times(), c.values)
+        v = np.interp(t, c.times(), c.values)
+        if not np.isfinite(v).all():
+            # np.interp's slopes, in time units, overflow (silently) for samples near the float maximum or
+            # steps far shorter than the samples are large: count time in steps of c's grid instead, and
+            # divide the samples by a power of two near their peak, as `norm` does
+            s = _power_of_two_near(c._peak)
+            with np.errstate(over="ignore"):
+                v = s * np.interp(np.linspace(0.0, c.values.size - 1, n), np.arange(c.values.size), c.values / s)
+        return v
 
     return on_grid(c1), on_grid(c2)
 
@@ -322,6 +347,12 @@ def scale(a: float, c: LoadCurve) -> LoadCurve:
     return SampledCurve(c.interval, a * c.values)
 
 
+# A sum of N terms of magnitude at most p is at most N*p, and their trapezoid integral on [t1, t2] at
+# most (t2 - t1)*p: while p*(N + t2 - t1) is below this, no partial sum, end or integral can overflow,
+# with a factor 2 to spare for rounding
+_SUM_LIMIT = sys.float_info.max / 2
+
+
 def _trapezoid(values: np.ndarray, t1: float, t2: float) -> float:
     dt = (t2 - t1) / (values.size - 1)
     total, ends = np.add.reduce(values), values[0] + values[-1]
@@ -330,6 +361,33 @@ def _trapezoid(values: np.ndarray, t1: float, t2: float) -> float:
         # step instead: doubling the sum is exact, so, as in `integrate`, the product rounds once
         return float(0.5 * dt * (2.0 * total - ends))
     return float(dt * (total - 0.5 * ends))
+
+
+def _guarded_trapezoid(iv: Interval, *factors: tuple[np.ndarray, float]) -> float:
+    """`_trapezoid` on `iv` of the product of the factors, each (values, a bound on their magnitude), where
+    a product, a partial sum or the integral may overflow; the callers' peak check sends them here.
+
+    The plain sum is kept wherever it stays finite, so its bits are those of `_trapezoid`. Where it
+    overflows, each factor is divided by a power of two near its peak, as `norm` does, and the integral
+    of the scaled values is scaled back once. ValueError if the integral itself overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _trapezoid(math.prod(v for v, _ in factors), iv.t1, iv.t2)
+        if not math.isfinite(total):
+            scales = [_power_of_two_near(peak) for _, peak in factors]
+            scaled = _trapezoid(math.prod(v / s for (v, _), s in zip(factors, scales)), iv.t1, iv.t2)
+            try:
+                total = math.ldexp(scaled, sum(math.frexp(s)[1] - 1 for s in scales))
+            except OverflowError:
+                total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"the integral on [{iv.t1}, {iv.t2}] overflows the float range")
+    return total
+
+
+def _grid_peak(c: LoadCurve, values: np.ndarray) -> float:
+    """A bound on |values|, c on a grid: a sampled curve's recorded peak bounds its interpolant."""
+    return c._peak if isinstance(c, SampledCurve) else float(np.maximum.reduce(np.abs(values)))
 
 
 def inner_product(c1: LoadCurve, c2: LoadCurve) -> float:
@@ -354,7 +412,7 @@ def inner_product(c1: LoadCurve, c2: LoadCurve) -> float:
     Raises
     ------
     ValueError
-        If the intervals differ.
+        If the intervals differ, or a quadrature's integral overflows.
     """
     iv = _require_same_interval(c1, c2)
     if isinstance(c1, AnalyticCurve) and isinstance(c2, AnalyticCurve):
@@ -362,7 +420,10 @@ def inner_product(c1: LoadCurve, c2: LoadCurve) -> float:
         dot = c1.a[:n] @ c2.a[:n] + c1.b[:n] @ c2.b[:n]
         return iv.duration * c1.constant * c2.constant + 0.5 * iv.duration * float(dot)
     v1, v2 = _common_grid(c1, c2)
-    return _trapezoid(v1 * v2, iv.t1, iv.t2)
+    p1, p2 = _grid_peak(c1, v1), _grid_peak(c2, v2)
+    if p1 * p2 * (v1.size + iv.duration) <= _SUM_LIMIT:
+        return _trapezoid(v1 * v2, iv.t1, iv.t2)
+    return _guarded_trapezoid(iv, (v1, p1), (v2, p2))
 
 
 def _power_of_two_near(peak: float) -> float:
@@ -391,7 +452,7 @@ def _scaled_square_norm(c: LoadCurve) -> tuple[float, float]:
     """
     if isinstance(c, AnalyticCurve):
         return _scaled_parseval(c.interval.duration, c.constant, c.a, c.b)
-    s = _power_of_two_near(float(np.maximum.reduce(np.abs(c.values))))
+    s = _power_of_two_near(c._peak)
     w = c.values / s
     w *= w
     return s, _trapezoid(w, c.interval.t1, c.interval.t2)
@@ -413,11 +474,17 @@ def energy(c: LoadCurve) -> float:
     """Integral of the curve over its interval.
 
     Exactly T0*constant for analytic curves, since every aligned harmonic
-    integrates to zero over the full interval.
+    integrates to zero over the full interval. The trapezoid sum of a
+    sampled curve whose sum could overflow is taken as `norm` takes its
+    squares, divided by a power of two near the peak: the result is the
+    finite integral, or a ValueError if the integral overflows.
     """
+    iv = c.interval
     if isinstance(c, AnalyticCurve):
-        return c.interval.duration * c.constant
-    return _trapezoid(c.values, c.interval.t1, c.interval.t2)
+        return iv.duration * c.constant
+    if c._peak * (c.values.size + iv.duration) <= _SUM_LIMIT:
+        return _trapezoid(c.values, iv.t1, iv.t2)
+    return _guarded_trapezoid(iv, (c.values, c._peak))
 
 
 def average_power(c: LoadCurve) -> float:

@@ -25,8 +25,10 @@ from .curve import (
     AnalyticCurve,
     Interval,
     LoadCurve,
+    SampledCurve,
     _analytic,
     _dense_rows,
+    _eq_by,
     _frozen,
     _phase_factors,
     _require_int,
@@ -85,11 +87,7 @@ class Spectrum:
         ab = _dense_rows(harmonics, "harmonic order", 1, n_max, n_max, a0)
         _frozen(self, interval=interval, a0=float(a0), a=ab[0], b=ab[1])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        same = (self.interval, self.a0) == (other.interval, other.a0)
-        return same and np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b)
+    __eq__ = _eq_by("interval", "a0", "a", "b")
 
     @property
     def n_max(self) -> int:
@@ -132,10 +130,7 @@ class DynamismVector:
         values = _dense_rows(coords, "coordinate index", 0, 2 * 2**20, None, width=2)[0]
         _frozen(self, interval=interval, values=values)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DynamismVector):
-            return NotImplemented
-        return self.interval == other.interval and self.coords == other.coords
+    __eq__ = _eq_by("interval", "coords")  # the sparse view: trailing zeros do not count
 
     @property
     def coords(self) -> tuple[MuCoord, ...]:
@@ -212,7 +207,8 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
     drop_tol : float, optional
         A finite threshold >= 0 (0 keeps every nonzero order). Orders whose
         |a_n| and |b_n| are both at most this threshold are zeroed; a kept
-        order keeps both values. Defaults to 1e-12 * norm(c).
+        order keeps both values. Defaults to 1e-12 * norm(c); a sampled
+        curve computes that norm only when an order is near it.
 
     Raises
     ------
@@ -222,9 +218,7 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         that overflow.
     """
     n_max = _require_int(n_max, "n_max", 1)
-    if drop_tol is None:
-        drop_tol = 1e-12 * norm(c)
-    elif not (math.isfinite(drop_tol) and drop_tol >= 0):
+    if drop_tol is not None and not (math.isfinite(drop_tol) and drop_tol >= 0):
         raise ValueError(f"drop_tol must be finite and nonnegative, got {drop_tol}")
 
     if isinstance(c, AnalyticCurve):
@@ -254,11 +248,20 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         a0 = float(w[0].real)
         ab = w[1:].view(float).reshape(n_max, 2).T  # ab[0] = Re w_n = a_n, ab[1] = Im w_n = b_n
 
-    # copyto with a mask, not a boolean-index assignment, which builds index arrays on every call
     magnitude = np.abs(ab)
-    np.copyto(ab, 0.0, where=np.maximum(magnitude[0], magnitude[1], out=magnitude[0]) <= drop_tol)
+    top = np.maximum(magnitude[0], magnitude[1], out=magnitude[0])
+    # On a sampled curve's trapezoid grid norm(c) <= sqrt(T0) * peak. An order above twice 1e-12
+    # times that bound is above 1e-12 * norm(c) with the rounding of the computed norm to spare, so
+    # when every order is, the default threshold drops none, and neither norm nor the mask is needed
+    if not (
+        drop_tol is None
+        and isinstance(c, SampledCurve)
+        and np.minimum.reduce(top) > 2e-12 * math.sqrt(c.interval.duration) * c._peak
+    ):
+        # copyto with a mask, not a boolean-index assignment, which builds index arrays on every call
+        np.copyto(ab, 0.0, where=top <= (1e-12 * norm(c) if drop_tol is None else drop_tol))
     # np.maximum carries a NaN through, so the largest magnitude is finite only if every coefficient is
-    if not (math.isfinite(a0) and math.isfinite(np.maximum.reduce(magnitude[0]))):
+    if not (math.isfinite(a0) and math.isfinite(np.maximum.reduce(top))):
         raise ValueError("spectrum orders and coefficients must be finite")
     return _frozen(Spectrum.__new__(Spectrum), interval=c.interval, a0=float(a0), a=ab[0], b=ab[1])  # ab not copied
 

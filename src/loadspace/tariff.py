@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .curve import Interval, LoadCurve, SampledCurve, _integrals, _require_int, _sample_layout, energy
+from .curve import Interval, LoadCurve, SampledCurve, _eq_by, _frozen, _integrals, _require_int, _sample_layout, energy
 from .spectrum import DynamismVector, Spectrum, _dense_vector, mu_index_cos, mu_index_sin
 
 __all__ = [
@@ -202,20 +202,27 @@ class Bill:
     `lines` is a read-only (1 + 2*n_max, 4) array over the shared mu
     indexing: row 0 is the energy line, row 2n-1 the order-n cosine line
     and row 2n the sine line, with columns frequency, coefficient,
-    published unit price and signed amount. `line_items` is built from it
-    on each read: the energy line plus one LineItem per nonzero
-    coefficient. Two bills are equal when both parts and `lines` are.
+    published unit price and signed amount. A bill from `dynamism_payment`
+    builds `lines` on its first read and keeps it, so a caller that needs
+    only `total` (a meter fleet, say) never fills the table. `line_items`
+    is built from it on each read: the energy line plus one LineItem per
+    nonzero coefficient. Two bills are equal when both parts and `lines`
+    are.
     """
 
     non_dynamic: float
     dynamic: float
     lines: np.ndarray
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Bill):
-            return NotImplemented
-        parts = (self.non_dynamic, self.dynamic) == (other.non_dynamic, other.dynamic)
-        return parts and np.array_equal(self.lines, other.lines)
+    __eq__ = _eq_by("non_dynamic", "dynamic", "lines")
+
+    def __getattr__(self, name: str):
+        # reached only while `lines` is unset, on a bill that holds the parts to build it from; two
+        # threads reading it at once may each build it, and the arrays are equal
+        parts = vars(self).get("_parts")
+        if name != "lines" or parts is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return _frozen(self, lines=_bill_lines(*parts)).lines
 
     @property
     def total(self) -> float:
@@ -294,6 +301,27 @@ def _order_columns(alpha: PriceFrequencyFunction, beta: PriceFrequencyFunction, 
     return columns
 
 
+@functools.lru_cache(maxsize=32)
+def _scaled_prices(alpha: PriceFrequencyFunction, beta: PriceFrequencyFunction, t0: float, n_max: int) -> np.ndarray:
+    """The read-only published-price column of `_order_columns` (at f0 = 1/t0) times t0, once per key."""
+    prices = _order_columns(alpha, beta, 1.0 / t0, n_max)[:, 1] * t0
+    prices.setflags(write=False)
+    return prices
+
+
+def _bill_lines(plan: DynamismPlan, f0: float, a0: float, non_dynamic: float, coef, amount) -> np.ndarray:
+    """A dynamism bill's read-only `lines`: the energy line, then per order line its frequency, coefficient
+    (`coef`, interleaved), published price and signed amount (`amount`)."""
+    lines = np.empty((1 + coef.size, 4))
+    lines[0] = (0.0, a0, plan.alpha0, non_dynamic)
+    body = lines[1:]
+    body[:, ::2] = _order_columns(plan.alpha, plan.beta, f0, coef.size // 2)
+    body[:, 1] = coef
+    body[:, 3] = amount
+    lines.setflags(write=False)
+    return lines
+
+
 def _polarity(supply: np.ndarray, load) -> np.ndarray:
     """Sign convention for price coefficients, order by order.
 
@@ -326,35 +354,29 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
     the load spectrum produce no line items; a zero coefficient
     contributes zero. Line items carry the tariff's published price; the
     polarity sign lands in the amount. A supply spectrum of another n_max
-    counts as zero above its own.
+    counts as zero above its own. The bill's `lines` are built on first read.
     """
     if supply is not None and supply.interval != s.interval:
         raise ValueError("incompatible intervals: supply spectrum on a different interval")
     iv, n_max = s.interval, s.n_max
     t0 = iv.duration
-    columns = _order_columns(plan.alpha, plan.beta, iv.f0, n_max)
     non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
-    lines = np.empty((1 + 2 * n_max, 4))
-    lines[0] = (0.0, s.a0, plan.alpha0, non_dynamic)
-    body = lines[1:]
-    body[:, ::2] = columns  # frequency and published price
-    coef, amount = body[:, 1], body[:, 3]
+    coef = np.empty(2 * n_max)  # interleaved as the order lines are
     coef[::2] = s.a
     coef[1::2] = s.b
     # t0 * price * coef, times the polarity: multiplying by a sign is exact, so this is
     # the amount t0 * polarity * price * coef bit for bit
-    np.multiply(columns[:, 1], t0, out=amount)
-    amount *= coef
+    amount = _scaled_prices(plan.alpha, plan.beta, t0, n_max) * coef
     if supply is None:
         np.absolute(amount, out=amount)  # the load's own sign: copysign(1, coef) * coef = |coef|
     else:
         sup = np.empty(2 * n_max)
         sup[::2], sup[1::2] = _supply_coefficients(supply, np.arange(1, n_max + 1))
         amount *= _polarity(sup, coef)
-    lines.setflags(write=False)
     # starting from +0.0, as a running sum would, keeps an all-zero dynamic part from reading -0.0
-    dynamic = float(np.add.reduce(lines[1:, 3], initial=0.0))
-    return Bill(non_dynamic, dynamic, lines)
+    dynamic = float(np.add.reduce(amount, initial=0.0))
+    parts = (plan, iv.f0, s.a0, non_dynamic, coef, amount)
+    return _frozen(Bill.__new__(Bill), non_dynamic=non_dynamic, dynamic=dynamic, _parts=parts)
 
 
 def rates_payment(rates: DynamismRates, mu: DynamismVector) -> float:

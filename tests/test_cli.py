@@ -337,6 +337,45 @@ def test_compare(capsys, tmp_path, l1_profile):
     assert [r["kind"] for r in doc["plans"]] == ["flat", "flat"]
 
 
+def _big_profile(tmp_path, values=(1e308,) * 6) -> str:
+    """Samples near the float maximum on [0, 1]: six of 1e308 by default, whose plain trapezoid sum overflows."""
+    rows = [[repr(i / (len(values) - 1)), repr(v)] for i, v in enumerate(values)]
+    return write_rows(tmp_path / "big.csv", [["t", "power"], *rows])
+
+
+def test_bill_near_the_float_maximum_prints_a_finite_payment(capsys, tmp_path):
+    flat = write_plan(tmp_path / "flat.json", {"kind": "flat", "unit_price": 1.0})
+    code, out, err = run_cli(capsys, "bill", _big_profile(tmp_path), flat, "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["payment"] == pytest.approx(1e308, rel=1e-15)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_payment_that_overflows_is_refused(capsys, tmp_path, fmt):
+    big = _big_profile(tmp_path)
+    flat = write_plan(tmp_path / "flat.json", {"kind": "flat", "unit_price": 1.0})
+    twice = write_plan(tmp_path / "twice.json", {"kind": "flat", "unit_price": 2.0})
+    spot = write_plan(tmp_path / "spot.json", {"kind": "spot", "t1": 0.0, "t2": 1.0, "unit_prices": [1.0, 1.0]})
+    # the spot kernel's own sums still overflow with a warning (ROADMAP item 1); here the refusal is tested
+    with np.errstate(over="ignore", invalid="ignore"):
+        for argv in (["bill", big, spot], ["bill", big, twice], ["compare", big, flat, spot]):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 3 and out == "", argv
+            assert err.startswith("error: ") and "payment overflows" in err, argv
+
+
+def test_compare_refuses_a_difference_that_overflows(capsys, tmp_path):
+    # a load of either sign: the two spot plans bill it 1e308 and -1e308
+    big = _big_profile(tmp_path, (8e307, 0.0, -8e307))
+    up = write_plan(tmp_path / "up.json", {"kind": "spot", "t1": 0.0, "t2": 1.0, "unit_prices": [6.0, 1.0]})
+    down = write_plan(tmp_path / "down.json", {"kind": "spot", "t1": 0.0, "t2": 1.0, "unit_prices": [1.0, 6.0]})
+    code, out, err = run_cli(capsys, "compare", big, up, down, "--format", "json")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "difference overflows" in err
+    code, out, _ = run_cli(capsys, "compare", big, up, up, "--format", "json")
+    assert code == 0 and json.loads(out)["difference"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------

@@ -1,0 +1,143 @@
+"""Trapezoid sums near the float maximum: finite in, finite out or a ValueError, and no warning.
+
+`energy` and sampled `inner_product` compare a peak bound with one scalar
+before they sum. Where the plain sum cannot overflow it runs as it always
+has; where it might, it runs under `np.errstate` and is kept if finite, and
+otherwise the values are divided by powers of two near their peaks, as
+`norm` divides them. The suite turns every warning into an error.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from loadspace import (
+    AnalyticCurve,
+    Interval,
+    SampledCurve,
+    add,
+    average_power,
+    classic_payment,
+    energy,
+    inner_product,
+)
+from loadspace.curve import _common_grid, _trapezoid
+
+from conftest import UNIT, intervals
+
+BIG = SampledCurve(UNIT, [1e308] * 6)
+
+
+def test_energy_near_the_float_maximum_is_finite():
+    # the plain sum of six 1e308 samples overflows; the true energy is 1e308
+    assert energy(BIG) == pytest.approx(1e308, rel=1e-15)
+    assert average_power(BIG) == energy(BIG)
+    assert classic_payment(1.0, BIG) == energy(BIG)
+    assert energy(SampledCurve(UNIT, [-1e308, 1e308] * 3)) == 0.0
+
+
+def test_an_integral_that_overflows_is_refused():
+    wide = SampledCurve(UNIT, [1e200] * 3)
+    with pytest.raises(ValueError, match="overflows"):
+        inner_product(wide, wide)  # 1e400
+    with pytest.raises(ValueError, match="overflows"):
+        energy(SampledCurve(Interval(0.0, 1e300), [1e10] * 3))  # 1e310
+    with pytest.raises(ValueError, match="overflows"):
+        inner_product(AnalyticCurve(UNIT, 1e200), wide)  # an analytic operand's peak is read off its grid
+
+
+def test_products_that_overflow_integrate_to_a_finite_value():
+    # every product 1e400 overflows, but on an interval 1e-200 long the integral is 1e200
+    short = Interval(0.0, 1e-200)
+    wide = SampledCurve(short, [1e200] * 3)
+    assert inner_product(wide, wide) == pytest.approx(1e200, rel=1e-15)
+    assert inner_product(AnalyticCurve(short, 1e200), wide) == pytest.approx(1e200, rel=1e-15)
+
+
+def test_samples_near_the_float_maximum_interpolate_onto_a_finer_grid():
+    # np.interp's slope (0 - 1e308)/0.5 overflows in time units; counted in steps of the grid it does not
+    coarse = SampledCurve(UNIT, [1e308, 0.0, 1e308])
+    assert add(coarse, SampledCurve(UNIT, np.zeros(5))).values.tolist() == [1e308, 5e307, 0.0, 5e307, 1e308]
+    assert inner_product(coarse, SampledCurve(UNIT, np.ones(5))) == pytest.approx(5e307, rel=1e-15)
+
+
+def _plain(values: np.ndarray, iv: Interval) -> float:
+    """`_trapezoid` with its overflows silenced: what the sum gave before the peak check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _trapezoid(values, iv.t1, iv.t2)
+
+
+_huge_samples = st.integers(min_value=2, max_value=60).flatmap(
+    lambda n: hnp.arrays(
+        np.float64,
+        n,
+        elements=st.one_of(
+            st.floats(min_value=-1.7e308, max_value=1.7e308), st.sampled_from([1e308, -1e308, 1.7976931348623157e308])
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(intervals(), st.just(UNIT), st.just(Interval(0.0, 1e-200))), _huge_samples, _huge_samples)
+def test_sums_keep_their_bits_where_they_stay_finite(iv, v1, v2):
+    c1, c2 = SampledCurve(iv, v1), SampledCurve(iv, v2)
+    g1, g2 = _common_grid(c1, c2)
+    with np.errstate(over="ignore"):
+        product = g1 * g2
+    for got, plain in ((lambda: energy(c1), _plain(v1, iv)), (lambda: inner_product(c1, c2), _plain(product, iv))):
+        if math.isfinite(plain):
+            assert np.float64(got()).tobytes() == np.float64(plain).tobytes()
+        else:
+            try:
+                assert math.isfinite(got())
+            except ValueError as exc:
+                assert "overflows" in str(exc)
+
+
+def _normal_samples(n: int):
+    """Zero, or 1 to 2**20 in magnitude: scaled by 2**k for k in -900..1000, every sample and sum stays normal."""
+    size = st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=2.0**20))
+    return hnp.arrays(np.float64, n, elements=st.one_of(size, size.map(lambda x: -x)))
+
+
+def _scaled(k: int, c: SampledCurve) -> SampledCurve:
+    return SampledCurve(c.interval, np.ldexp(c.values, k))
+
+
+def _expected(value: float, k: int) -> float | None:
+    """value * 2**k, or None where that overflows."""
+    try:
+        return math.ldexp(value, k)
+    except OverflowError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    intervals(),
+    st.integers(min_value=2, max_value=60).flatmap(_normal_samples),
+    st.integers(min_value=2, max_value=60).flatmap(_normal_samples),
+    st.integers(min_value=-900, max_value=1000),
+    st.integers(min_value=-900, max_value=1000),
+)
+def test_samples_scaled_by_a_power_of_two_give_results_scaled_bit_for_bit(iv, v1, v2, k, j):
+    # near the top of the range the plain sums overflow and the scaled path runs; it
+    # gives what the plain sum of smaller samples gives, scaled, or refuses an overflow
+    c1, c2 = SampledCurve(iv, v1), SampledCurve(iv, v2)
+    cases = [(energy, (c1,), k, energy(c1))]
+    if -900 <= k + j <= 990:  # products of interpolated samples stay normal
+        cases.append((inner_product, (c1, c2), k + j, inner_product(c1, c2)))
+    for f, curves, shift, unscaled in cases:
+        args = [_scaled(k, curves[0]), *(_scaled(j, c) for c in curves[1:])]
+        expected = _expected(unscaled, shift)
+        if expected is None:
+            with pytest.raises(ValueError, match="overflows"):
+                f(*args)
+        else:
+            assert np.float64(f(*args)).tobytes() == np.float64(expected).tobytes()

@@ -7,11 +7,16 @@ cached arrays are read-only and exact; spot plans, curves and spectra are
 never kept; and billing many meters leaves no traced memory behind. A spot
 plan holds its own cycle arrays and the sample layout of the last sample
 count it billed: a reused plan bills as a fresh one does, and the layout
-goes with the plan.
+goes with the plan. A sampled curve records its peak, the default drop
+threshold of `analyze` takes the norm only when an order is near it, and
+a dynamism bill builds its lines on first read; each gives the bits the
+eager computation gave.
 """
 from __future__ import annotations
 
+import dataclasses
 import gc
+import json
 import sys
 import threading
 import tracemalloc
@@ -25,6 +30,7 @@ from hypothesis.extra import numpy as hnp
 
 from loadspace import (
     AnalyticCurve,
+    Bill,
     DynamismPlan,
     Interval,
     PriceFrequencyFunction,
@@ -317,3 +323,188 @@ def test_analytic_integrals_keep_no_long_phase_vectors():
 
     _, retained = _traced_after(integrate_all)
     assert retained < spectrum._conjugate_phase.cache_info().maxsize * (n_max + 1) * 16
+
+
+# ---------------------------------------------------------------------------
+# the recorded peak, the default drop threshold, bill lines built on first read
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=120).flatmap(
+        lambda n: hnp.arrays(np.float64, n, elements=st.floats(allow_nan=False, allow_infinity=False))
+    )
+)
+def test_a_sampled_curve_records_its_peak(values):
+    assert SampledCurve(UNIT, values)._peak == float(np.max(np.abs(values)))
+
+
+@st.composite
+def _meters_of_any_size(draw):
+    """A sampled curve from subnormal to 1e300 in magnitude, of mixed sign, with an n_max it resolves.
+
+    Some are constant or near constant, so that orders sit near or at zero and
+    the default threshold needs the exact norm.
+    """
+    n = draw(st.integers(min_value=4, max_value=160))
+    size = draw(st.sampled_from([5e-324, 1e-320, 1e-310, 1e-300, 1e-150, 1e-5, 1.0, 7.5, 1e3, 1e150, 1e300]))
+    shape = draw(st.sampled_from(["mixed", "constant", "near constant"]))
+    unit = hnp.arrays(np.float64, n, elements=st.floats(min_value=-1.0, max_value=1.0))
+    if shape == "mixed":
+        values = size * draw(unit)
+    elif shape == "constant":
+        values = np.full(n, size * draw(st.sampled_from([1.0, -1.0, 0.0, 0.3])))
+    else:
+        values = size * (1.0 + draw(st.sampled_from([1e-9, 1e-12, 1e-14])) * draw(unit))
+    t1 = draw(st.sampled_from([0.0, -12.25, 1e3]))
+    c = SampledCurve(Interval(t1, t1 + draw(st.floats(min_value=1e-3, max_value=1e3))), values)
+    return c, draw(st.integers(min_value=1, max_value=(n - 2) // 2))
+
+
+def _bound_meter(ratio: float) -> tuple[SampledCurve, int]:
+    """A 65-sample meter whose smallest order (order 3's cosine) is `ratio` times the bound 2e-12 sqrt(T0) peak."""
+    t = np.arange(65) / 64
+    values = 1.0 + 0.5 * np.cos(2 * np.pi * t) + 0.25 * np.sin(4 * np.pi * t)
+    amplitude = ratio * 2e-12 * np.max(np.abs(values))  # the small order moves the peak by 1e-12 of itself
+    return SampledCurve(UNIT, values + amplitude * np.cos(6 * np.pi * t)), 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(_meters_of_any_size())
+@example(_bound_meter(1.001))  # every order just above the bound: norm is skipped
+@example(_bound_meter(0.999))  # one just below it, far above 1e-12 * norm(c): the exact threshold runs
+@example(_bound_meter(0.25))  # one below 1e-12 * norm(c): that order is dropped
+def test_the_default_drop_tol_is_1e_12_times_the_norm_bit_for_bit(case):
+    c, n_max = case
+    got, want = analyze(c, n_max), analyze(c, n_max, drop_tol=1e-12 * norm(c))
+    assert np.float64(got.a0).tobytes() == np.float64(want.a0).tobytes()
+    assert got.a.tobytes() == want.a.tobytes() and got.b.tobytes() == want.b.tobytes()
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Replace module.name by a wrapper that appends to the returned list on every call."""
+    calls: list = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_default_drop_tol_computes_norm_only_near_the_bound(monkeypatch, l1):
+    calls = _counting(monkeypatch, spectrum, "norm")
+    meter = SampledCurve(UNIT, 20.0 + 10.0 * np.sin(np.linspace(0.0, 2 * np.pi, 96)) + np.linspace(0.0, 1.0, 96) ** 3)
+    cases = [
+        (meter, 40, None, 0),
+        (_bound_meter(1.001)[0], 3, None, 0),
+        (_bound_meter(0.999)[0], 3, None, 1),
+        (SampledCurve(UNIT, np.full(96, 7.0)), 40, None, 1),  # a constant: every order near zero
+        (SampledCurve(UNIT, np.zeros(96)), 40, None, 1),
+        (meter, 40, 0.5, 0),  # an explicit threshold
+        (l1, 40, None, 1),  # analytic curves keep the exact threshold
+    ]
+    for c, n_max, drop_tol, expected in cases:
+        calls.clear()
+        analyze(c, n_max, drop_tol)
+        assert len(calls) == expected, (c, n_max, drop_tol)
+    assert not analyze(_bound_meter(0.25)[0], 3).a[2]  # below 1e-12 * norm(c): dropped
+
+
+def _eager_bill(plan: DynamismPlan, s, supply=None) -> tuple[float, float, np.ndarray]:
+    """(non_dynamic, dynamic, lines) as a bill was computed before its lines were deferred: the table filled
+    first, the amounts scaled in its column and the dynamic part summed from that column."""
+    iv, n_max = s.interval, s.n_max
+    t0 = iv.duration
+    columns = tariff._order_columns(plan.alpha, plan.beta, iv.f0, n_max)
+    non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
+    lines = np.empty((1 + 2 * n_max, 4))
+    lines[0] = (0.0, s.a0, plan.alpha0, non_dynamic)
+    body = lines[1:]
+    body[:, ::2] = columns
+    coef, amount = body[:, 1], body[:, 3]
+    coef[::2] = s.a
+    coef[1::2] = s.b
+    np.multiply(columns[:, 1], t0, out=amount)
+    amount *= coef
+    if supply is None:
+        np.absolute(amount, out=amount)
+    else:
+        sup = np.empty(2 * n_max)
+        sup[::2], sup[1::2] = tariff._supply_coefficients(supply, np.arange(1, n_max + 1))
+        amount *= tariff._polarity(sup, coef)
+    return non_dynamic, float(np.add.reduce(lines[1:, 3], initial=0.0)), lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(_meters(), _meters(), st.data())
+def test_a_bill_built_on_first_read_equals_the_eager_bill(c, other, data):
+    n_max = data.draw(st.integers(min_value=1, max_value=(c.values.size - 2) // 2))
+    plan = DynamismPlan(data.draw(st.floats(min_value=0.1, max_value=100.0)), data.draw(_pffs()), data.draw(_pffs()))
+    s = analyze(c, n_max)
+    supply = analyze(
+        SampledCurve(c.interval, other.values),
+        data.draw(st.integers(min_value=1, max_value=(other.values.size - 2) // 2)),
+    )
+    for sup in (None, supply):
+        non_dynamic, dynamic, lines = _eager_bill(plan, s, sup)
+        eager = Bill(non_dynamic, dynamic, lines)
+        assert _float_bits(dynamism_payment(plan, s, sup).total) == _float_bits(eager.total)
+        bill = dynamism_payment(plan, s, sup)
+        assert bill.lines.tobytes() == lines.tobytes()
+        assert json.dumps(bill.to_dict()) == json.dumps(eager.to_dict())
+        assert bill == eager
+
+
+def test_the_total_builds_no_lines_and_the_first_read_builds_them_once(monkeypatch, plan1):
+    calls = _counting(monkeypatch, tariff, "_bill_lines")
+    s = analyze(SampledCurve(UNIT, np.linspace(5.0, 50.0, 97) ** 1.5), 40)
+    bill = dynamism_payment(plan1, s)
+    bill.total, bill.dynamic, bill.non_dynamic
+    assert calls == []
+    lines = bill.lines
+    assert len(calls) == 1 and lines.shape == (81, 4) and not lines.flags.writeable
+    bill.lines, bill.line_items, bill.to_dict(), repr(bill)
+    assert len(calls) == 1 and bill.lines is lines
+
+
+def test_bill_fields_stay_read_only(plan1):
+    s = analyze(SampledCurve(UNIT, np.linspace(5.0, 50.0, 97)), 40)
+    for read_lines_first in (False, True):
+        bill = dynamism_payment(plan1, s)
+        if read_lines_first:
+            bill.lines
+        for name in ("non_dynamic", "dynamic", "lines"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(bill, name, 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            bill.lines[0, 0] = 1.0
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            bill.missing
+
+
+def test_threads_reading_the_lines_of_one_bill_get_equal_tables(plan1):
+    # four threads on two cores read the lines of fresh bills at once: each may build
+    # the table, and every read gives the eager table
+    s = analyze(SampledCurve(UNIT, np.linspace(5.0, 50.0, 97) ** 1.5), 40)
+    expected = _eager_bill(plan1, s)[2].tobytes()
+    bills = [dynamism_payment(plan1, s) for _ in range(300)]
+    got: list[list[bytes]] = [[] for _ in range(4)]
+
+    def read(out: list[bytes]) -> None:
+        out.extend(bill.lines.tobytes() for bill in bills)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[expected] * len(bills)] * 4

@@ -13,6 +13,8 @@ from hypothesis.extra import numpy as hnp
 
 from loadspace import (
     AnalyticCurve,
+    Bill,
+    CostCharacteristic,
     DynamismRates,
     DynamismVector,
     Harmonic,
@@ -431,6 +433,44 @@ def test_dynamism_vector_rows_land_bit_for_bit_in_zeros(case):
     nonzero = [k for k in range(1, expected.shape[1]) if expected[0, k] != 0.0]
     assert v.coords == tuple(MuCoord(k, expected[0, k]) for k in [0, *nonzero])
     assert v == DynamismVector(UNIT, rows[::-1])
+
+
+def test_value_types_compare_by_value():
+    other_iv = Interval(0.0, 2.0)
+    lines = np.arange(12.0).reshape(3, 4)
+    cases = [  # (a value, an equal one, unequal ones)
+        (
+            AnalyticCurve(UNIT, 1.0, ((2, 1.0, 0.0),)),
+            AnalyticCurve(UNIT, 1.0, ((5, 0.0, 0.0), (2, 1.0, 0.0))),  # a trailing zero order does not count
+            [
+                AnalyticCurve(UNIT, 1.0),
+                AnalyticCurve(other_iv, 1.0, ((2, 1.0, 0.0),)),
+                AnalyticCurve(UNIT, 2.0, ((2, 1.0, 0.0),)),
+            ],
+        ),
+        (
+            DynamismVector(UNIT, ((0, 1.0), (3, 2.0))),
+            DynamismVector(UNIT, ((0, 1.0), (3, 2.0), (7, 0.0))),  # nor a trailing zero coordinate
+            [DynamismVector(UNIT, ((0, 1.0), (3, 2.5))), DynamismVector(other_iv, ((0, 1.0), (3, 2.0)))],
+        ),
+        (
+            Spectrum(UNIT, 2.0, ((1, 1.0, 0.0),), 2),
+            Spectrum(UNIT, 2.0, np.array([[1.0, 1.0, 0.0]]), 2),
+            [Spectrum(UNIT, 2.0, ((1, 1.0, 0.0),), 3), Spectrum(UNIT, 3.0, ((1, 1.0, 0.0),), 2)],
+        ),
+        (Bill(1.0, 2.0, lines), Bill(1.0, 2.0, lines.copy()), [Bill(1.0, 2.5, lines), Bill(1.0, 2.0, lines[:2])]),
+        (
+            CostCharacteristic(UNIT, [0.0, 1.0, 2.0], 1),
+            CostCharacteristic(UNIT, np.array([0.0, 1.0, 2.0]), 1),
+            [CostCharacteristic(UNIT, [0.0, 1.0, 2.5], 1), CostCharacteristic(other_iv, [0.0, 1.0, 2.0], 1)],
+        ),
+    ]
+    for value, same, others in cases:
+        assert value == same and not value != same
+        assert all(value != other and other != value for other in others)
+        assert value != object() and value.__eq__(object()) is NotImplemented
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
 
 
 # ---------------------------------------------------------------------------
