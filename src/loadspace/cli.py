@@ -17,6 +17,7 @@ full precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -58,10 +59,17 @@ class InputFormatError(Exception):
 _PROFILE_HEADER = ["t", "power"]
 
 
-def _read_header(path: str, fh, header: list[str]) -> None:
-    """Consume the first CSV row of fh; it must be `header` up to whitespace around fields."""
-    if [c.strip() for c in next(csv.reader(fh), [])] != header:
-        raise InputFormatError(f"{path}, line 1: expected header '{','.join(header)}'")
+@contextlib.contextmanager
+def _csv_input(path: str, header: list[str]):
+    """The CSV file at `path`, open and past its first row, which must be `header` up to whitespace around
+    fields; an OSError while it is open becomes InputFormatError."""
+    try:
+        with open(path, newline="") as fh:
+            if [c.strip() for c in next(csv.reader(fh), [])] != header:
+                raise InputFormatError(f"{path}, line 1: expected header '{','.join(header)}'")
+            yield fh
+    except OSError as exc:
+        raise InputFormatError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _data_rows(path: str, header: list[str]):
@@ -71,32 +79,21 @@ def _data_rows(path: str, header: list[str]):
     any other row must have exactly two fields. Lines are numbered by CSV
     row, the header being line 1.
     """
+    with _csv_input(path, header) as fh:
+        for ln, row in enumerate(csv.reader(fh), start=2):
+            if all(c.strip() == "" for c in row):
+                continue
+            if len(row) != 2:
+                raise InputFormatError(f"{path}, line {ln}: expected 2 fields, got {len(row)}")
+            yield ln, row
+
+
+def _number(path: str, line: int, field: str) -> float:
+    """float(field), or InputFormatError naming the line of `path` the field is on."""
     try:
-        with open(path, newline="") as fh:
-            _read_header(path, fh, header)
-            for ln, row in enumerate(csv.reader(fh), start=2):
-                if all(c.strip() == "" for c in row):
-                    continue
-                if len(row) != 2:
-                    raise InputFormatError(f"{path}, line {ln}: expected 2 fields, got {len(row)}")
-                yield ln, row
-    except OSError as exc:
-        raise InputFormatError(f"{path}: {exc.strerror or exc}") from exc
-
-
-def _profile_rows(path: str) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Line numbers, times and powers of a profile's data rows, read row by row with float()."""
-    lines: list[int] = []
-    times: list[float] = []
-    powers: list[float] = []
-    for ln, (t, p) in _data_rows(path, _PROFILE_HEADER):
-        try:
-            times.append(float(t))
-            powers.append(float(p))
-        except ValueError as exc:
-            raise InputFormatError(f"{path}, line {ln}: {exc}") from exc
-        lines.append(ln)
-    return lines, np.asarray(times), np.asarray(powers)
+        return float(field)
+    except ValueError as exc:
+        raise InputFormatError(f"{path}, line {line}: {exc}") from exc
 
 
 def _read_profile(path: str) -> SampledCurve:
@@ -106,48 +103,52 @@ def _read_profile(path: str) -> SampledCurve:
     anything Python's ``float()`` reads, including ``1_000``, ``nan`` and
     ``inf`` (non-finite values are then refused). Rows that are empty or
     whose fields are all whitespace are skipped; ``#`` starts no comment.
-    Only the blank rows before the first data row are skipped here; the
-    rest of the open file is parsed in one pass by ``np.loadtxt``, which
-    skips empty lines itself. Only when that fails (a later row that is
-    whitespace-only or all empty fields makes it fail too) is the file read
-    again row by row, to name the first bad line (lines are numbered by CSV
-    row, the header being line 1) or to read what only ``float()`` accepts,
-    such as ``1_000``.
+    Past the blank rows before the first data row, the open file is parsed
+    in one pass by ``np.loadtxt``. Only if that fails (at a later row that
+    is whitespace-only or all empty fields, too) is the file walked once by
+    `_data_rows` and ``float()``, to name the first bad line (lines are
+    numbered by CSV row, the header being line 1) or to read what only
+    ``float()`` accepts, such as ``1_000``. A bad time column is named from
+    that walk, or else from one more walk that stops at its row: no file is
+    opened more than twice.
     """
-    try:
-        with open(path, newline="") as fh:
-            _read_header(path, fh, _PROFILE_HEADER)
-            first = next((line for line in fh if line.replace(",", "").strip()), None)
-            table: np.ndarray | None = np.empty((0, 2))
-            if first is not None:
-                try:
-                    table = np.loadtxt(
-                        itertools.chain((first,), fh),
-                        delimiter=",",
-                        comments=None,
-                        quotechar='"',
-                        ndmin=2,
-                    )
-                except ValueError:
-                    table = None
-    except OSError as exc:
-        raise InputFormatError(f"{path}: {exc.strerror or exc}") from exc
+    with _csv_input(path, _PROFILE_HEADER) as fh:
+        first = next((line for line in fh if line.replace(",", "").strip()), None)
+        table: np.ndarray | None = np.empty((0, 2))
+        if first is not None:
+            try:
+                table = np.loadtxt(
+                    itertools.chain((first,), fh),
+                    delimiter=",",
+                    comments=None,
+                    quotechar='"',
+                    ndmin=2,
+                )
+            except ValueError:
+                table = None
+    lines = None  # each data row's line number, where the file was walked row by row
     if table is None or table.shape[1] != 2:
-        _, t, powers = _profile_rows(path)
-    else:
-        t, powers = table[:, 0], table[:, 1]
+        walk = _data_rows(path, _PROFILE_HEADER)
+        table = np.array([(_number(path, ln, t), _number(path, ln, p), ln) for ln, (t, p) in walk]).reshape(-1, 3)
+        lines = table[:, 2]
+    t, powers = table[:, 0], table[:, 1]
+
+    def line_of(k) -> int:  # data row k's line number: from the walk, or from one more walk that stops at row k
+        if lines is not None:
+            return int(lines[k])
+        return next(itertools.islice(_data_rows(path, _PROFILE_HEADER), k, None))[0]
 
     if t.size < 2:
         raise InputFormatError(f"{path}: need at least 2 data rows, got {t.size}")
     dt = np.diff(t)
     if np.any(dt <= 0):
-        bad = _profile_rows(path)[0][int(np.argmax(dt <= 0)) + 1]
+        bad = line_of(np.argmax(dt <= 0) + 1)
         raise InputFormatError(f"{path}, line {bad}: time column must be strictly increasing")
     step = (t[-1] - t[0]) / (t.size - 1)
     dt -= step  # dt becomes the gap |dt - step| in place: no further N-length array
     np.abs(dt, out=dt)
     if np.max(dt) > 1e-9 * abs(step):
-        bad = _profile_rows(path)[0][int(np.argmax(dt)) + 1]
+        bad = line_of(np.argmax(dt) + 1)
         raise InputFormatError(f"{path}, line {bad}: time column must be uniformly spaced")
     del dt  # freed before the curve copies the powers
     try:
@@ -381,10 +382,7 @@ def _observations(manifest: str):
     base_dir = os.path.dirname(os.path.abspath(manifest))
     for ln, (rel, cost) in _data_rows(manifest, ["profile", "cost"]):
         path = os.path.join(base_dir, rel.strip())  # an absolute path replaces base_dir
-        try:
-            observed = float(cost)
-        except ValueError as exc:
-            raise InputFormatError(f"{manifest}, line {ln}: {exc}") from exc
+        observed = _number(manifest, ln, cost)
         yield CostObservation(_read_profile(path), observed)
 
 

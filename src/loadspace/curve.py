@@ -294,8 +294,22 @@ def evaluate(c: LoadCurve, t):
     if isinstance(c, AnalyticCurve):
         out = _evaluate_analytic(c, (ts - iv.t1) / iv.duration)
     else:
-        out = np.interp(ts, c.times(), c.values)
+        out = _interpolate(c, ts)
     return float(out) if np.isscalar(t) or ts.ndim == 0 else out
+
+
+def _interpolate(c: SampledCurve, t: np.ndarray) -> np.ndarray:
+    """c at the times t in its interval, linear between neighboring grid points."""
+    v = np.interp(t, c.times(), c.values)
+    if not np.isfinite(v).all():
+        # np.interp's slopes, in time units, overflow (silently) for samples near the float maximum or
+        # steps far shorter than the samples are large: count time in steps of c's grid instead, and
+        # divide the samples by a power of two near their peak, as `norm` does
+        iv, n = c.interval, c.values.size
+        s = _power_of_two_near(c._peak)
+        with np.errstate(over="ignore"):
+            v = s * np.interp((t - iv.t1) / iv.duration * (n - 1), np.arange(n), c.values / s)
+    return v
 
 
 def _common_grid(c1: LoadCurve, c2: LoadCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -306,17 +320,7 @@ def _common_grid(c1: LoadCurve, c2: LoadCurve) -> tuple[np.ndarray, np.ndarray]:
     def on_grid(c: LoadCurve) -> np.ndarray:
         if isinstance(c, AnalyticCurve):
             return _evaluate_analytic(c, (t - c.interval.t1) / c.interval.duration)
-        if c.values.size == n:
-            return c.values
-        v = np.interp(t, c.times(), c.values)
-        if not np.isfinite(v).all():
-            # np.interp's slopes, in time units, overflow (silently) for samples near the float maximum or
-            # steps far shorter than the samples are large: count time in steps of c's grid instead, and
-            # divide the samples by a power of two near their peak, as `norm` does
-            s = _power_of_two_near(c._peak)
-            with np.errstate(over="ignore"):
-                v = s * np.interp(np.linspace(0.0, c.values.size - 1, n), np.arange(c.values.size), c.values / s)
-        return v
+        return c.values if c.values.size == n else _interpolate(c, t)
 
     return on_grid(c1), on_grid(c2)
 

@@ -282,40 +282,32 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
 
 
 @functools.lru_cache(maxsize=32)
-def _order_columns(alpha: PriceFrequencyFunction, beta: PriceFrequencyFunction, f0: float, n_max: int) -> np.ndarray:
-    """The read-only frequency and published-price columns of a bill's 2*n_max order lines.
+def _order_columns(alpha: PriceFrequencyFunction, beta: PriceFrequencyFunction, t0: float, n_max: int) -> np.ndarray:
+    """The read-only frequency, published-price and price-times-t0 columns of a bill's 2*n_max order lines.
 
-    Row 2n-2 is order n's cosine line, (n*f0, alpha(n*f0)), and row 2n-1
-    its sine line, (n*f0, beta(n*f0)): the interleaving of `Bill.lines[1:]`.
-    Computed once per key; the key holds only values (two frozen price
-    functions, f0, n_max), so equal plans share an entry and no plan,
-    curve or spectrum is kept.
+    With f0 = 1/t0, row 2n-2 is order n's cosine line, (n*f0, alpha(n*f0), alpha(n*f0)*t0), and row 2n-1
+    its sine line, with beta: the interleaving of `Bill.lines[1:]`. Computed once per key; the key holds
+    only values (two frozen price functions, t0, n_max), so equal plans share an entry and no plan, curve
+    or spectrum is kept.
     """
-    f = np.arange(1, n_max + 1) * f0
-    columns = np.empty((n_max, 2, 2))
+    f = np.arange(1, n_max + 1) * (1.0 / t0)
+    columns = np.empty((n_max, 2, 3))
     columns[:, :, 0] = f[:, None]
     columns[:, 0, 1] = price_frequency_value(alpha, f)
     columns[:, 1, 1] = price_frequency_value(beta, f)
-    columns = columns.reshape(2 * n_max, 2)
+    columns[:, :, 2] = columns[:, :, 1] * t0
+    columns = columns.reshape(2 * n_max, 3)
     columns.setflags(write=False)
     return columns
 
 
-@functools.lru_cache(maxsize=32)
-def _scaled_prices(alpha: PriceFrequencyFunction, beta: PriceFrequencyFunction, t0: float, n_max: int) -> np.ndarray:
-    """The read-only published-price column of `_order_columns` (at f0 = 1/t0) times t0, once per key."""
-    prices = _order_columns(alpha, beta, 1.0 / t0, n_max)[:, 1] * t0
-    prices.setflags(write=False)
-    return prices
-
-
-def _bill_lines(plan: DynamismPlan, f0: float, a0: float, non_dynamic: float, coef, amount) -> np.ndarray:
+def _bill_lines(plan: DynamismPlan, t0: float, a0: float, non_dynamic: float, coef, amount) -> np.ndarray:
     """A dynamism bill's read-only `lines`: the energy line, then per order line its frequency, coefficient
     (`coef`, interleaved), published price and signed amount (`amount`)."""
     lines = np.empty((1 + coef.size, 4))
     lines[0] = (0.0, a0, plan.alpha0, non_dynamic)
     body = lines[1:]
-    body[:, ::2] = _order_columns(plan.alpha, plan.beta, f0, coef.size // 2)
+    body[:, ::2] = _order_columns(plan.alpha, plan.beta, t0, coef.size // 2)[:, :2]
     body[:, 1] = coef
     body[:, 3] = amount
     lines.setflags(write=False)
@@ -358,15 +350,14 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
     """
     if supply is not None and supply.interval != s.interval:
         raise ValueError("incompatible intervals: supply spectrum on a different interval")
-    iv, n_max = s.interval, s.n_max
-    t0 = iv.duration
+    t0, n_max = s.interval.duration, s.n_max
     non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
     coef = np.empty(2 * n_max)  # interleaved as the order lines are
     coef[::2] = s.a
     coef[1::2] = s.b
     # t0 * price * coef, times the polarity: multiplying by a sign is exact, so this is
     # the amount t0 * polarity * price * coef bit for bit
-    amount = _scaled_prices(plan.alpha, plan.beta, t0, n_max) * coef
+    amount = _order_columns(plan.alpha, plan.beta, t0, n_max)[:, 2] * coef
     if supply is None:
         np.absolute(amount, out=amount)  # the load's own sign: copysign(1, coef) * coef = |coef|
     else:
@@ -375,7 +366,7 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
         amount *= _polarity(sup, coef)
     # starting from +0.0, as a running sum would, keeps an all-zero dynamic part from reading -0.0
     dynamic = float(np.add.reduce(amount, initial=0.0))
-    parts = (plan, iv.f0, s.a0, non_dynamic, coef, amount)
+    parts = (plan, t0, s.a0, non_dynamic, coef, amount)
     return _frozen(Bill.__new__(Bill), non_dynamic=non_dynamic, dynamic=dynamic, _parts=parts)
 
 

@@ -272,6 +272,14 @@ def test_bill_bad_plan_json(capsys, tmp_path, l1_profile):
     assert "invalid JSON" in err
 
 
+def test_bill_plan_that_is_not_an_object(capsys, tmp_path, l1_profile):
+    plan = tmp_path / "p.json"
+    plan.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "bill", l1_profile, str(plan))
+    assert (code, out) == (2, "")
+    assert err == f"error: {plan}: plan must be a JSON object\n"
+
+
 def test_bill_unknown_plan_kind(capsys, tmp_path, l1_profile):
     plan = write_plan(tmp_path / "p.json", {"kind": "mystery"})
     code, _, err = run_cli(capsys, "bill", l1_profile, plan)
@@ -431,6 +439,13 @@ def test_calibrate_bad_manifest_header(capsys, tmp_path):
     code, _, err = run_cli(capsys, "calibrate", manifest)
     assert code == 2
     assert "expected header 'profile,cost'" in err
+
+
+def test_calibrate_missing_manifest(capsys, tmp_path):
+    manifest = tmp_path / "nope.csv"
+    code, out, err = run_cli(capsys, "calibrate", str(manifest))
+    assert (code, out) == (2, "")
+    assert err == f"error: {manifest}: No such file or directory\n"
 
 
 def test_calibrate_analyzes_each_observation_once(capsys, tmp_path, monkeypatch):

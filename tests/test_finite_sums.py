@@ -9,6 +9,7 @@ otherwise the values are divided by powers of two near their peaks, as
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from loadspace import (
     average_power,
     classic_payment,
     energy,
+    evaluate,
     inner_product,
 )
 from loadspace.curve import _common_grid, _trapezoid
@@ -141,3 +143,28 @@ def test_samples_scaled_by_a_power_of_two_give_results_scaled_bit_for_bit(iv, v1
                 f(*args)
         else:
             assert np.float64(f(*args)).tobytes() == np.float64(expected).tobytes()
+
+
+def test_evaluate_near_the_float_maximum_interpolates_in_grid_steps():
+    # the slope (-1e308 - 1e308)/0.5 overflows in time units: np.interp alone gives -inf at 0.25, silently
+    c = SampledCurve(UNIT, [1e308, -1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(c, 0.25) == 0.0
+        assert evaluate(c, np.float64(0.75)) == 0.0
+        assert evaluate(c, np.array([0.0, 0.25, 0.5, 0.75, 1.0])).tolist() == [1e308, 0.0, -1e308, 0.0, 1e308]
+        assert evaluate(c, [[0.125], [1.0]]).tolist() == [[5e307], [1e308]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals(), st.integers(min_value=2, max_value=60).flatmap(_normal_samples), st.floats(0.0, 1.0))
+def test_evaluate_keeps_its_bits_where_time_units_do_not_overflow(iv, values, u):
+    c = SampledCurve(iv, values)
+    t = np.array([iv.t1, min(iv.t1 + u * iv.duration, iv.t2), iv.t2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate(c, t)
+        scalar = evaluate(c, float(t[1]))
+    expected = np.interp(t, c.times(), c.values)
+    assert got.tobytes() == expected.tobytes()
+    assert np.float64(scalar).tobytes() == expected[1].tobytes()

@@ -56,7 +56,7 @@ def test_cached_order_vectors_are_read_only_and_bit_identical(interval, n_max, a
     f0 = interval.f0
     orders = np.arange(1, n_max + 1)
     offset = (interval.t1 / interval.duration) % 1.0
-    columns = tariff._order_columns(alpha, beta, f0, n_max)
+    columns = tariff._order_columns(alpha, beta, interval.duration, n_max)
     cached = {
         "frequencies": (columns[:, 0], np.repeat(orders * f0, 2)),
         "alpha prices": (columns[::2, 1], price_frequency_value(alpha, orders * f0)),
@@ -418,7 +418,7 @@ def _eager_bill(plan: DynamismPlan, s, supply=None) -> tuple[float, float, np.nd
     first, the amounts scaled in its column and the dynamic part summed from that column."""
     iv, n_max = s.interval, s.n_max
     t0 = iv.duration
-    columns = tariff._order_columns(plan.alpha, plan.beta, iv.f0, n_max)
+    columns = tariff._order_columns(plan.alpha, plan.beta, iv.duration, n_max)[:, :2]
     non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
     lines = np.empty((1 + 2 * n_max, 4))
     lines[0] = (0.0, s.a0, plan.alpha0, non_dynamic)

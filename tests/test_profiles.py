@@ -1,6 +1,7 @@
 """Reading profile and manifest CSV files: the one-pass profile reader is
 checked against a test-local copy of the row-by-row csv-module reader it
-replaced, on random well-formed files and on each kind of malformed file."""
+replaced, on random well-formed files and on each kind of malformed file,
+and no file is opened more than twice."""
 from __future__ import annotations
 
 import csv
@@ -69,6 +70,21 @@ def outcome(read, path: str):
         return ("error", type(exc).__name__, str(exc))
     iv = curve.interval
     return ("curve", iv.t1.hex(), iv.t2.hex(), curve.values.tobytes())
+
+
+def opens_and_outcome(path: str) -> tuple[int, tuple]:
+    """How many times `_read_profile` opens `path`, and what it makes of the file."""
+    calls = []
+
+    def counting_open(file, *args, **kwargs):
+        calls.append(file)
+        return open(file, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "open", counting_open, raising=False)
+        got = outcome(_read_profile, path)
+    assert set(calls) <= {path}
+    return len(calls), got
 
 
 FAULTS = (
@@ -149,7 +165,9 @@ def profile_path(tmp_path_factory):
 def test_reader_matches_csv_module_reader(profile_path, text):
     with open(profile_path, "w", newline="") as fh:
         fh.write(text)
-    assert outcome(_read_profile, profile_path) == outcome(reference_read_profile, profile_path)
+    opened, got = opens_and_outcome(profile_path)
+    assert opened <= 2
+    assert got == outcome(reference_read_profile, profile_path)
 
 
 @pytest.mark.parametrize(
@@ -180,12 +198,17 @@ def test_reader_matches_csv_module_reader(profile_path, text):
         "0,1\n   \n1,2\n\t\n2,3\n",  # whitespace-only rows between data rows
         "0,1\r\n \r\n1,2\r\n",
         "0,1\n1,2\n2,3",  # a last row with no newline
+        "0,1_0\n0,2\n",  # walked row by row (1_0), then not increasing: the walk's line numbers name the row
+        "0,1_0\n1,2\n2.5,3\n",  # walked row by row, then not uniform
+        "0,1\n1,2\n1,3\n",  # parsed by loadtxt, then not increasing: one more walk, up to the bad row
     ],
 )
 def test_reader_matches_csv_module_reader_on_edge_cases(tmp_path, body):
     path = tmp_path / "p.csv"
     path.write_text("t,power\n" + body, newline="")
-    assert outcome(_read_profile, str(path)) == outcome(reference_read_profile, str(path))
+    opened, got = opens_and_outcome(str(path))
+    assert opened <= 2
+    assert got == outcome(reference_read_profile, str(path))
 
 
 def year_body() -> str:
@@ -208,10 +231,10 @@ def year_body() -> str:
     ],
 )
 def test_well_formed_profiles_are_read_in_one_pass(tmp_path, monkeypatch, body):
-    def rescan(path):
+    def rescan(path, header):
         raise AssertionError(f"{path} was read again row by row")
 
-    monkeypatch.setattr(cli, "_profile_rows", rescan)
+    monkeypatch.setattr(cli, "_data_rows", rescan)
     path = tmp_path / "p.csv"
     path.write_text("t,power\n" + body, newline="")
     got = outcome(_read_profile, str(path))
