@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
@@ -481,6 +482,7 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process (parsing leaves it as it was), not once per command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loadspace",

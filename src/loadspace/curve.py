@@ -300,16 +300,20 @@ def evaluate(c: LoadCurve, t):
 
 def _interpolate(c: SampledCurve, t: np.ndarray) -> np.ndarray:
     """c at the times t in its interval, linear between neighboring grid points."""
-    v = np.interp(t, c.times(), c.values)
-    if not np.isfinite(v).all():
-        # np.interp's slopes, in time units, overflow (silently) for samples near the float maximum or
-        # steps far shorter than the samples are large: count time in steps of c's grid instead, and
-        # divide the samples by a power of two near their peak, as `norm` does
-        iv, n = c.interval, c.values.size
-        s = _power_of_two_near(c._peak)
-        with np.errstate(over="ignore"):
-            v = s * np.interp((t - iv.t1) / iv.duration * (n - 1), np.arange(n), c.values / s)
-    return v
+    iv, n = c.interval, c.values.size
+    # a step of a few ulps of the endpoints or less rounds `times()` onto repeated points (on [0, 5e-324]
+    # all but the last are 0), where np.interp picks a wrong neighbour: each rounded point lies within
+    # 2 ulps of t1 + i*h, so with steps above 4 ulps the grid rises, and 8 leaves a margin
+    if iv.duration / (n - 1) >= 8.0 * math.ulp(max(abs(iv.t1), abs(iv.t2))):
+        v = np.interp(t, c.times(), c.values)
+        if np.isfinite(v).all():
+            return v
+    # np.interp's slopes, in time units, overflow (silently) for samples near the float maximum or
+    # steps far shorter than the samples are large: count time in steps of c's grid instead, and
+    # divide the samples by a power of two near their peak, as `norm` does
+    s = _power_of_two_near(c._peak)
+    with np.errstate(over="ignore"):
+        return s * np.interp((t - iv.t1) / iv.duration * (n - 1), np.arange(n), c.values / s)
 
 
 def _common_grid(c1: LoadCurve, c2: LoadCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -367,26 +371,26 @@ def _trapezoid(values: np.ndarray, t1: float, t2: float) -> float:
     return float(dt * (total - 0.5 * ends))
 
 
-def _guarded_trapezoid(iv: Interval, *factors: tuple[np.ndarray, float]) -> float:
-    """`_trapezoid` on `iv` of the product of the factors, each (values, a bound on their magnitude), where
-    a product, a partial sum or the integral may overflow; the callers' peak check sends them here.
+def _guarded_sum(total_of, what: str, *factors: tuple[np.ndarray, float]) -> float:
+    """total_of(the product of the factors), each (values, a bound on their magnitude), where a product, a
+    partial sum or the total may overflow; the callers' one-scalar peak check sends them here.
 
-    The plain sum is kept wherever it stays finite, so its bits are those of `_trapezoid`. Where it
-    overflows, each factor is divided by a power of two near its peak, as `norm` does, and the integral
-    of the scaled values is scaled back once. ValueError if the integral itself overflows.
+    The plain total is kept wherever it stays finite, so its bits are those of the unguarded call. Where it
+    overflows, each factor is divided by a power of two near its peak, as `norm` does, and the total of the
+    scaled values is scaled back once. ValueError naming `what` if the total itself overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _trapezoid(math.prod(v for v, _ in factors), iv.t1, iv.t2)
+        total = total_of(math.prod(v for v, _ in factors))
         if not math.isfinite(total):
             scales = [_power_of_two_near(peak) for _, peak in factors]
-            scaled = _trapezoid(math.prod(v / s for (v, _), s in zip(factors, scales)), iv.t1, iv.t2)
+            scaled = total_of(math.prod(v / s for (v, _), s in zip(factors, scales)))
             try:
                 total = math.ldexp(scaled, sum(math.frexp(s)[1] - 1 for s in scales))
             except OverflowError:
                 total = math.inf
     if not math.isfinite(total):
-        raise ValueError(f"the integral on [{iv.t1}, {iv.t2}] overflows the float range")
-    return total
+        raise ValueError(f"{what} overflows the float range")
+    return float(total)
 
 
 def _grid_peak(c: LoadCurve, values: np.ndarray) -> float:
@@ -427,7 +431,8 @@ def inner_product(c1: LoadCurve, c2: LoadCurve) -> float:
     p1, p2 = _grid_peak(c1, v1), _grid_peak(c2, v2)
     if p1 * p2 * (v1.size + iv.duration) <= _SUM_LIMIT:
         return _trapezoid(v1 * v2, iv.t1, iv.t2)
-    return _guarded_trapezoid(iv, (v1, p1), (v2, p2))
+    what = f"the integral on [{iv.t1}, {iv.t2}]"
+    return _guarded_sum(lambda v: _trapezoid(v, iv.t1, iv.t2), what, (v1, p1), (v2, p2))
 
 
 def _power_of_two_near(peak: float) -> float:
@@ -488,7 +493,8 @@ def energy(c: LoadCurve) -> float:
         return iv.duration * c.constant
     if c._peak * (c.values.size + iv.duration) <= _SUM_LIMIT:
         return _trapezoid(c.values, iv.t1, iv.t2)
-    return _guarded_trapezoid(iv, (c.values, c._peak))
+    what = f"the integral on [{iv.t1}, {iv.t2}]"
+    return _guarded_sum(lambda v: _trapezoid(v, iv.t1, iv.t2), what, (c.values, c._peak))
 
 
 def average_power(c: LoadCurve) -> float:
@@ -502,15 +508,16 @@ def integrate(c: LoadCurve, lo: float, hi: float) -> float:
     Computed as spot billing computes its cycles: the closed form for
     analytic curves, and for sampled curves the exact integral of the
     linear interpolant on the grid t1 + i*h, h = T0/(N-1), the trapezoid
-    rule `energy` and `analyze` use. Integrals over the cells of any
-    partition of [t1, t2] therefore sum (up to rounding) to the
-    full-interval integral.
+    rule `energy` and `analyze` use: a one-cycle, unit-price plan on the
+    cells that [lo, hi] touches, its weights (see `_weights`) dotted with
+    those samples. Integrals over the cells of any partition of [t1, t2]
+    therefore sum (up to rounding) to the full-interval integral.
 
     Raises
     ------
     ValueError
         If a bound is not finite, [lo, hi] is not contained in the curve's
-        interval, or lo > hi.
+        interval, lo > hi, or the integral overflows.
     """
     iv = c.interval
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -521,39 +528,10 @@ def integrate(c: LoadCurve, lo: float, hi: float) -> float:
         raise ValueError(f"integration bounds outside interval [{iv.t1}, {iv.t2}]")
     if lo == hi:
         return 0.0
-    return float(_integrals(c, np.array([lo, hi]))[0])
-
-
-def _integrals(c: LoadCurve, bounds: np.ndarray, layout=None) -> np.ndarray:
-    """Integrals of the curve between consecutive entries of `bounds`, in one pass.
-
-    `bounds` must be ascending and inside the curve's interval (this is not
-    checked). Analytic curves take each integral's closed form in offsets
-    s = t - t1 from t1, as a product whose whole periods cancel exactly (see
-    `_analytic_integrals`). Sampled curves integrate their linear
-    interpolant on the knots `_sample_layout` merges (`layout` is that
-    layout, if given), each integral summing its own trapezoid pieces, with
-    the exact step h = T0/(N-1) of `energy` and `analyze`. Time and memory
-    are O(N + len(bounds)).
-    """
-    iv = c.interval
     if isinstance(c, AnalyticCurve):
-        return _analytic_integrals(c, bounds - iv.t1)
-    v = c.values
-    layout = layout or _sample_layout(iv, v.size, bounds)
-    if layout is None:  # a subnormal interval whose step underflows: every cell weighs zero, as in `energy`
-        return np.zeros(bounds.size - 1)
-    half_step, k, k1, fraction, at, grid, widths = layout
-    value = np.empty(grid.size)
-    value[grid] = v
-    vk = v[k]
-    value[at] = vk + (v[k1] - vk) * fraction
-    pieces = value[:-1]  # in place: the output lags the input, so numpy needs no copy
-    pieces += value[1:]
-    pieces *= widths
-    # each integral adds only its own pieces: differences of a running total would
-    # carry that total's rounding into every integral, magnified by a cycle's price
-    return half_step * np.add.reduceat(pieces, at)[:-1]
+        return float(_analytic_integrals(c, np.array([lo, hi]) - iv.t1)[0])
+    first, w, w_sum = _weights(iv, c.values.size, np.array([lo, hi]), np.ones(1))
+    return _weighted_sum(c.values[first : first + w.size], c._peak, w, w_sum, f"the integral on [{lo}, {hi}]")
 
 
 def _analytic_integrals(c: AnalyticCurve, s: np.ndarray) -> np.ndarray:
@@ -587,25 +565,58 @@ def _analytic_integrals(c: AnalyticCurve, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_layout(interval: Interval, n: int, bounds: np.ndarray) -> tuple | None:
-    """What no sample value enters of integrating n samples on `interval` between consecutive `bounds`.
+def _weights(interval: Interval, n: int, bounds: np.ndarray, prices: np.ndarray) -> tuple[int, np.ndarray, float]:
+    """(first, w, sum of w): v[first:first + w.size] @ w is the exact integral of the linear interpolant of n
+    samples v on `interval` against the price prices[j] between bounds[j] and bounds[j + 1] (ascending, inside).
 
     Positions count steps h = T0/(n-1) from t1: grid point i at i, a bound at x = (bound - t1)/h in cell
-    k = floor(x) (t2 in the last), merged into the grid just after the point that opens its cell. Returns
-    (h/2, k, k + 1, x - k, the bounds' slots, the grid slot mask, the knot widths), or None if h underflows.
+    k = min(floor(x), n - 2), at offset f = x - k. Each piece [alpha, beta] of a cell between neighbouring
+    knots lies in one cycle, of price p, and adds p h (beta - alpha)(1 - (alpha + beta)/2) to the weight of
+    the cell's first sample and p h (beta - alpha)(alpha + beta)/2 to the next one's: a weight sums such
+    nonnegative terms, never a difference of prices or of running totals, which would carry the rounding of
+    earlier cycles into later ones. Time and memory are O(n + len(bounds)).
     """
     h = interval.duration / (n - 1)
-    if h == 0.0:
-        return None
-    x = (bounds - interval.t1) / h
-    # truncation is floor for positions at or above 0, and t2 belongs to the last cell;
-    # np.minimum, not np.clip: that reaches numpy through per-call name lookups whose
-    # objects CPython keeps alive (see _frozen)
-    k = np.minimum(x.astype(np.intp), n - 2)
-    at = k + np.arange(1, k.size + 1)
-    grid = np.ones(n + k.size, dtype=bool)
-    grid[at] = False
-    position = np.empty(grid.size)
-    position[grid] = np.arange(n)
-    position[at] = x
-    return 0.5 * h, k, k + 1, x - k, at, grid, position[1:] - position[:-1]
+    if h == 0.0:  # a subnormal interval whose step underflows: every cell weighs zero, as in `energy`
+        return 0, np.zeros(n), 0.0
+    f = (bounds - interval.t1) / h  # each bound's position x, then its offset x - k
+    # truncation is floor at or above 0, and t2 belongs to the last cell; np.minimum, not np.clip: that
+    # reaches numpy through per-call name lookups whose objects CPython keeps alive (see _frozen)
+    k = np.minimum(f.astype(np.intp), n - 2)
+    f -= k
+    first = int(k[0])
+    k -= first
+    # whole cells, p h/2 to each sample: after a 0 for the cell before the first, cycle j's price on cells
+    # k_j .. k_(j+1) - 1, then 0 on each cell that holds a bound; sample i takes cells i - 1 and i
+    counts = np.diff(k)
+    counts[0] += 1
+    counts[-1] += 1  # the same count as counts[0] when there is one cycle
+    w = np.repeat(prices, counts)
+    w[0] = 0.0
+    w[k + 1] = 0.0
+    w[:-1] += w[1:]  # in place: the output lags the input, so numpy needs no copy
+    w *= 0.5 * h
+    # bound j closes a piece of cycle j - 1 from the bound before it in its cell (else from the cell's
+    # start), and opens one of cycle j to the cell's end unless a later bound shares the cell
+    shared = k[1:] == k[:-1]
+    lo = np.concatenate(([0.0], np.where(shared, f[:-1], 0.0)))
+    closing = np.concatenate(([0.0], prices)) * (h * (f - lo))
+    opening = np.concatenate((np.where(shared, 0.0, prices), [0.0])) * (0.5 * h * (1.0 - f))
+    mid = 0.5 * (lo + f)
+    to_next = closing * mid + opening * (1.0 + f)
+    closing *= 1.0 - mid
+    closing += opening * (1.0 - f)
+    if np.logical_or.reduce(shared):
+        start = np.flatnonzero(np.concatenate(([True], ~shared)))  # the first bound in each cell
+        closing, to_next, k = np.add.reduceat(closing, start), np.add.reduceat(to_next, start), k[start]
+    w[k] += closing
+    w[k + 1] += to_next
+    return first, w, float(np.add.reduce(w))
+
+
+def _weighted_sum(v: np.ndarray, peak: float, w: np.ndarray, w_sum: float, what: str) -> float:
+    """v @ w for samples v of magnitude at most `peak` and nonnegative weights w that sum to `w_sum`; below
+    `_SUM_LIMIT`, peak * w_sum bounds every product and partial sum, and past it `_guarded_sum` takes it."""
+    if peak * w_sum <= _SUM_LIMIT:
+        return float(v @ w)
+    return _guarded_sum(lambda x: x @ w, what, (v, peak))

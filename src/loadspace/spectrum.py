@@ -88,6 +88,7 @@ class Spectrum:
         _frozen(self, interval=interval, a0=float(a0), a=ab[0], b=ab[1])
 
     __eq__ = _eq_by("interval", "a0", "a", "b")
+    _coef = None  # from sampled `analyze`: a and b interleaved (a_1, b_1, a_2, ...), the array they view
 
     @property
     def n_max(self) -> int:
@@ -246,7 +247,8 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         w *= _conjugate_phase(_t1_turns(iv), n_max)
         w *= 2.0 / iv.duration
         a0 = float(w[0].real)
-        ab = w[1:].view(float).reshape(n_max, 2).T  # ab[0] = Re w_n = a_n, ab[1] = Im w_n = b_n
+        coef = w[1:].view(float)  # a_1, b_1, a_2, b_2, ...: Re and Im of each w_n, interleaved as bill lines are
+        ab = coef.reshape(n_max, 2).T  # ab[0] = Re w_n = a_n, ab[1] = Im w_n = b_n
 
     magnitude = np.abs(ab)
     top = np.maximum(magnitude[0], magnitude[1], out=magnitude[0])
@@ -263,7 +265,16 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
     # np.maximum carries a NaN through, so the largest magnitude is finite only if every coefficient is
     if not (math.isfinite(a0) and math.isfinite(np.maximum.reduce(top))):
         raise ValueError("spectrum orders and coefficients must be finite")
-    return _frozen(Spectrum.__new__(Spectrum), interval=c.interval, a0=float(a0), a=ab[0], b=ab[1])  # ab not copied
+    spec = Spectrum.__new__(Spectrum)
+    if isinstance(c, AnalyticCurve):
+        return _frozen(spec, interval=c.interval, a0=float(a0), a=ab[0], b=ab[1])  # ab not copied
+    coef.setflags(write=False)  # and a and b, its views made below; set directly, not by `_frozen`'s loop
+    object.__setattr__(spec, "interval", c.interval)
+    object.__setattr__(spec, "a0", a0)
+    object.__setattr__(spec, "a", coef[::2])
+    object.__setattr__(spec, "b", coef[1::2])
+    object.__setattr__(spec, "_coef", coef)  # what `dynamism_payment` bills, as it is
+    return spec
 
 
 def synthesize(s: Spectrum) -> AnalyticCurve:

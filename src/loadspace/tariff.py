@@ -23,7 +23,8 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .curve import Interval, LoadCurve, SampledCurve, _eq_by, _frozen, _integrals, _require_int, _sample_layout, energy
+from .curve import (AnalyticCurve, Interval, LoadCurve, _analytic_integrals, _eq_by, _frozen, _require_int,
+                    _weighted_sum, _weights, energy)
 from .spectrum import DynamismVector, Spectrum, _dense_vector, mu_index_cos, mu_index_sin
 
 __all__ = [
@@ -135,7 +136,7 @@ class FlatPlan:
 
 @dataclass(frozen=True)
 class SpotPlan:
-    """Per-cycle unit prices over N equal sub-intervals of `interval`, kept as arrays with the last layout billed."""
+    """Per-cycle unit prices over N equal sub-intervals of `interval`, kept as arrays with the last weights billed."""
 
     interval: Interval
     unit_prices: tuple[float, ...]
@@ -148,7 +149,7 @@ class SpotPlan:
         if not np.logical_and.reduce((0.0 < array) & (array < np.inf)):
             raise ValueError("spot prices must be positive and finite")
         bounds = np.linspace(self.interval.t1, self.interval.t2, len(prices) + 1)
-        vars(self).update(unit_prices=prices, _bounds=bounds, _prices=array, _layout=(0, None))
+        vars(self).update(unit_prices=prices, _bounds=bounds, _prices=array, _weights=(0, None, 0.0))
 
     @property
     def cycle_count(self) -> int:
@@ -266,19 +267,25 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
     """Spot tariff: sum of cycle price times cycle energy over N equal cycles.
 
     The plan's interval must coincide with the curve's, otherwise the
-    cycle grid would not partition the curve's domain.
+    cycle grid would not partition the curve's domain. N samples v bill
+    <w, v>, w the weights of the plan's price curve on their grid (the
+    paper's classic paradigm), each cycle as `integrate` takes it; the plan
+    keeps w for the last N it billed. ValueError if the payment overflows.
     """
-    if plan.interval != c.interval:
+    if plan.interval is not c.interval and plan.interval != c.interval:
         raise ValueError(
             "spot cycles do not partition the curve interval: plan is on "
             f"[{plan.interval.t1}, {plan.interval.t2}], curve on "
             f"[{c.interval.t1}, {c.interval.t2}]"
         )
-    held = plan._layout  # (N, layout), replaced as one pair: no thread reads one N's layout with another N
-    if isinstance(c, SampledCurve) and held[0] != c.values.size:
-        held = (c.values.size, _sample_layout(plan.interval, c.values.size, plan._bounds))
-        vars(plan)["_layout"] = held
-    return float(_integrals(c, plan._bounds, held[1]) @ plan._prices)
+    if isinstance(c, AnalyticCurve):
+        return float(_analytic_integrals(c, plan._bounds - c.interval.t1) @ plan._prices)
+    held = plan._weights  # (N, w, sum of w), replaced as one triple: no thread pairs one N's samples with another N's w
+    if held[0] != c.values.size:
+        with np.errstate(over="ignore", invalid="ignore"):  # weights beyond the float range: the bill overflows below
+            held = (c.values.size, *_weights(plan.interval, c.values.size, plan._bounds, plan._prices)[1:])
+        vars(plan)["_weights"] = held
+    return _weighted_sum(c.values, c._peak, held[1], held[2], "the spot payment")
 
 
 @functools.lru_cache(maxsize=32)
@@ -352,9 +359,7 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
         raise ValueError("incompatible intervals: supply spectrum on a different interval")
     t0, n_max = s.interval.duration, s.n_max
     non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
-    coef = np.empty(2 * n_max)  # interleaved as the order lines are
-    coef[::2] = s.a
-    coef[1::2] = s.b
+    coef = s._coef if s._coef is not None else np.stack((s.a, s.b), axis=1).reshape(-1)  # interleaved as lines are
     # t0 * price * coef, times the polarity: multiplying by a sign is exact, so this is
     # the amount t0 * polarity * price * coef bit for bit
     amount = _order_columns(plan.alpha, plan.beta, t0, n_max)[:, 2] * coef
@@ -366,8 +371,11 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
         amount *= _polarity(sup, coef)
     # starting from +0.0, as a running sum would, keeps an all-zero dynamic part from reading -0.0
     dynamic = float(np.add.reduce(amount, initial=0.0))
-    parts = (plan, t0, s.a0, non_dynamic, coef, amount)
-    return _frozen(Bill.__new__(Bill), non_dynamic=non_dynamic, dynamic=dynamic, _parts=parts)
+    bill = Bill.__new__(Bill)  # its fields set directly, not through `_frozen`'s loop: the per-meter path of a fleet
+    object.__setattr__(bill, "non_dynamic", non_dynamic)
+    object.__setattr__(bill, "dynamic", dynamic)
+    object.__setattr__(bill, "_parts", (plan, t0, s.a0, non_dynamic, coef, amount))
+    return bill
 
 
 def rates_payment(rates: DynamismRates, mu: DynamismVector) -> float:

@@ -25,7 +25,7 @@ from loadspace import (
     spot_payment,
     to_mu_vector,
 )
-from loadspace.cli import _curve_csv, _print_json, main
+from loadspace.cli import _curve_csv, _print_json, build_parser, main
 from loadspace.scenarios import ScenarioCheck, ScenarioReport
 
 from conftest import UNIT
@@ -327,6 +327,19 @@ def test_bill_plan_refuses_spot_prices_that_are_not_a_list_of_numbers(capsys, tm
     assert out == "" and err.startswith(f"error: {plan}: spot prices must be ") and "real numbers" in err
 
 
+def test_one_parser_gives_each_command_its_own_defaults(capsys, tmp_path, l1_profile):
+    # the parser is built once per process, and no command's options carry into the next
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(capsys, "decompose", l1_profile, "--nmax", "3", "--drop-tol", "0.5", "--format", "json")
+    assert code == 0 and json.loads(out)["n_max"] == 3
+    flat = write_plan(tmp_path / "flat.json", {"kind": "flat", "unit_price": 20.0})
+    code, out, _ = run_cli(capsys, "bill", l1_profile, flat)
+    assert code == 0 and out.startswith("flat payment for ")  # the table, not the JSON asked of decompose
+    code, out, _ = run_cli(capsys, "decompose", l1_profile, "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["n_max"] == 100 and len(doc["harmonics"]) == 3  # reference load 1's three orders
+
+
 def test_bill_spot_interval_mismatch(capsys, tmp_path, l1_profile):
     doc = {"kind": "spot", "t1": 0.0, "t2": 2.0, "unit_prices": [10.0, 30.0]}
     plan = write_plan(tmp_path / "p.json", doc)
@@ -352,10 +365,13 @@ def _big_profile(tmp_path, values=(1e308,) * 6) -> str:
 
 
 def test_bill_near_the_float_maximum_prints_a_finite_payment(capsys, tmp_path):
+    big = _big_profile(tmp_path)
     flat = write_plan(tmp_path / "flat.json", {"kind": "flat", "unit_price": 1.0})
-    code, out, err = run_cli(capsys, "bill", _big_profile(tmp_path), flat, "--format", "json")
-    assert code == 0 and err == ""
-    assert json.loads(out)["payment"] == pytest.approx(1e308, rel=1e-15)
+    spot = write_plan(tmp_path / "spot.json", {"kind": "spot", "t1": 0.0, "t2": 1.0, "unit_prices": [1.0, 1.0]})
+    for plan in (flat, spot):
+        code, out, err = run_cli(capsys, "bill", big, plan, "--format", "json")
+        assert code == 0 and err == "", plan
+        assert json.loads(out)["payment"] == pytest.approx(1e308, rel=1e-15), plan
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -363,13 +379,11 @@ def test_a_payment_that_overflows_is_refused(capsys, tmp_path, fmt):
     big = _big_profile(tmp_path)
     flat = write_plan(tmp_path / "flat.json", {"kind": "flat", "unit_price": 1.0})
     twice = write_plan(tmp_path / "twice.json", {"kind": "flat", "unit_price": 2.0})
-    spot = write_plan(tmp_path / "spot.json", {"kind": "spot", "t1": 0.0, "t2": 1.0, "unit_prices": [1.0, 1.0]})
-    # the spot kernel's own sums still overflow with a warning (ROADMAP item 1); here the refusal is tested
-    with np.errstate(over="ignore", invalid="ignore"):
-        for argv in (["bill", big, spot], ["bill", big, twice], ["compare", big, flat, spot]):
-            code, out, err = run_cli(capsys, *argv, "--format", fmt)
-            assert code == 3 and out == "", argv
-            assert err.startswith("error: ") and "payment overflows" in err, argv
+    spot = write_plan(tmp_path / "spot.json", {"kind": "spot", "t1": 0.0, "t2": 1.0, "unit_prices": [6.0, 6.0]})  # 6e308
+    for argv in (["bill", big, spot], ["bill", big, twice], ["compare", big, flat, spot]):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 3 and out == "", argv
+        assert err.startswith("error: ") and "payment overflows" in err, argv
 
 
 def test_compare_refuses_a_difference_that_overflows(capsys, tmp_path):

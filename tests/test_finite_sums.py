@@ -1,7 +1,7 @@
 """Trapezoid sums near the float maximum: finite in, finite out or a ValueError, and no warning.
 
-`energy` and sampled `inner_product` compare a peak bound with one scalar
-before they sum. Where the plain sum cannot overflow it runs as it always
+`energy`, sampled `inner_product`, `integrate` and `spot_payment` compare a
+peak bound with one scalar before they sum. Where the plain sum cannot overflow it runs as it always
 has; where it might, it runs under `np.errstate` and is kept if finite, and
 otherwise the values are divided by powers of two near their peaks, as
 `norm` divides them. The suite turns every warning into an error.
@@ -25,8 +25,11 @@ from loadspace import (
     average_power,
     classic_payment,
     energy,
+    SpotPlan,
     evaluate,
     inner_product,
+    integrate,
+    spot_payment,
 )
 from loadspace.curve import _common_grid, _trapezoid
 
@@ -51,6 +54,31 @@ def test_an_integral_that_overflows_is_refused():
         energy(SampledCurve(Interval(0.0, 1e300), [1e10] * 3))  # 1e310
     with pytest.raises(ValueError, match="overflows"):
         inner_product(AnalyticCurve(UNIT, 1e200), wide)  # an analytic operand's peak is read off its grid
+    with pytest.raises(ValueError, match=r"integral on \[0.0, 1e\+300\] overflows"):
+        integrate(SampledCurve(Interval(0.0, 1e300), [1e10] * 3), 0.0, 1e300)  # 1e310
+    with pytest.raises(ValueError, match="spot payment overflows"):
+        spot_payment(SpotPlan(UNIT, [6.0, 6.0]), BIG)  # 6e308
+
+
+def test_spot_bills_and_integrals_near_the_float_maximum_are_finite():
+    # the plain dot product of six 1e308 samples with their weights overflows; the true values do not
+    assert spot_payment(SpotPlan(UNIT, [1.0, 1.0]), BIG) == pytest.approx(1e308, rel=1e-15)
+    assert integrate(BIG, 0.0, 1.0) == pytest.approx(1e308, rel=1e-15)
+    assert integrate(BIG, 0.1, 0.7) == pytest.approx(6e307, rel=1e-15)
+    up = SampledCurve(UNIT, [8e307, 0.0, -8e307])
+    assert spot_payment(SpotPlan(UNIT, [6.0, 1.0]), up) == pytest.approx(1e308, rel=1e-15)
+
+
+def test_a_plan_whose_weights_overflow_bills_without_a_warning():
+    # price times sample step beyond the float maximum: the weights overflow, yet no warning may escape;
+    # the bill (3.75e289) is finite or refused as overflowing
+    iv = Interval(0.0, 1e10)
+    try:
+        bill = spot_payment(SpotPlan(iv, [1e300, 1e300]), SampledCurve(iv, [0.0, 1e-20, 0.0, 0.0, 1e-20]))
+    except ValueError as exc:
+        assert "spot payment overflows" in str(exc)
+    else:
+        assert bill == pytest.approx(3.75e289, rel=1e-12)
 
 
 def test_products_that_overflow_integrate_to_a_finite_value():
@@ -143,6 +171,15 @@ def test_samples_scaled_by_a_power_of_two_give_results_scaled_bit_for_bit(iv, v1
                 f(*args)
         else:
             assert np.float64(f(*args)).tobytes() == np.float64(expected).tobytes()
+
+
+def test_a_subnormal_interval_interpolates_in_grid_steps():
+    # np.linspace(0, 5e-324, 3) is [0, 0, 5e-324]: interpolated on those times, t = 0 read sample 1
+    c = SampledCurve(Interval(0.0, 5e-324), [1.0, -1.0, 1.0])
+    assert evaluate(c, 0.0) == 1.0
+    assert evaluate(c, 5e-324) == 1.0
+    # the five-point grid's times are [0, 0, 0, 0, 5e-324] too, where c is 1
+    assert add(c, SampledCurve(c.interval, np.zeros(5))).values.tolist() == [1.0] * 5
 
 
 def test_evaluate_near_the_float_maximum_interpolates_in_grid_steps():

@@ -242,7 +242,7 @@ def test_a_reused_spot_plan_bills_as_a_fresh_plan(case):
 
 def test_threads_sharing_a_spot_plan_bill_as_fresh_plans():
     # four threads on two cores bill one plan at three sample counts, switching often: each
-    # thread reads the plan's (N, layout) pair once, so it never bills with another N's layout
+    # thread reads the plan's (N, weights, sum) triple once, so it never bills with another N's weights
     plan = SpotPlan(UNIT, np.linspace(10.0, 30.0, 24))
     curves = [SampledCurve(UNIT, np.linspace(5.0, 50.0, n) ** 1.5) for n in (96, 97, 25)]
     expected = [_float_bits(spot_payment(SpotPlan(UNIT, plan.unit_prices), c)) for c in curves]
@@ -285,9 +285,9 @@ def _traced_after(run) -> tuple[int, int]:
         tracemalloc.stop()
 
 
-def test_a_spot_plan_frees_its_layout_with_it():
-    # a year of 15-minute readings under hourly prices; a cache of layouts kept apart
-    # from the plan would keep this one (about 1 MiB) after the plan is gone
+def test_a_spot_plan_frees_its_weights_with_it():
+    # a year of 15-minute readings under hourly prices; a cache of weights kept apart
+    # from the plan would keep these (280 KB) after the plan is gone
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing")
     year = Interval(0.0, 365.0)
@@ -301,8 +301,27 @@ def test_a_spot_plan_frees_its_layout_with_it():
         return plan
 
     holding, retained = _traced_after(bill)
-    assert holding > 768 * 1024  # the price tuple (280 KB), the cycle arrays and the layout (670 KB)
+    assert holding > 640 * 1024  # the price tuple (280 KB), the bounds and prices (70 KB each), the weights (280 KB)
     assert retained < 4096
+
+
+def test_a_year_spot_bill_peaks_below_the_merged_knot_kernel():
+    # the plan (price tuple, bounds, prices) and its weights formed in place peak at about 1.35 MiB
+    # traced, where the merged-knot kernel's layout and knot values reached 1.58 MiB
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    year = Interval(0.0, 365.0)
+    c = SampledCurve(year, np.linspace(5.0, 50.0, 35_040))
+    prices = np.linspace(10.0, 30.0, 8_760)
+    spot_payment(SpotPlan(year, prices), c)  # a first bill, so that nothing it sets up once is counted
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        spot_payment(SpotPlan(year, prices), c)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_analytic_integrals_keep_no_long_phase_vectors():

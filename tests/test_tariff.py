@@ -40,8 +40,6 @@ from loadspace import (
     unit_price_from_gross,
 )
 
-from loadspace.curve import _sample_layout
-
 from conftest import UNIT, analytic_curves, intervals
 
 # full-precision totals of the four reference bills, frozen from an
@@ -370,35 +368,71 @@ def test_spot_payment_equals_per_cycle_integrals(c, data):
     assert spot_payment(plan, c) == pytest.approx(expected, rel=1e-12, abs=1e-12 * (1.0 + magnitude))
 
 
-def _out_of_place_integrals(c: SampledCurve, bounds: np.ndarray) -> np.ndarray:
-    """`curve._integrals` of a sampled curve with its pieces summed into a new array, as it once was."""
-    half_step, k, k1, fraction, at, grid, widths = _sample_layout(c.interval, c.values.size, bounds)
-    v = c.values
+def _piece_sums(c: SampledCurve, bounds: np.ndarray) -> np.ndarray:
+    """Integrals of a sampled curve between consecutive bounds by the merged-knot kernel the plan weights replaced.
+
+    Positions count steps h = T0/(N-1) from t1: grid point i at i, a bound at x = (bound - t1)/h in cell
+    k = min(floor(x), N - 2), merged into the grid just after the point that opens its cell; each piece
+    between neighbouring knots is one trapezoid of the linear interpolant, and each integral sums its own.
+    """
+    n, v = c.values.size, c.values
+    h = c.interval.duration / (n - 1)
+    if h == 0.0:
+        return np.zeros(bounds.size - 1)
+    x = (bounds - c.interval.t1) / h
+    k = np.minimum(x.astype(np.intp), n - 2)
+    at = k + np.arange(1, k.size + 1)
+    grid = np.ones(n + k.size, dtype=bool)
+    grid[at] = False
+    position = np.empty(grid.size)
+    position[grid] = np.arange(n)
+    position[at] = x
     value = np.empty(grid.size)
     value[grid] = v
-    value[at] = v[k] + (v[k1] - v[k]) * fraction
-    pieces = value[1:] + value[:-1]
-    pieces *= widths
-    return half_step * np.add.reduceat(pieces, at)[:-1]
+    value[at] = v[k] + (v[k + 1] - v[k]) * (x - k)
+    pieces = (value[1:] + value[:-1]) * (position[1:] - position[:-1])
+    return 0.5 * h * np.add.reduceat(pieces, at)[:-1]
 
 
-@settings(max_examples=200, deadline=None)
-@given(sampled_curves(), st.data())
-def test_spot_pieces_summed_in_place_bill_bit_for_bit_as_before(c, data):
-    cycles = data.draw(st.integers(min_value=1, max_value=3 * c.values.size))
+def _assert_as_the_piece_sums(got: float, c: SampledCurve, bounds: np.ndarray, prices: np.ndarray) -> None:
+    """got is within (N + C) * 2**-52 of the piece-sum kernel's p @ integrals, relative to the sum of absolute
+    per-cycle terms, each cycle's integral taken of |v|: C cycles, N samples, so N + C pieces at most. Each
+    piece may also round below the normal range, by the smallest subnormal 2**-1074 at most, which the
+    kernel's price then multiplies."""
+    want = float(_piece_sums(c, bounds) @ prices)
+    magnitude = float(_piece_sums(SampledCurve(c.interval, np.abs(c.values)), bounds) @ prices)
+    pieces = c.values.size + prices.size
+    assert abs(got - want) <= pieces * (2.0**-52 * magnitude + 2.0**-1074 * max(1.0, prices.max())), (got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(sampled_curves(), sampled_curves(st.builds(lambda t1, length: Interval(t1, t1 + length),
+                                                         st.sampled_from([1e3, 1e6]), _spot_lengths))),
+    st.data(),
+)
+def test_spot_bills_and_integrals_match_the_piece_sum_kernel(c, data):
+    cycles = data.draw(st.integers(min_value=1, max_value=3 * c.values.size))  # more cycles than cells too
     plan = SpotPlan(c.interval, data.draw(_spot_prices(cycles)))
-    assert spot_payment(plan, c) == float(_out_of_place_integrals(c, plan._bounds) @ plan._prices)
+    _assert_as_the_piece_sums(spot_payment(plan, c), c, plan._bounds, plan._prices)
     lo, hi = sorted(data.draw(st.floats(min_value=c.interval.t1, max_value=c.interval.t2)) for _ in range(2))
     assume(lo < hi)
-    assert integrate(c, lo, hi) == float(_out_of_place_integrals(c, np.array([lo, hi]))[0])
+    _assert_as_the_piece_sums(integrate(c, lo, hi), c, np.array([lo, hi]), np.ones(1))
 
 
-def test_a_year_of_readings_bills_bit_for_bit_as_before():
+def test_a_year_of_readings_bills_as_the_piece_sum_kernel():
     # the benchmark's shape: 35,040 quarter-hours over 365 days, 8,760 hourly prices
     rng = np.random.default_rng(3)
     c = SampledCurve(Interval(0.0, 35_039 / 96), rng.normal(40.0, 10.0, 35_040))
     plan = SpotPlan(c.interval, rng.uniform(20.0, 40.0, 8760))
-    assert spot_payment(plan, c) == float(_out_of_place_integrals(c, plan._bounds) @ plan._prices)
+    _assert_as_the_piece_sums(spot_payment(plan, c), c, plan._bounds, plan._prices)
+
+
+def test_one_plan_billing_one_sample_count_after_another_bills_as_fresh_plans():
+    plan = SpotPlan(UNIT, np.linspace(10.0, 30.0, 24))
+    curves = {n: SampledCurve(UNIT, np.linspace(5.0, 50.0, n) ** 1.5) for n in (96, 97)}
+    for n in (96, 97, 96):
+        assert spot_payment(plan, curves[n]) == spot_payment(SpotPlan(UNIT, plan.unit_prices), curves[n])
 
 
 def _assert_spot_matches_per_cycle_integrals(plan: SpotPlan, c) -> None:
