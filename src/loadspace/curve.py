@@ -304,15 +304,16 @@ def _interpolate(c: SampledCurve, t: np.ndarray) -> np.ndarray:
     # a step of a few ulps of the endpoints or less rounds `times()` onto repeated points (on [0, 5e-324]
     # all but the last are 0), where np.interp picks a wrong neighbour: each rounded point lies within
     # 2 ulps of t1 + i*h, so with steps above 4 ulps the grid rises, and 8 leaves a margin
-    if iv.duration / (n - 1) >= 8.0 * math.ulp(max(abs(iv.t1), abs(iv.t2))):
-        v = np.interp(t, c.times(), c.values)
-        if np.isfinite(v).all():
-            return v
-    # np.interp's slopes, in time units, overflow (silently) for samples near the float maximum or
-    # steps far shorter than the samples are large: count time in steps of c's grid instead, and
-    # divide the samples by a power of two near their peak, as `norm` does
+    rises = iv.duration / (n - 1) >= 8.0 * math.ulp(max(abs(iv.t1), abs(iv.t2)))
+    if rises and np.isfinite(v := np.interp(t, c.times(), c.values)).all():
+        return v
+    # np.interp's slopes overflow (silently) for samples near the float maximum or steps far shorter than the
+    # samples are large: divide the samples by a power of two near their peak, as `norm` does, which scales
+    # each slope and value exactly; where a slope still overflows, or the grid repeats, count time in steps
     s = _power_of_two_near(c._peak)
     with np.errstate(over="ignore"):
+        if rises and np.isfinite(v := s * np.interp(t, c.times(), c.values / s)).all():
+            return v
         return s * np.interp((t - iv.t1) / iv.duration * (n - 1), np.arange(n), c.values / s)
 
 
@@ -361,36 +362,39 @@ def scale(a: float, c: LoadCurve) -> LoadCurve:
 _SUM_LIMIT = sys.float_info.max / 2
 
 
-def _trapezoid(values: np.ndarray, t1: float, t2: float) -> float:
-    dt = (t2 - t1) / (values.size - 1)
-    total, ends = np.add.reduce(values), values[0] + values[-1]
+def _trapezoid(values: np.ndarray, interval: Interval) -> float:
+    # in Python floats, which round as numpy's do at less cost per operation, and overflow without a warning
+    dt = (interval.t2 - interval.t1) / (values.size - 1)
+    total, ends = float(np.add.reduce(values)), float(values[0]) + float(values[-1])
     if 0.5 * ends * 2.0 != ends and np.maximum.reduce(np.abs(values)) < sys.float_info.min:
         # below the normal range halving the ends can round (0.5 * 5e-324 is 0.0); halve the
         # step instead: doubling the sum is exact, so, as in `integrate`, the product rounds once
-        return float(0.5 * dt * (2.0 * total - ends))
-    return float(dt * (total - 0.5 * ends))
+        return 0.5 * dt * (2.0 * total - ends)
+    return dt * (total - 0.5 * ends)
 
 
-def _guarded_sum(total_of, what: str, *factors: tuple[np.ndarray, float]) -> float:
-    """total_of(the product of the factors), each (values, a bound on their magnitude), where a product, a
-    partial sum or the total may overflow; the callers' one-scalar peak check sends them here.
+def _guarded_sum(total_of, arg, reach: float, what, v: np.ndarray, peak: float, exponent=0, v2=None, peak2=1.0):
+    """total_of(v * v2, arg) * 2**exponent (v2 None: of v), |v| <= peak and |v2| <= peak2: the one overflow rule
+    of every sampled sum. peak * peak2 * reach bounds each product, partial sum and the result (reach: N + T0
+    for `_trapezoid` on an interval, the sum of the nonnegative weights w for `np.ndarray.dot` with w).
 
-    The plain total is kept wherever it stays finite, so its bits are those of the unguarded call. Where it
-    overflows, each factor is divided by a power of two near its peak, as `norm` does, and the total of the
-    scaled values is scaled back once. ValueError naming `what` if the total itself overflows.
+    Within `_SUM_LIMIT` this is the plain call, bit for bit. Past it the plain total is kept if finite, else v
+    and v2 are divided by powers of two near their peaks, as `norm` does, and the total scaled back once.
+    ValueError if the result overflows, naming `what`: a str, or the bounds (lo, hi) of an integral.
     """
+    if peak * peak2 * reach <= _SUM_LIMIT:
+        return math.ldexp(total_of(v if v2 is None else v * v2, arg), exponent)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = total_of(math.prod(v for v, _ in factors))
+        total = total_of(v if v2 is None else v * v2, arg)
         if not math.isfinite(total):
-            scales = [_power_of_two_near(peak) for _, peak in factors]
-            scaled = total_of(math.prod(v / s for (v, _), s in zip(factors, scales)))
-            try:
-                total = math.ldexp(scaled, sum(math.frexp(s)[1] - 1 for s in scales))
-            except OverflowError:
-                total = math.inf
-    if not math.isfinite(total):
-        raise ValueError(f"{what} overflows the float range")
-    return float(total)
+            s, s2 = _power_of_two_near(peak), _power_of_two_near(peak2)
+            total = total_of(v / s if v2 is None else v / s * (v2 / s2), arg)
+            exponent += math.frexp(s)[1] + math.frexp(s2)[1] - 2
+        total = float(np.ldexp(total, exponent))
+    if math.isfinite(total):
+        return total
+    what = what if isinstance(what, str) else "the integral on [{}, {}]".format(*what)
+    raise ValueError(f"{what} overflows the float range")
 
 
 def _grid_peak(c: LoadCurve, values: np.ndarray) -> float:
@@ -428,11 +432,8 @@ def inner_product(c1: LoadCurve, c2: LoadCurve) -> float:
         dot = c1.a[:n] @ c2.a[:n] + c1.b[:n] @ c2.b[:n]
         return iv.duration * c1.constant * c2.constant + 0.5 * iv.duration * float(dot)
     v1, v2 = _common_grid(c1, c2)
-    p1, p2 = _grid_peak(c1, v1), _grid_peak(c2, v2)
-    if p1 * p2 * (v1.size + iv.duration) <= _SUM_LIMIT:
-        return _trapezoid(v1 * v2, iv.t1, iv.t2)
-    what = f"the integral on [{iv.t1}, {iv.t2}]"
-    return _guarded_sum(lambda v: _trapezoid(v, iv.t1, iv.t2), what, (v1, p1), (v2, p2))
+    reach = v1.size + iv.duration
+    return _guarded_sum(_trapezoid, iv, reach, (iv.t1, iv.t2), v1, _grid_peak(c1, v1), 0, v2, _grid_peak(c2, v2))
 
 
 def _power_of_two_near(peak: float) -> float:
@@ -464,7 +465,7 @@ def _scaled_square_norm(c: LoadCurve) -> tuple[float, float]:
     s = _power_of_two_near(c._peak)
     w = c.values / s
     w *= w
-    return s, _trapezoid(w, c.interval.t1, c.interval.t2)
+    return s, _trapezoid(w, c.interval)
 
 
 def _scaled_parseval(t0: float, constant: float, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -489,12 +490,11 @@ def energy(c: LoadCurve) -> float:
     finite integral, or a ValueError if the integral overflows.
     """
     iv = c.interval
-    if isinstance(c, AnalyticCurve):
-        return iv.duration * c.constant
-    if c._peak * (c.values.size + iv.duration) <= _SUM_LIMIT:
-        return _trapezoid(c.values, iv.t1, iv.t2)
-    what = f"the integral on [{iv.t1}, {iv.t2}]"
-    return _guarded_sum(lambda v: _trapezoid(v, iv.t1, iv.t2), what, (c.values, c._peak))
+    if isinstance(c, SampledCurve):
+        return _guarded_sum(_trapezoid, iv, c.values.size + iv.duration, (iv.t1, iv.t2), c.values, c._peak)
+    if math.isfinite(total := iv.duration * c.constant):
+        return total
+    raise ValueError(f"the integral on [{iv.t1}, {iv.t2}] overflows the float range")
 
 
 def average_power(c: LoadCurve) -> float:
@@ -531,7 +531,7 @@ def integrate(c: LoadCurve, lo: float, hi: float) -> float:
     if isinstance(c, AnalyticCurve):
         return float(_analytic_integrals(c, np.array([lo, hi]) - iv.t1)[0])
     first, w, w_sum = _weights(iv, c.values.size, np.array([lo, hi]), np.ones(1))
-    return _weighted_sum(c.values[first : first + w.size], c._peak, w, w_sum, f"the integral on [{lo}, {hi}]")
+    return _guarded_sum(np.ndarray.dot, w, w_sum, (lo, hi), c.values[first : first + w.size], c._peak)
 
 
 def _analytic_integrals(c: AnalyticCurve, s: np.ndarray) -> np.ndarray:
@@ -606,17 +606,10 @@ def _weights(interval: Interval, n: int, bounds: np.ndarray, prices: np.ndarray)
     to_next = closing * mid + opening * (1.0 + f)
     closing *= 1.0 - mid
     closing += opening * (1.0 - f)
-    if np.logical_or.reduce(shared):
-        start = np.flatnonzero(np.concatenate(([True], ~shared)))  # the first bound in each cell
-        closing, to_next, k = np.add.reduceat(closing, start), np.add.reduceat(to_next, start), k[start]
-    w[k] += closing
-    w[k + 1] += to_next
+    del f, lo, opening, mid  # before the sums over each cell's bounds, which would otherwise set a year's peak
+    start = np.flatnonzero(np.concatenate(([True], ~shared)))  # the first bound in each cell; a lone one sums to itself
+    k = k[start]
+    w[k] += np.add.reduceat(closing, start)
+    w[k + 1] += np.add.reduceat(to_next, start)
     return first, w, float(np.add.reduce(w))
 
-
-def _weighted_sum(v: np.ndarray, peak: float, w: np.ndarray, w_sum: float, what: str) -> float:
-    """v @ w for samples v of magnitude at most `peak` and nonnegative weights w that sum to `w_sum`; below
-    `_SUM_LIMIT`, peak * w_sum bounds every product and partial sum, and past it `_guarded_sum` takes it."""
-    if peak * w_sum <= _SUM_LIMIT:
-        return float(v @ w)
-    return _guarded_sum(lambda x: x @ w, what, (v, peak))

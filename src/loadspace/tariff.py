@@ -23,8 +23,8 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .curve import (AnalyticCurve, Interval, LoadCurve, _analytic_integrals, _eq_by, _frozen, _require_int,
-                    _weighted_sum, _weights, energy)
+from .curve import (AnalyticCurve, Interval, LoadCurve, _analytic_integrals, _eq_by, _frozen, _guarded_sum,
+                    _require_int, _weights, energy)
 from .spectrum import DynamismVector, Spectrum, _dense_vector, mu_index_cos, mu_index_sin
 
 __all__ = [
@@ -149,7 +149,10 @@ class SpotPlan:
         if not np.logical_and.reduce((0.0 < array) & (array < np.inf)):
             raise ValueError("spot prices must be positive and finite")
         bounds = np.linspace(self.interval.t1, self.interval.t2, len(prices) + 1)
-        vars(self).update(unit_prices=prices, _bounds=bounds, _prices=array, _weights=(0, None, 0.0))
+        # weights sum to about top price * T0: where that could overflow they come from prices / 2**e, bills scaled back
+        top = float(np.maximum.reduce(array))
+        e = 0 if math.isfinite(top * self.interval.duration * 2.0) else math.frexp(top)[1] + 1
+        vars(self).update(unit_prices=prices, _bounds=bounds, _prices=array, _exponent=e, _weights=(0, None, 0.0))
 
     @property
     def cycle_count(self) -> int:
@@ -251,7 +254,9 @@ def classic_payment(unit_price: float, c: LoadCurve) -> float:
     """Flat tariff: unit price times total energy."""
     if not (math.isfinite(unit_price) and unit_price > 0):
         raise ValueError(f"unit price must be finite and positive, got {unit_price}")
-    return unit_price * energy(c)
+    if math.isfinite(payment := unit_price * energy(c)):
+        return payment
+    raise ValueError("the flat payment overflows the float range")
 
 
 def unit_price_from_gross(gross_cost: float, gross_energy: float) -> float:
@@ -280,12 +285,13 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
         )
     if isinstance(c, AnalyticCurve):
         return float(_analytic_integrals(c, plan._bounds - c.interval.t1) @ plan._prices)
-    held = plan._weights  # (N, w, sum of w), replaced as one triple: no thread pairs one N's samples with another N's w
+    held = plan._weights  # (N, w, reach), replaced as one triple: no thread pairs one N's samples with another N's w
     if held[0] != c.values.size:
-        with np.errstate(over="ignore", invalid="ignore"):  # weights beyond the float range: the bill overflows below
-            held = (c.values.size, *_weights(plan.interval, c.values.size, plan._bounds, plan._prices)[1:])
+        prices = np.ldexp(plan._prices, -plan._exponent) if plan._exponent else plan._prices
+        _, w, w_sum = _weights(plan.interval, c.values.size, plan._bounds, prices)
+        held = (c.values.size, w, math.inf if plan._exponent else w_sum)  # scaled prices: the guard's slow path
         vars(plan)["_weights"] = held
-    return _weighted_sum(c.values, c._peak, held[1], held[2], "the spot payment")
+    return _guarded_sum(np.ndarray.dot, held[1], held[2], "the spot payment", c.values, c._peak, plan._exponent)
 
 
 @functools.lru_cache(maxsize=32)

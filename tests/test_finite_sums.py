@@ -1,10 +1,14 @@
 """Trapezoid sums near the float maximum: finite in, finite out or a ValueError, and no warning.
 
-`energy`, sampled `inner_product`, `integrate` and `spot_payment` compare a
-peak bound with one scalar before they sum. Where the plain sum cannot overflow it runs as it always
+`energy`, sampled `inner_product`, `integrate` and `spot_payment` make one
+call each to `curve._guarded_sum`, which compares a peak bound with one
+scalar before it sums. Where the plain sum cannot overflow it runs as it always
 has; where it might, it runs under `np.errstate` and is kept if finite, and
 otherwise the values are divided by powers of two near their peaks, as
-`norm` divides them. The suite turns every warning into an error.
+`norm` divides them. A spot plan whose weights would overflow builds them
+from prices divided by a power of two, and scales each bill back. Flat
+payments and analytic energies that overflow are refused too. The suite
+turns every warning into an error.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -46,6 +50,15 @@ def test_energy_near_the_float_maximum_is_finite():
     assert energy(SampledCurve(UNIT, [-1e308, 1e308] * 3)) == 0.0
 
 
+def test_flat_billing_that_overflows_is_refused():
+    # 2 * 1e308 and 1e308 * 10 are beyond the float range: refused, where both returned inf
+    with pytest.raises(ValueError, match="flat payment overflows the float range"):
+        classic_payment(2.0, BIG)
+    with pytest.raises(ValueError, match=r"integral on \[0.0, 1e\+308\] overflows the float range"):
+        energy(AnalyticCurve(Interval(0.0, 1e308), 10.0))
+    assert energy(AnalyticCurve(Interval(0.0, 1e307), 10.0)) == 1e308
+
+
 def test_an_integral_that_overflows_is_refused():
     wide = SampledCurve(UNIT, [1e200] * 3)
     with pytest.raises(ValueError, match="overflows"):
@@ -70,15 +83,11 @@ def test_spot_bills_and_integrals_near_the_float_maximum_are_finite():
 
 
 def test_a_plan_whose_weights_overflow_bills_without_a_warning():
-    # price times sample step beyond the float maximum: the weights overflow, yet no warning may escape;
-    # the bill (3.75e289) is finite or refused as overflowing
+    # price times T0 beyond the float maximum: the weights are built from the prices divided by a power
+    # of two, and the bill scaled back, with no warning
     iv = Interval(0.0, 1e10)
-    try:
-        bill = spot_payment(SpotPlan(iv, [1e300, 1e300]), SampledCurve(iv, [0.0, 1e-20, 0.0, 0.0, 1e-20]))
-    except ValueError as exc:
-        assert "spot payment overflows" in str(exc)
-    else:
-        assert bill == pytest.approx(3.75e289, rel=1e-12)
+    bill = spot_payment(SpotPlan(iv, [1e300, 1e300]), SampledCurve(iv, [0.0, 1e-20, 0.0, 0.0, 1e-20]))
+    assert bill == pytest.approx(3.75e289, rel=1e-12)
 
 
 def test_products_that_overflow_integrate_to_a_finite_value():
@@ -90,7 +99,7 @@ def test_products_that_overflow_integrate_to_a_finite_value():
 
 
 def test_samples_near_the_float_maximum_interpolate_onto_a_finer_grid():
-    # np.interp's slope (0 - 1e308)/0.5 overflows in time units; counted in steps of the grid it does not
+    # np.interp's slope (0 - 1e308)/0.5 overflows; of the samples divided by a power of two near their peak it does not
     coarse = SampledCurve(UNIT, [1e308, 0.0, 1e308])
     assert add(coarse, SampledCurve(UNIT, np.zeros(5))).values.tolist() == [1e308, 5e307, 0.0, 5e307, 1e308]
     assert inner_product(coarse, SampledCurve(UNIT, np.ones(5))) == pytest.approx(5e307, rel=1e-15)
@@ -99,7 +108,7 @@ def test_samples_near_the_float_maximum_interpolate_onto_a_finer_grid():
 def _plain(values: np.ndarray, iv: Interval) -> float:
     """`_trapezoid` with its overflows silenced: what the sum gave before the peak check."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _trapezoid(values, iv.t1, iv.t2)
+        return _trapezoid(values, iv)
 
 
 _huge_samples = st.integers(min_value=2, max_value=60).flatmap(
@@ -156,6 +165,9 @@ def _expected(value: float, k: int) -> float | None:
     st.integers(min_value=-900, max_value=1000),
     st.integers(min_value=-900, max_value=1000),
 )
+# resampled onto 49 points, v1 * 2**999 overflows np.interp's slopes in time units; a retry in grid steps
+# rounds otherwise than the unscaled samples do (8.10599702086861e+299 against 77.46592881944322 * 2**990)
+@example(Interval(0.0, 0.5), np.array([0.0] * 47 + [356963.0]), np.eye(49)[47], 999, -9)
 def test_samples_scaled_by_a_power_of_two_give_results_scaled_bit_for_bit(iv, v1, v2, k, j):
     # near the top of the range the plain sums overflow and the scaled path runs; it
     # gives what the plain sum of smaller samples gives, scaled, or refuses an overflow
@@ -173,6 +185,35 @@ def test_samples_scaled_by_a_power_of_two_give_results_scaled_bit_for_bit(iv, v1
             assert np.float64(f(*args)).tobytes() == np.float64(expected).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    intervals(max_length=1e10),
+    st.integers(min_value=2, max_value=60).flatmap(_normal_samples),
+    st.floats(min_value=1.0, max_value=1e300),
+    st.lists(st.floats(min_value=1.0, max_value=2.0), min_size=1, max_size=30),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(min_value=-900, max_value=1000),
+)
+@example(Interval(0.0, 1e10), np.array([0.0, 1.0, 0.0, 0.0, 1.0]), 1e300, [1.0, 1.0], 0.1, 0.6, 0)
+def test_spot_bills_and_integrals_of_scaled_samples_scale_bit_for_bit(iv, values, base, factors, u1, u2, k):
+    # prices up to 2e300, within a factor 2 of each other so that every weight stays normal: where the top
+    # price times T0 is beyond the float range, the weights are built from scaled prices and the bill scaled
+    # back; either way samples * 2**k bill the bill * 2**k, or are refused as overflowing. The reference
+    # samples are scaled by 2**-300, where no bill overflows
+    plan = SpotPlan(iv, [base * f for f in factors])
+    lo, hi = sorted(min(iv.t1 + u * iv.duration, iv.t2) for u in (u1, u2))
+    assume(hi - lo >= 1e-3 * iv.duration)
+    c = SampledCurve(iv, values)
+    for f in (lambda c: spot_payment(plan, c), lambda c: integrate(c, lo, hi)):
+        expected = _expected(f(_scaled(-300, c)), k + 300)
+        if expected is None:
+            with pytest.raises(ValueError, match="overflows"):
+                f(_scaled(k, c))
+        else:
+            assert np.float64(f(_scaled(k, c))).tobytes() == np.float64(expected).tobytes()
+
+
 def test_a_subnormal_interval_interpolates_in_grid_steps():
     # np.linspace(0, 5e-324, 3) is [0, 0, 5e-324]: interpolated on those times, t = 0 read sample 1
     c = SampledCurve(Interval(0.0, 5e-324), [1.0, -1.0, 1.0])
@@ -180,6 +221,11 @@ def test_a_subnormal_interval_interpolates_in_grid_steps():
     assert evaluate(c, 5e-324) == 1.0
     # the five-point grid's times are [0, 0, 0, 0, 5e-324] too, where c is 1
     assert add(c, SampledCurve(c.interval, np.zeros(5))).values.tolist() == [1.0] * 5
+    # a grid that rises, with subnormal steps (1e-309): each slope overflows even for samples divided
+    # by their peak, so time is counted in grid steps there too
+    fine = SampledCurve(Interval(0.0, 1e-306), np.resize([1.0, -1.0], 1001))
+    assert [evaluate(fine, t) for t in (0.0, 1e-309, 1e-306)] == [1.0, -1.0, 1.0]
+    assert abs(evaluate(fine, 5e-310)) < 1e-13
 
 
 def test_evaluate_near_the_float_maximum_interpolates_in_grid_steps():
