@@ -138,4 +138,4 @@ def pricing_from_cost(cc: CostCharacteristic, a: float) -> DynamismRates:
     """
     if not (math.isfinite(a) and a > 0):
         raise ValueError(f"scale a must be positive, got {a}")
-    return DynamismRates(cc.interval, tuple(a * cc.iota))
+    return DynamismRates(cc.interval, a * cc.iota)

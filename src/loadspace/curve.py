@@ -270,6 +270,7 @@ def _split(x):
     return hi, x - hi
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value that overflows is refused, with no warning
 def _evaluate_analytic(c: AnalyticCurve, turns: np.ndarray) -> np.ndarray:
     """c at the times t1 + turns*T0, order n adding a' cos(x) + b' sin(x), (a', b') from `_rotated_to_t1` and
     x = 2 pi (n turns mod 1): offsets from t1 in turns, never absolute times, so rounding does not grow with t1."""
@@ -277,7 +278,9 @@ def _evaluate_analytic(c: AnalyticCurve, turns: np.ndarray) -> np.ndarray:
     for n, a_n, b_n in _rotated_to_t1(c):
         x = 2.0 * np.pi * ((n * turns) % 1.0)
         out += a_n * np.cos(x) + b_n * np.sin(x)
-    return out
+    if np.isfinite(out).all():
+        return out
+    raise _overflow("a value of the curve")
 
 
 def evaluate(c: LoadCurve, t):
@@ -298,13 +301,18 @@ def evaluate(c: LoadCurve, t):
     return float(out) if np.isscalar(t) or ts.ndim == 0 else out
 
 
-def _interpolate(c: SampledCurve, t: np.ndarray) -> np.ndarray:
-    """c at the times t in its interval, linear between neighboring grid points."""
+def _rises(interval: Interval, n: int) -> bool:
+    """Whether np.linspace(t1, t2, n) rises. Each rounded point lies within 2 ulps of t1 + i*h, so steps above
+    4 ulps of the endpoints keep it rising, and 8 leave a margin; a step of a few ulps or less repeats points
+    (on [0, 5e-324] all but the last are 0), where np.interp picks a wrong neighbour."""
+    return interval.duration / (n - 1) >= 8.0 * math.ulp(max(abs(interval.t1), abs(interval.t2)))
+
+
+def _interpolate(c: SampledCurve, t: np.ndarray, turns: np.ndarray | None = None) -> np.ndarray:
+    """c at the times t in its interval, linear between neighboring grid points; where t are rounded times
+    that repeat, `turns` gives their exact fractions of the interval, and time is counted in grid steps."""
     iv, n = c.interval, c.values.size
-    # a step of a few ulps of the endpoints or less rounds `times()` onto repeated points (on [0, 5e-324]
-    # all but the last are 0), where np.interp picks a wrong neighbour: each rounded point lies within
-    # 2 ulps of t1 + i*h, so with steps above 4 ulps the grid rises, and 8 leaves a margin
-    rises = iv.duration / (n - 1) >= 8.0 * math.ulp(max(abs(iv.t1), abs(iv.t2)))
+    rises = turns is None and _rises(iv, n)
     if rises and np.isfinite(v := np.interp(t, c.times(), c.values)).all():
         return v
     # np.interp's slopes overflow (silently) for samples near the float maximum or steps far shorter than the
@@ -314,18 +322,22 @@ def _interpolate(c: SampledCurve, t: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         if rises and np.isfinite(v := s * np.interp(t, c.times(), c.values / s)).all():
             return v
-        return s * np.interp((t - iv.t1) / iv.duration * (n - 1), np.arange(n), c.values / s)
+        steps = ((t - iv.t1) / iv.duration if turns is None else turns) * (n - 1)
+        return s * np.interp(steps, np.arange(n), c.values / s)
 
 
 def _common_grid(c1: LoadCurve, c2: LoadCurve) -> tuple[np.ndarray, np.ndarray]:
-    """The values of two curves (at least one sampled) on the finer of their grids."""
+    """The values of two curves (at least one sampled) on the finer of their grids; where its rounded times
+    repeat, at the exact fractions i/(n-1) of the interval, as `sample` takes them."""
     n = max(c.values.size for c in (c1, c2) if isinstance(c, SampledCurve))
-    t = np.linspace(c1.interval.t1, c1.interval.t2, n)
+    iv = c1.interval
+    t = np.linspace(iv.t1, iv.t2, n)
+    exact = None if _rises(iv, n) else np.arange(n) / (n - 1)
 
     def on_grid(c: LoadCurve) -> np.ndarray:
         if isinstance(c, AnalyticCurve):
-            return _evaluate_analytic(c, (t - c.interval.t1) / c.interval.duration)
-        return c.values if c.values.size == n else _interpolate(c, t)
+            return _evaluate_analytic(c, (t - iv.t1) / iv.duration if exact is None else exact)
+        return c.values if c.values.size == n else _interpolate(c, t, exact)
 
     return on_grid(c1), on_grid(c2)
 
@@ -373,28 +385,42 @@ def _trapezoid(values: np.ndarray, interval: Interval) -> float:
     return dt * (total - 0.5 * ends)
 
 
+def _overflow(what) -> ValueError:
+    """The refusal of a result beyond the float range, naming `what`: a str, or the bounds (lo, hi) of an integral."""
+    what = what if isinstance(what, str) else "the integral on [{}, {}]".format(*what)
+    return ValueError(f"{what} overflows the float range")
+
+
 def _guarded_sum(total_of, arg, reach: float, what, v: np.ndarray, peak: float, exponent=0, v2=None, peak2=1.0):
     """total_of(v * v2, arg) * 2**exponent (v2 None: of v), |v| <= peak and |v2| <= peak2: the one overflow rule
     of every sampled sum. peak * peak2 * reach bounds each product, partial sum and the result (reach: N + T0
     for `_trapezoid` on an interval, the sum of the nonnegative weights w for `np.ndarray.dot` with w).
 
-    Within `_SUM_LIMIT` this is the plain call, bit for bit. Past it the plain total is kept if finite, else v
-    and v2 are divided by powers of two near their peaks, as `norm` does, and the total scaled back once.
+    Within `_SUM_LIMIT` this is the plain call, bit for bit; past it, `_rescaled`.
     ValueError if the result overflows, naming `what`: a str, or the bounds (lo, hi) of an integral.
     """
     if peak * peak2 * reach <= _SUM_LIMIT:
         return math.ldexp(total_of(v if v2 is None else v * v2, arg), exponent)
+    return _rescaled(lambda s, s2: total_of(v / s if v2 is None else v / s * (v2 / s2), arg), what,
+                     lambda: (peak, peak2), exponent)
+
+
+def _rescaled(total_of, what, peaks, exponent=0) -> float:
+    """total_of(1, 1) * 2**exponent, total_of(s, s2) a total bilinear in two vectors that it takes divided by s
+    and s2: the one overflow rule of every sum of products. The plain total is kept if finite, else s and s2
+    are powers of two near the two vectors' peaks (the pair peaks() returns), as `norm` takes them, and the
+    total is scaled back once. ValueError if the result overflows, naming `what` as `_overflow` takes it.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        total = total_of(v if v2 is None else v * v2, arg)
+        total = total_of(1.0, 1.0)
         if not math.isfinite(total):
-            s, s2 = _power_of_two_near(peak), _power_of_two_near(peak2)
-            total = total_of(v / s if v2 is None else v / s * (v2 / s2), arg)
+            s, s2 = map(_power_of_two_near, peaks())
+            total = total_of(s, s2)
             exponent += math.frexp(s)[1] + math.frexp(s2)[1] - 2
         total = float(np.ldexp(total, exponent))
     if math.isfinite(total):
         return total
-    what = what if isinstance(what, str) else "the integral on [{}, {}]".format(*what)
-    raise ValueError(f"{what} overflows the float range")
+    raise _overflow(what)
 
 
 def _grid_peak(c: LoadCurve, values: np.ndarray) -> float:
@@ -424,13 +450,20 @@ def inner_product(c1: LoadCurve, c2: LoadCurve) -> float:
     Raises
     ------
     ValueError
-        If the intervals differ, or a quadrature's integral overflows.
+        If the intervals differ, or the integral overflows the float range.
     """
     iv = _require_same_interval(c1, c2)
     if isinstance(c1, AnalyticCurve) and isinstance(c2, AnalyticCurve):
-        n = min(c1.a.size, c2.a.size)
-        dot = c1.a[:n] @ c2.a[:n] + c1.b[:n] @ c2.b[:n]
-        return iv.duration * c1.constant * c2.constant + 0.5 * iv.duration * float(dot)
+        n, t0 = min(c1.a.size, c2.a.size), iv.duration
+
+        def total_of(s1, s2):
+            dot = (c1.a[:n] / s1) @ (c2.a[:n] / s2) + (c1.b[:n] / s1) @ (c2.b[:n] / s2)
+            return t0 * (c1.constant / s1) * (c2.constant / s2) + 0.5 * t0 * float(dot)
+
+        def peaks():
+            return [_coefficient_peak(c.constant, c.a[:n], c.b[:n]) for c in (c1, c2)]
+
+        return _rescaled(total_of, (iv.t1, iv.t2), peaks)
     v1, v2 = _common_grid(c1, c2)
     reach = v1.size + iv.duration
     return _guarded_sum(_trapezoid, iv, reach, (iv.t1, iv.t2), v1, _grid_peak(c1, v1), 0, v2, _grid_peak(c2, v2))
@@ -452,27 +485,38 @@ def norm(c: LoadCurve) -> float:
     bit for bit.
     """
     s, total = _scaled_square_norm(c)
-    return s * math.sqrt(total)
+    if math.isfinite(total):
+        return s * math.sqrt(total)
+    # only on an interval so long that T0 times the mean square overflows: take sqrt(T0) apart
+    s, total = _scaled_square_norm(c, Interval(0.0, 1.0))
+    return s * math.sqrt(c.interval.duration) * math.sqrt(total)
 
 
-def _scaled_square_norm(c: LoadCurve) -> tuple[float, float]:
-    """(s, q): s a power of two near the curve's peak, q = (c, c)/s**2 from the values divided by s.
+def _scaled_square_norm(c: LoadCurve, interval: Interval | None = None) -> tuple[float, float]:
+    """(s, q): s a power of two near the curve's peak, q = (c, c)/s**2 from the values divided by s, with the
+    values taken on `interval` (default: the curve's own), so that on [0, 1] q is the mean square/s**2.
 
     s * (s * q) is inner_product(c, c) bit for bit wherever that neither overflows nor underflows.
     """
+    iv = interval or c.interval
     if isinstance(c, AnalyticCurve):
-        return _scaled_parseval(c.interval.duration, c.constant, c.a, c.b)
+        return _scaled_parseval(iv.duration, c.constant, c.a, c.b)
     s = _power_of_two_near(c._peak)
     w = c.values / s
     w *= w
-    return s, _trapezoid(w, c.interval)
+    return s, _trapezoid(w, iv)
 
 
 def _scaled_parseval(t0: float, constant: float, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """`_scaled_square_norm` of constant + sum_n (a_n cos + b_n sin) on length t0, from Parseval and no curve."""
-    s = _power_of_two_near(float(np.maximum.reduce(np.abs(np.concatenate(([constant], a, b))))))
+    s = _power_of_two_near(_coefficient_peak(constant, a, b))
     c0, a, b = constant / s, a / s, b / s
     return s, t0 * c0 * c0 + 0.5 * t0 * float(a @ a + b @ b)
+
+
+def _coefficient_peak(constant: float, a: np.ndarray, b: np.ndarray) -> float:
+    """The largest magnitude among a constant and two coefficient arrays."""
+    return float(np.maximum.reduce(np.abs(np.concatenate(([constant], a, b)))))
 
 
 def distance(c1: LoadCurve, c2: LoadCurve) -> float:
@@ -494,7 +538,7 @@ def energy(c: LoadCurve) -> float:
         return _guarded_sum(_trapezoid, iv, c.values.size + iv.duration, (iv.t1, iv.t2), c.values, c._peak)
     if math.isfinite(total := iv.duration * c.constant):
         return total
-    raise ValueError(f"the integral on [{iv.t1}, {iv.t2}] overflows the float range")
+    raise _overflow((iv.t1, iv.t2))
 
 
 def average_power(c: LoadCurve) -> float:
@@ -529,13 +573,15 @@ def integrate(c: LoadCurve, lo: float, hi: float) -> float:
     if lo == hi:
         return 0.0
     if isinstance(c, AnalyticCurve):
-        return float(_analytic_integrals(c, np.array([lo, hi]) - iv.t1)[0])
+        return float(_analytic_integrals(c, np.array([lo, hi]) - iv.t1, (lo, hi))[0])
     first, w, w_sum = _weights(iv, c.values.size, np.array([lo, hi]), np.ones(1))
     return _guarded_sum(np.ndarray.dot, w, w_sum, (lo, hi), c.values[first : first + w.size], c._peak)
 
 
-def _analytic_integrals(c: AnalyticCurve, s: np.ndarray) -> np.ndarray:
-    """Integrals of an analytic curve between consecutive offsets s from t1 (ascending, within [0, T0]).
+@np.errstate(over="ignore", invalid="ignore")  # an integral that overflows is refused, with no warning
+def _analytic_integrals(c: AnalyticCurve, s: np.ndarray, what) -> np.ndarray:
+    """Integrals of an analytic curve between consecutive offsets s from t1 (ascending, within [0, T0]);
+    ValueError naming `what` (as `_overflow` takes it) if one overflows.
 
     Between s_lo and s_hi, order n adds (T0/(pi n)) sin(pi d) (a' cos(pi m) + b' sin(pi m)), with
     d = n (s_hi - s_lo)/T0 and m = n (s_hi + s_lo)/T0. A difference of two values of the antiderivative
@@ -547,6 +593,8 @@ def _analytic_integrals(c: AnalyticCurve, s: np.ndarray) -> np.ndarray:
     out = c.constant * s
     out = out[1:] - out[:-1]
     pair = (s[1:] + s[:-1]) / t0
+    if not np.isfinite(pair).all():  # offsets past half the float maximum, where halving each is exact
+        pair = (0.5 * s[1:] + 0.5 * s[:-1]) / (0.5 * t0)
     # s_hi - s_lo = width + rest exactly (Fast2Sum, s_hi >= s_lo >= 0), both scaled by a power of two to T0 in [0.5, 1)
     width = s[1:] - s[:-1]
     rest = (-s[:-1]) - (width - s[1:])
@@ -562,7 +610,9 @@ def _analytic_integrals(c: AnalyticCurve, s: np.ndarray) -> np.ndarray:
         term = np.sin(np.pi * r) * (a_n * np.cos(m) + b_n * np.sin(m))
         term *= 1.0 - 2.0 * (j % 2.0)
         out += (t0 / (np.pi * n)) * term
-    return out
+    if np.isfinite(out).all():
+        return out
+    raise _overflow(what)
 
 
 def _weights(interval: Interval, n: int, bounds: np.ndarray, prices: np.ndarray) -> tuple[int, np.ndarray, float]:

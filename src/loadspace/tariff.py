@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .curve import (AnalyticCurve, Interval, LoadCurve, _analytic_integrals, _eq_by, _frozen, _guarded_sum,
-                    _require_int, _weights, energy)
+                    _overflow, _require_int, _rescaled, _weights, energy)
 from .spectrum import DynamismVector, Spectrum, _dense_vector, mu_index_cos, mu_index_sin
 
 __all__ = [
@@ -100,8 +100,8 @@ def price_frequency_value(pff: PriceFrequencyFunction, f):
     return float(price) if price.ndim == 0 else price
 
 
-def _real_tuple(values, name: str) -> tuple[float, ...]:
-    """A flat sequence or 1-D array of real numbers as a tuple of floats.
+def _real_vector(values, name: str) -> np.ndarray:
+    """A flat sequence or 1-D array of real numbers as a new float64 array.
 
     A str, bytes, mapping, set, bool or array of another dimension raises
     ValueError, as does an entry that is a bool or itself iterable. Other
@@ -122,7 +122,7 @@ def _real_tuple(values, name: str) -> tuple[float, ...]:
     for kind in set(map(type, items)):
         if issubclass(kind, (bool, np.bool_)) or (hasattr(kind, "__iter__") and not issubclass(kind, str)):
             raise ValueError(f"{name} must be real numbers, got an entry of type {kind.__name__}")
-    return tuple(map(float, items))
+    return np.fromiter(map(float, items), float, len(items))
 
 
 @dataclass(frozen=True)
@@ -134,29 +134,30 @@ class FlatPlan:
             raise ValueError(f"unit price must be positive, got {self.unit_price}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpotPlan:
-    """Per-cycle unit prices over N equal sub-intervals of `interval`, kept as arrays with the last weights billed."""
+    """Per-cycle prices over N equal cycles of `interval`: one read-only float array, equal by value, unhashable."""
 
     interval: Interval
-    unit_prices: tuple[float, ...]
+    unit_prices: np.ndarray
+
+    __eq__ = _eq_by("interval", "unit_prices")
 
     def __post_init__(self) -> None:
-        prices = _real_tuple(self.unit_prices, "spot prices")
-        if not prices:
+        prices = _real_vector(self.unit_prices, "spot prices")
+        if not prices.size:
             raise ValueError("spot plan needs at least one cycle price")
-        array = np.fromiter(prices, float, len(prices))
-        if not np.logical_and.reduce((0.0 < array) & (array < np.inf)):
+        if not np.logical_and.reduce((0.0 < prices) & (prices < np.inf)):
             raise ValueError("spot prices must be positive and finite")
-        bounds = np.linspace(self.interval.t1, self.interval.t2, len(prices) + 1)
+        bounds = np.linspace(self.interval.t1, self.interval.t2, prices.size + 1)
         # weights sum to about top price * T0: where that could overflow they come from prices / 2**e, bills scaled back
-        top = float(np.maximum.reduce(array))
+        top = float(np.maximum.reduce(prices))
         e = 0 if math.isfinite(top * self.interval.duration * 2.0) else math.frexp(top)[1] + 1
-        vars(self).update(unit_prices=prices, _bounds=bounds, _prices=array, _exponent=e, _weights=(0, None, 0.0))
+        _frozen(self, unit_prices=prices, _bounds=bounds, _exponent=e, _weights=(0, None, 0.0))
 
     @property
     def cycle_count(self) -> int:
-        return len(self.unit_prices)
+        return self.unit_prices.size
 
 
 @dataclass(frozen=True)
@@ -172,20 +173,22 @@ class DynamismPlan:
             raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamismRates:
-    """Signed per-coordinate rates lambda_k over the flat mu indexing."""
+    """Signed rates lambda_k over the flat mu indexing: one read-only float array, equal by value, unhashable."""
 
     interval: Interval
-    lam: tuple[float, ...]
+    lam: np.ndarray
+
+    __eq__ = _eq_by("interval", "lam")
 
     def __post_init__(self) -> None:
-        lam = _real_tuple(self.lam, "rates")
-        if not lam:
+        lam = _real_vector(self.lam, "rates")
+        if not lam.size:
             raise ValueError("rates vector must be non-empty")
-        if not all(math.isfinite(x) for x in lam):
+        if not np.isfinite(lam).all():
             raise ValueError("rates must be finite")
-        object.__setattr__(self, "lam", lam)
+        _frozen(self, lam=lam)
 
 
 TariffPlan = Union[FlatPlan, SpotPlan, DynamismPlan]
@@ -256,7 +259,7 @@ def classic_payment(unit_price: float, c: LoadCurve) -> float:
         raise ValueError(f"unit price must be finite and positive, got {unit_price}")
     if math.isfinite(payment := unit_price * energy(c)):
         return payment
-    raise ValueError("the flat payment overflows the float range")
+    raise _overflow("the flat payment")
 
 
 def unit_price_from_gross(gross_cost: float, gross_energy: float) -> float:
@@ -284,10 +287,12 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
             f"[{c.interval.t1}, {c.interval.t2}]"
         )
     if isinstance(c, AnalyticCurve):
-        return float(_analytic_integrals(c, plan._bounds - c.interval.t1) @ plan._prices)
+        cycles, prices = _analytic_integrals(c, plan._bounds - c.interval.t1, "the spot payment"), plan.unit_prices
+        return _rescaled(lambda s, s2: float((cycles / s) @ (prices / s2)), "the spot payment",
+                         lambda: (float(np.maximum.reduce(np.abs(cycles))), float(np.maximum.reduce(prices))))
     held = plan._weights  # (N, w, reach), replaced as one triple: no thread pairs one N's samples with another N's w
     if held[0] != c.values.size:
-        prices = np.ldexp(plan._prices, -plan._exponent) if plan._exponent else plan._prices
+        prices = np.ldexp(plan.unit_prices, -plan._exponent) if plan._exponent else plan.unit_prices
         _, w, w_sum = _weights(plan.interval, c.values.size, plan._bounds, prices)
         held = (c.values.size, w, math.inf if plan._exponent else w_sum)  # scaled prices: the guard's slow path
         vars(plan)["_weights"] = held
@@ -392,8 +397,8 @@ def rates_payment(rates: DynamismRates, mu: DynamismVector) -> float:
     """
     if rates.interval != mu.interval:
         raise ValueError("incompatible intervals: rates and coordinates disagree")
-    k = min(len(rates.lam), mu.values.size)
-    return rates.interval.duration * float(np.dot(rates.lam[:k], mu.values[:k]))
+    k = min(rates.lam.size, mu.values.size)
+    return rates.interval.duration * float(rates.lam[:k] @ mu.values[:k])
 
 
 def payment_gradient(
@@ -436,7 +441,7 @@ def payment_gradient(
             interval = plan.interval
         elif interval != plan.interval:
             raise ValueError("incompatible intervals: rates defined elsewhere")
-        return _dense_vector(interval, interval.duration * np.asarray(plan.lam))
+        return _dense_vector(interval, interval.duration * plan.lam)
 
     if interval is None:
         raise ValueError("an interval is required to evaluate plan frequencies")

@@ -348,11 +348,20 @@ def test_bill_spot_interval_mismatch(capsys, tmp_path, l1_profile):
     assert "partition" in err
 
 
-def test_compare(capsys, tmp_path, l1_profile):
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_compare(capsys, tmp_path, l1_profile, fmt):
     a = write_plan(tmp_path / "a.json", {"kind": "flat", "unit_price": 20.0})
     b = write_plan(tmp_path / "b.json", {"kind": "flat", "unit_price": 10.0})
-    code, out, _ = run_cli(capsys, "compare", l1_profile, a, b, "--format", "json")
+    code, out, _ = run_cli(capsys, "compare", l1_profile, a, b, "--format", fmt)
     assert code == 0
+    if fmt == "table":
+        assert out.splitlines() == [
+            f"payments for {l1_profile}",
+            f"  {a}  (flat): 1000",
+            f"  {b}  (flat): 500",
+            "  difference (first - second): 500",
+        ]
+        return
     doc = json.loads(out)
     assert doc["difference"] == pytest.approx(500.0, rel=1e-9)
     assert [r["kind"] for r in doc["plans"]] == ["flat", "flat"]

@@ -339,6 +339,10 @@ def test_norm_of_large_and_tiny_values_is_finite_and_nonzero():
     assert norm(SampledCurve(UNIT, [-1e-200] * 4)) == pytest.approx(1e-200, rel=1e-15)
     swing = AnalyticCurve(UNIT, 1e200, (Harmonic(1, 1e200, -1e200),))
     assert norm(swing) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    # on [0, 1e308] the integral of the squares overflows, the norm does not
+    long = Interval(0.0, 1e308)
+    assert norm(SampledCurve(long, [1.9] * 4)) == pytest.approx(1.9e154, rel=1e-15)
+    assert norm(AnalyticCurve(long, -1.9, (Harmonic(3, 2.0, 0.0),))) == pytest.approx(math.sqrt(5.61) * 1e154)
 
 
 def magnitudes():

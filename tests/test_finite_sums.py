@@ -7,8 +7,9 @@ has; where it might, it runs under `np.errstate` and is kept if finite, and
 otherwise the values are divided by powers of two near their peaks, as
 `norm` divides them. A spot plan whose weights would overflow builds them
 from prices divided by a power of two, and scales each bill back. Flat
-payments and analytic energies that overflow are refused too. The suite
-turns every warning into an error.
+payments, and analytic energies, values, integrals, inner products and spot
+bills that overflow are refused too. The suite turns every warning into an
+error.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from loadspace import (
     evaluate,
     inner_product,
     integrate,
+    sample,
     spot_payment,
 )
 from loadspace.curve import _common_grid, _trapezoid
@@ -71,6 +73,37 @@ def test_an_integral_that_overflows_is_refused():
         integrate(SampledCurve(Interval(0.0, 1e300), [1e10] * 3), 0.0, 1e300)  # 1e310
     with pytest.raises(ValueError, match="spot payment overflows"):
         spot_payment(SpotPlan(UNIT, [6.0, 6.0]), BIG)  # 6e308
+
+
+def test_analytic_results_that_overflow_are_refused():
+    # each of these returned inf or NaN, most with a numpy warning
+    long = Interval(0.0, 1e300)
+    big = AnalyticCurve(long, 1e10)  # 1e310 over the interval
+    with pytest.raises(ValueError, match="spot payment overflows the float range"):
+        spot_payment(SpotPlan(long, [1.0, 1.0]), big)
+    with pytest.raises(ValueError, match="spot payment overflows the float range"):
+        spot_payment(SpotPlan(long, [1e10, 1e10]), AnalyticCurve(long, 1.0))  # finite cycles, 1e310 billed
+    with pytest.raises(ValueError, match=r"integral on \[0.0, 1e\+300\] overflows the float range"):
+        integrate(big, 0.0, 1e300)
+    with pytest.raises(ValueError, match=r"integral on \[0.0, 1e\+300\] overflows the float range"):
+        inner_product(big, big)
+    swing = AnalyticCurve(UNIT, 0.0, ((1, 1e200, 0.0),))
+    with pytest.raises(ValueError, match=r"integral on \[0.0, 1.0\] overflows the float range"):
+        inner_product(swing, swing)  # 5e399, in the harmonics' dot product
+    with pytest.raises(ValueError, match="value of the curve overflows the float range"):
+        evaluate(AnalyticCurve(UNIT, 1e308, ((1, 1e308, 1e308),)), 0.125)  # 1e308 (1 + sqrt 2)
+    # just inside the range they are billed as before
+    assert spot_payment(SpotPlan(long, [1.0, 3.0]), AnalyticCurve(long, 1e7)) == pytest.approx(2e307, rel=1e-15)
+    assert integrate(AnalyticCurve(long, 1e7), 0.0, 1e300) == pytest.approx(1e307, rel=1e-15)
+    assert evaluate(AnalyticCurve(UNIT, 1e307, ((1, 1e307, 1e307),)), 0.125) == pytest.approx(1e307 * (1 + 2**0.5))
+    # a plain product overflows, the inner product does not: (T0 * 1e10) * 1e-10, and the harmonics' dot 1e400
+    assert inner_product(big, AnalyticCurve(long, 1e-10)) == pytest.approx(1e300, rel=1e-15)
+    brief = AnalyticCurve(Interval(0.0, 1e-300), 0.0, ((1, 1e200, 0.0),))
+    assert inner_product(brief, brief) == pytest.approx(5e99, rel=1e-15)
+    # bounds whose sum overflows, though the integral is finite: 5e297 + (T0/2 pi) sin(2 pi/3)
+    far = AnalyticCurve(Interval(0.0, 1.5e308), 1e-10, ((1, 1.0, 0.0),))
+    expected = 1e-10 * 0.5e308 + 1.5e308 / (2 * math.pi) * math.sin(2 * math.pi / 3)
+    assert integrate(far, 1e308, 1.5e308) == pytest.approx(expected, rel=1e-13)
 
 
 def test_spot_bills_and_integrals_near_the_float_maximum_are_finite():
@@ -219,8 +252,11 @@ def test_a_subnormal_interval_interpolates_in_grid_steps():
     c = SampledCurve(Interval(0.0, 5e-324), [1.0, -1.0, 1.0])
     assert evaluate(c, 0.0) == 1.0
     assert evaluate(c, 5e-324) == 1.0
-    # the five-point grid's times are [0, 0, 0, 0, 5e-324] too, where c is 1
-    assert add(c, SampledCurve(c.interval, np.zeros(5))).values.tolist() == [1.0] * 5
+    # the five-point grid's times are [0, 0, 0, 0, 5e-324] too, so each point is taken at its exact step,
+    # i/4 of the interval, as `sample` takes it
+    assert add(c, SampledCurve(c.interval, np.zeros(5))).values.tolist() == [1.0, 0.0, -1.0, 0.0, 1.0]
+    wave = AnalyticCurve(c.interval, 1.0, ((1, 1.0, 0.0),))
+    assert add(wave, SampledCurve(c.interval, np.zeros(5))).values.tolist() == sample(wave, 5).values.tolist()
     # a grid that rises, with subnormal steps (1e-309): each slope overflows even for samples divided
     # by their peak, so time is counted in grid steps there too
     fine = SampledCurve(Interval(0.0, 1e-306), np.resize([1.0, -1.0], 1001))

@@ -301,12 +301,12 @@ def test_a_spot_plan_frees_its_weights_with_it():
         return plan
 
     holding, retained = _traced_after(bill)
-    assert holding > 640 * 1024  # the price tuple (280 KB), the bounds and prices (70 KB each), the weights (280 KB)
+    assert holding > 400 * 1024  # the bounds and prices (70 KB each), the weights (280 KB)
     assert retained < 4096
 
 
 def test_a_year_spot_bill_peaks_below_the_merged_knot_kernel():
-    # the plan (price tuple, bounds, prices) and its weights formed in place peak at about 1.35 MiB
+    # the plan (bounds, prices) and its weights formed in place peak at about 1.08 MiB
     # traced, where the merged-knot kernel's layout and knot values reached 1.58 MiB
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing")

@@ -22,6 +22,7 @@ from loadspace import (
     MuCoord,
     SampledCurve,
     Spectrum,
+    SpotPlan,
     add,
     analyze,
     builtin_plans,
@@ -463,6 +464,16 @@ def test_value_types_compare_by_value():
             CostCharacteristic(UNIT, [0.0, 1.0, 2.0], 1),
             CostCharacteristic(UNIT, np.array([0.0, 1.0, 2.0]), 1),
             [CostCharacteristic(UNIT, [0.0, 1.0, 2.5], 1), CostCharacteristic(other_iv, [0.0, 1.0, 2.0], 1)],
+        ),
+        (
+            SpotPlan(UNIT, [10.0, 30.0]),
+            SpotPlan(UNIT, np.array([10.0, 30.0])),
+            [SpotPlan(UNIT, [10.0, 30.5]), SpotPlan(other_iv, [10.0, 30.0])],
+        ),
+        (
+            DynamismRates(UNIT, [1.0, -2.0]),
+            DynamismRates(UNIT, np.array([1.0, -2.0])),
+            [DynamismRates(UNIT, [1.0, -2.5]), DynamismRates(other_iv, [1.0, -2.0])],
         ),
     ]
     for value, same, others in cases:

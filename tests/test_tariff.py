@@ -414,7 +414,7 @@ def _assert_as_the_piece_sums(got: float, c: SampledCurve, bounds: np.ndarray, p
 def test_spot_bills_and_integrals_match_the_piece_sum_kernel(c, data):
     cycles = data.draw(st.integers(min_value=1, max_value=3 * c.values.size))  # more cycles than cells too
     plan = SpotPlan(c.interval, data.draw(_spot_prices(cycles)))
-    _assert_as_the_piece_sums(spot_payment(plan, c), c, plan._bounds, plan._prices)
+    _assert_as_the_piece_sums(spot_payment(plan, c), c, plan._bounds, plan.unit_prices)
     lo, hi = sorted(data.draw(st.floats(min_value=c.interval.t1, max_value=c.interval.t2)) for _ in range(2))
     assume(lo < hi)
     _assert_as_the_piece_sums(integrate(c, lo, hi), c, np.array([lo, hi]), np.ones(1))
@@ -425,7 +425,7 @@ def test_a_year_of_readings_bills_as_the_piece_sum_kernel():
     rng = np.random.default_rng(3)
     c = SampledCurve(Interval(0.0, 35_039 / 96), rng.normal(40.0, 10.0, 35_040))
     plan = SpotPlan(c.interval, rng.uniform(20.0, 40.0, 8760))
-    _assert_as_the_piece_sums(spot_payment(plan, c), c, plan._bounds, plan._prices)
+    _assert_as_the_piece_sums(spot_payment(plan, c), c, plan._bounds, plan.unit_prices)
 
 
 def test_one_plan_billing_one_sample_count_after_another_bills_as_fresh_plans():
@@ -583,8 +583,9 @@ def test_price_and_rate_vectors_refuse_anything_but_flat_reals(vector, values):
 )
 def test_price_and_rate_vectors_accept_flat_reals(values):
     spot, rates = SpotPlan(UNIT, values()), DynamismRates(UNIT, values())
-    assert spot.unit_prices == rates.lam == (10.0, 30.0)
-    assert all(type(x) is float for x in spot.unit_prices + rates.lam)
+    for vector in (spot.unit_prices, rates.lam):
+        assert vector.dtype == np.float64 and not vector.flags.writeable
+        assert vector.tolist() == [10.0, 30.0]
 
 
 def test_spot_interval_mismatch_raises(l1):
