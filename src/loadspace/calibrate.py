@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .curve import Interval, LoadCurve, _eq_by, _frozen, _require_int
-from .spectrum import DynamismVector, analyze, to_mu_vector
+from .spectrum import DynamismVector, _dense_vector, analyze, to_mu_vector
 from .tariff import DynamismRates
 
 __all__ = [
@@ -91,7 +91,7 @@ def calibrate_iota(observations: Iterable[CostObservation], n_max: int) -> CostC
     ----------
     observations : iterable of CostObservation
         At least K = 1 + 2*n_max on a common interval, in any iterable (a generator
-        included), read once: each load is analyzed as it arrives and only its mu vector kept.
+        included), read once: each load is analyzed as it arrives and its row written into the design matrix.
     n_max : int
         Truncation order of the fitted characteristic.
 
@@ -108,25 +108,28 @@ def calibrate_iota(observations: Iterable[CostObservation], n_max: int) -> CostC
 def _fit_iota(observations: Iterable[CostObservation], n_max: int) -> tuple[CostCharacteristic, list[float]]:
     """`calibrate_iota` in one pass, also returning each residual cost - supply_cost(cc, mu), in order."""
     _require_int(n_max, "n_max", 1)
-    interval = None
-    mus: list[DynamismVector] = []
-    costs: list[float] = []
-    for obs in observations:
-        interval = interval or obs.load.interval
-        if obs.load.interval != interval:
-            raise ValueError("incompatible intervals within the observation set")
-        mus.append(to_mu_vector(analyze(obs.load, n_max)))
-        costs.append(obs.observed_cost)
-
     k = 1 + 2 * n_max
-    if len(mus) < k:
-        raise ValueError(f"underdetermined: {len(mus)} observations for {k} unknowns")
+    interval = None
+    costs: list[float] = []
+
+    def rows():
+        nonlocal interval
+        for obs in observations:
+            interval = interval or obs.load.interval
+            if obs.load.interval != interval:
+                raise ValueError("incompatible intervals within the observation set")
+            costs.append(obs.observed_cost)
+            yield to_mu_vector(analyze(obs.load, n_max)).values
+
+    design = np.fromiter(rows(), np.dtype((float, k)))  # (M, K): each row written once, as its load is read
+    if len(design) < k:
+        raise ValueError(f"underdetermined: {len(design)} observations for {k} unknowns")
     # LAPACK gelsd counts as the rank the singular values above rcond times the largest
-    iota, _, rank, _ = np.linalg.lstsq(np.array([mu.values for mu in mus]), np.array(costs), rcond=_RANK_RTOL)
+    iota, _, rank, _ = np.linalg.lstsq(design, np.array(costs), rcond=_RANK_RTOL)
     if rank < k:
         raise ValueError(f"degenerate observation set: design matrix rank {rank} < {k}")
     cc = CostCharacteristic(interval, iota, n_max)
-    return cc, [cost - supply_cost(cc, mu) for cost, mu in zip(costs, mus)]
+    return cc, [cost - supply_cost(cc, _dense_vector(interval, row)) for cost, row in zip(costs, design)]
 
 
 def pricing_from_cost(cc: CostCharacteristic, a: float) -> DynamismRates:

@@ -396,11 +396,19 @@ def _guarded_sum(total_of, arg, reach: float, what, v: np.ndarray, peak: float, 
     of every sampled sum. peak * peak2 * reach bounds each product, partial sum and the result (reach: N + T0
     for `_trapezoid` on an interval, the sum of the nonnegative weights w for `np.ndarray.dot` with w).
 
-    Within `_SUM_LIMIT` this is the plain call, bit for bit; past it, `_rescaled`.
+    Within `_SUM_LIMIT` this is the plain call, bit for bit; past it, `_rescaled`. One exception: below the
+    normal range each product w_i * v_i of a dot with weights would round to the subnormal grid, so there the
+    values are divided by a power of two near their peak (at most 1: exact, and no smaller than they were)
+    and the total is scaled back with one rounding. `_trapezoid` forms no such product of its own and keeps
+    its plain bits (a sum of subnormals is exact, and it rounds once).
     ValueError if the result overflows, naming `what`: a str, or the bounds (lo, hi) of an integral.
     """
-    if peak * peak2 * reach <= _SUM_LIMIT:
+    bound = peak * peak2 * reach
+    if bound <= _SUM_LIMIT and (bound >= sys.float_info.min or bound == 0.0 or total_of is _trapezoid):
         return math.ldexp(total_of(v if v2 is None else v * v2, arg), exponent)
+    if bound <= _SUM_LIMIT:
+        s = min(_power_of_two_near(peak), 1.0)
+        return math.ldexp(total_of(v / s, arg), exponent + math.frexp(s)[1] - 1)
     return _rescaled(lambda s, s2: total_of(v / s if v2 is None else v / s * (v2 / s2), arg), what,
                      lambda: (peak, peak2), exponent)
 
@@ -606,13 +614,21 @@ def _analytic_integrals(c: AnalyticCurve, s: np.ndarray, what) -> np.ndarray:
         j = np.rint((nw_hi + nw_lo) / unit)
         # n (s_hi - s_lo) - j T0, the first difference exact (Sterbenz), the rest far below an ulp of it
         r = ((nw_hi - j * u_hi) + (nw_lo - j * u_lo) + n * rest) / unit
-        m = np.pi * ((n * pair) % 2.0)
-        term = np.sin(np.pi * r) * (a_n * np.cos(m) + b_n * np.sin(m))
+        # pi m = q quarter turns + pi f, f = m - q/2 exact in [-1/4, 1/4]: cos and sin of whole quarter turns
+        # are 0 or +-1 exactly, so a cycle that ends on a half period is not left with cos(pi/2) = 6e-17
+        m = (n * pair) % 2.0
+        q = np.rint(2.0 * m)
+        k = q.astype(int)
+        f, cq, sq = np.pi * (m - 0.5 * q), _QUARTER_COS[k % 4], _QUARTER_COS[(k - 1) % 4]
+        term = np.sin(np.pi * r) * (np.cos(f) * (a_n * cq + b_n * sq) + np.sin(f) * (b_n * cq - a_n * sq))
         term *= 1.0 - 2.0 * (j % 2.0)
         out += (t0 / (np.pi * n)) * term
     if np.isfinite(out).all():
         return out
     raise _overflow(what)
+
+
+_QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0])  # cos(k pi/2), k = 0..3
 
 
 def _weights(interval: Interval, n: int, bounds: np.ndarray, prices: np.ndarray) -> tuple[int, np.ndarray, float]:

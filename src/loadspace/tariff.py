@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .curve import (AnalyticCurve, Interval, LoadCurve, _analytic_integrals, _eq_by, _frozen, _guarded_sum,
-                    _overflow, _require_int, _rescaled, _weights, energy)
+                    _overflow, _power_of_two_near, _require_int, _rescaled, _trapezoid, _weights, energy)
 from .spectrum import DynamismVector, Spectrum, _dense_vector, mu_index_cos, mu_index_sin
 
 __all__ = [
@@ -254,10 +255,20 @@ class Bill:
 
 
 def classic_payment(unit_price: float, c: LoadCurve) -> float:
-    """Flat tariff: unit price times total energy."""
+    """Flat tariff: unit price times total energy.
+
+    A sampled energy below the normal range is rounded to the subnormal grid, an error the price would
+    magnify: there the samples are divided by a power of two near their peak (exact), the energy of those
+    is priced, and the payment is rounded once as it is scaled back.
+    """
     if not (math.isfinite(unit_price) and unit_price > 0):
         raise ValueError(f"unit price must be finite and positive, got {unit_price}")
-    if math.isfinite(payment := unit_price * energy(c)):
+    payment = unit_price * (e := energy(c))
+    if abs(e) < sys.float_info.min and not isinstance(c, AnalyticCurve) and 0.0 < c._peak < 1.0:
+        s = _power_of_two_near(c._peak)
+        if math.isfinite(scaled := unit_price * _trapezoid(c.values / s, c.interval)):
+            payment = math.ldexp(scaled, math.frexp(s)[1] - 1)
+    if math.isfinite(payment):
         return payment
     raise _overflow("the flat payment")
 

@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadspace import (
     AnalyticCurve,
@@ -13,6 +16,7 @@ from loadspace import (
     DynamismVector,
     Harmonic,
     Interval,
+    SampledCurve,
     analyze,
     calibrate_iota,
     payment_gradient,
@@ -158,6 +162,11 @@ def test_calibration_underdetermined_raises():
         calibrate_iota(obs, 3)
     with pytest.raises(ValueError, match="underdetermined"):
         calibrate_iota((), 3)
+    # read as a stream, too: the design matrix has fewer rows than unknowns
+    with pytest.raises(ValueError, match="underdetermined: 6 observations for 7 unknowns"):
+        _fit_iota(iter(obs), 3)
+    with pytest.raises(ValueError, match="underdetermined: 0 observations for 7 unknowns"):
+        _fit_iota(iter(()), 3)
 
 
 def test_calibration_reads_a_generator_as_it_reads_a_tuple():
@@ -168,6 +177,87 @@ def test_calibration_reads_a_generator_as_it_reads_a_tuple():
     cc, residuals = _fit_iota(iter(obs), 3)
     assert cc.iota.tobytes() == from_tuple.iota.tobytes()
     assert residuals == [o.observed_cost - supply_cost(cc, to_mu_vector(analyze(o.load, 3))) for o in obs]
+
+
+def _sampled_load(rng, n_max, interval=UNIT):
+    return SampledCurve(interval, rng.uniform(-50.0, 50.0, rng.integers(2 * n_max + 2, 2 * n_max + 64)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_max=st.integers(min_value=1, max_value=5),
+    data=st.data(),
+    as_generator=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_streamed_fit_matches_the_two_pass_fit_bit_for_bit(n_max, data, as_generator, seed):
+    k = 1 + 2 * n_max
+    analytic = data.draw(st.lists(st.booleans(), min_size=k, max_size=3 * k), label="analytic")
+    rng = np.random.default_rng(seed)
+    obs = tuple(
+        CostObservation((_random_load if a else _sampled_load)(rng, n_max), float(rng.uniform(-100.0, 100.0)))
+        for a in analytic
+    )
+    cc, residuals = _fit_iota((o for o in obs) if as_generator else obs, n_max)
+    # the reference holds every mu vector, then copies their values into the design matrix
+    mus = [to_mu_vector(analyze(o.load, n_max)) for o in obs]
+    costs = [o.observed_cost for o in obs]
+    iota = np.linalg.lstsq(np.array([mu.values for mu in mus]), np.array(costs), rcond=1e-10)[0]
+    reference = CostCharacteristic(UNIT, iota, n_max)
+    assert cc.iota.tobytes() == iota.tobytes()
+    assert residuals == [cost - supply_cost(reference, mu) for cost, mu in zip(costs, mus)]
+
+
+def test_an_interval_mismatch_stops_the_stream_at_its_observation():
+    taken = []
+
+    def stream():
+        for j, t2 in enumerate((1.0, 1.0, 2.0, 1.0)):
+            taken.append(j)
+            yield CostObservation(AnalyticCurve(Interval(0.0, t2), 1.0), 1.0)
+
+    with pytest.raises(ValueError, match="incompatible intervals"):
+        _fit_iota(stream(), 1)
+    assert taken == [0, 1, 2]
+
+
+def test_an_analysis_error_in_the_stream_propagates_unchanged():
+    short = SampledCurve(UNIT, [1.0, 2.0, 3.0])  # too few samples for order 1
+    with pytest.raises(ValueError) as direct:
+        analyze(short, 1)
+    obs = _observations(np.random.default_rng(8), np.ones(3), 1, count=2)
+    stream = iter((*obs, CostObservation(short, 1.0), *obs))
+    with pytest.raises(ValueError) as streamed:
+        _fit_iota(stream, 1)
+    assert type(streamed.value) is ValueError
+    assert streamed.value.args == direct.value.args
+    assert len(list(stream)) == 2  # nothing after the failing observation was read
+
+
+def test_calibration_memory_is_one_design_row_per_observation():
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    n_max = 50
+    k = 1 + 2 * n_max
+
+    def stream(count):
+        rng = np.random.default_rng(count)
+        for _ in range(count):
+            yield CostObservation(_sampled_load(rng, n_max), float(rng.uniform(0.0, 100.0)))
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            _fit_iota(stream(count), n_max)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _fit_iota(stream(k), n_max)  # one-time allocations (caches, lazy imports) out of the way
+    few, many = k, 5 * k
+    # each observation adds its row of K floats, in an array grown by at most half again, and its cost;
+    # holding a mu vector per observation and a second copy of it in the matrix would add about 2.4 rows
+    assert (peak(many) - peak(few)) / (many - few) < 1.75 * 8 * k
 
 
 def test_calibration_degenerate_observations_raise():

@@ -515,7 +515,7 @@ def test_calibrate_holds_one_profile_at_a_time(capsys, tmp_path):
         pytest.skip("tracemalloc is already tracing")
     few, many = (_long_profiles_manifest(tmp_path / str(n), n) for n in (10, 40))
     run_cli(capsys, "calibrate", few, "--nmax", "2")  # one-time allocations (caches, lazy imports) out of the way
-    # 30 more profiles may add their mu vectors and costs, not their 4,001 values each
+    # 30 more profiles may add their design rows and costs, not their 4,001 values each
     assert _calibrate_peak(capsys, many) - _calibrate_peak(capsys, few) < 5 * 4001 * 8
 
 

@@ -5,7 +5,9 @@ call each to `curve._guarded_sum`, which compares a peak bound with one
 scalar before it sums. Where the plain sum cannot overflow it runs as it always
 has; where it might, it runs under `np.errstate` and is kept if finite, and
 otherwise the values are divided by powers of two near their peaks, as
-`norm` divides them. A spot plan whose weights would overflow builds them
+`norm` divides them. Below the normal range a spot bill or a sampled
+integral divides samples under 1 so too, so that no product w_i * v_i rounds
+to the subnormal grid. A spot plan whose weights would overflow builds them
 from prices divided by a power of two, and scales each bill back. Flat
 payments, and analytic energies, values, integrals, inner products and spot
 bills that overflow are refused too. The suite turns every warning into an
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -245,6 +248,16 @@ def test_spot_bills_and_integrals_of_scaled_samples_scale_bit_for_bit(iv, values
                 f(_scaled(k, c))
         else:
             assert np.float64(f(_scaled(k, c))).tobytes() == np.float64(expected).tobytes()
+
+
+def test_a_bill_below_the_normal_range_leaves_samples_above_one_as_they_are():
+    # peak * sum(w) is subnormal because the weights are (price 1e-318): the samples, 1e9 to 1e10, are not
+    # divided by their peak, which would round each product w_i * v_i to the subnormal grid (5.5e-313 off)
+    c = SampledCurve(UNIT, np.linspace(1e9, 1e10, 97))
+    plan = SpotPlan(UNIT, [1e-318])
+    got = spot_payment(plan, c)
+    exact = float(sum(Fraction(v) * Fraction(w) for v, w in zip(c.values, plan._weights[1])))
+    assert abs(got - exact) <= c.values.size * 5e-324  # half a subnormal ulp per product
 
 
 def test_a_subnormal_interval_interpolates_in_grid_steps():

@@ -169,6 +169,14 @@ def test_classic_payment_cannot_separate_equal_energy():
     assert payments == {1000.0}
 
 
+def test_classic_payment_below_the_normal_range_rounds_once():
+    # the energy, 1.5 subnormal ulps, rounds to 2, and the price 10 would make that 20 ulps where the
+    # bill is 15; scaled up, the energy is priced first and the bill rounded once
+    c = SampledCurve(Interval(0.0, 1.5), [5e-324, 5e-324])
+    assert energy(c) == 2 * 5e-324
+    assert classic_payment(10.0, c) == 15 * 5e-324
+
+
 def test_classic_payment_rejects_bad_price(l1):
     with pytest.raises(ValueError, match="positive"):
         classic_payment(0.0, l1)
@@ -301,11 +309,12 @@ def _reference_integral(c, lo: float, hi: float) -> float:
 
 
 def _turns(x: Fraction) -> tuple[float, float]:
-    """(cos(pi x), sin(pi x)) for an exact x, reduced to the nearest integer k first: (-1)**k times those of pi (x - k)."""
-    k = round(x)
-    r = math.pi * float(x - k)
-    sign = -1.0 if k % 2 else 1.0
-    return sign * math.cos(r), sign * math.sin(r)
+    """(cos(pi x), sin(pi x)) for an exact x, reduced to the nearest half-integer k/2 first: those of pi (x - k/2)
+    turned by k quarter turns, exactly, so that a half-integer x gives an exact 0 where cos(pi/2) is 6e-17."""
+    k = round(2 * x)
+    r = math.pi * float(x - Fraction(k, 2))
+    c, s = math.cos(r), math.sin(r)
+    return ((c, s), (-s, c), (-c, -s), (s, -c))[k % 4]
 
 
 def _peak(c) -> float:
@@ -511,6 +520,10 @@ def _assert_one_cycle_spot_plan_bills_as_classic(c, p: float) -> None:
 @example(SampledCurve(Interval(0.0, 1.0), [4.4e-311, 2.2e-311]), 1.0)
 # energy halved the subnormal ends to 0.0 and billed 5e-323, against a spot bill of 2e-323
 @example(SampledCurve(Interval(0.0, 5.0), [5e-324, 0.0]), 2.0)
+# each product w_i * v_i rounded to the subnormal grid, and the spot bill missed the flat one by 43 ulps
+@example(SampledCurve(Interval(0.0, 1.0), [1.18708732e-308] * 97), 0.01171875)
+# the flat bill priced an energy already rounded to the subnormal grid: 1e-322 against a spot bill of 7.4e-323
+@example(SampledCurve(Interval(0.0, 1.5), [5e-324, 5e-324]), 10.0)
 def test_one_cycle_spot_plan_bills_as_classic(c, p):
     _assert_one_cycle_spot_plan_bills_as_classic(c, p)
 
@@ -548,6 +561,16 @@ def test_whole_periods_of_a_harmonic_bill_exactly_zero(t1, length, order, amplit
     c = AnalyticCurve(Interval(t1, t1 + length), 0.0, ((order, *amplitudes),))
     assert spot_payment(SpotPlan(c.interval, [price]), c) == 0.0
     assert integrate(c, c.interval.t1, c.interval.t2) == 0.0
+
+
+def test_half_periods_of_a_cosine_bill_exactly_zero():
+    # each of the 8 cycles is half a period of order 4, from a crest to a trough or back: its integral is
+    # sin((k + 1) pi) - sin(k pi) = 0, which cos(pi (2k + 1)/2) taken as about 6e-17 made 8.8e-16 or -2.6e-15;
+    # hypothesis drew the plan, whose last price 283 made the bill -7.5e-13 against a tolerance of 1e-12
+    c = AnalyticCurve(Interval(0.0, 5.0), 0.0, ((4, 36.0, 0.0),))
+    bounds = np.linspace(0.0, 5.0, 9)
+    assert [integrate(c, lo, hi) for lo, hi in zip(bounds, bounds[1:])] == [0.0] * 8
+    assert spot_payment(SpotPlan(c.interval, [1.0] * 7 + [283.0]), c) == 0.0
 
 
 _NOT_VECTORS = [
