@@ -244,8 +244,11 @@ def sample(c: AnalyticCurve, n: int) -> SampledCurve:
 
 def _t1_turns(interval: Interval) -> float:
     """t1/T0 modulo 1, the phase of t1 in turns, rounded once: the remainder fmod(t1, T0) is exact, where
-    t1/T0 would round by up to ulp(t1/T0) turns before the reduction, an error order n multiplies by n."""
-    return (math.fmod(interval.t1, interval.duration) / interval.duration) % 1.0
+    t1/T0 would round by up to ulp(t1/T0) turns before the reduction, an error order n multiplies by n.
+    A phase a hair below zero reduces to a whole turn, 1.0, which is taken as 0: its factors are exact, where
+    those of one turn carry sin(2 pi n) = -2.4e-16 n."""
+    turns = (math.fmod(interval.t1, interval.duration) / interval.duration) % 1.0
+    return turns if turns < 1.0 else 0.0
 
 
 def _phase_factors(offset: float, orders: np.ndarray) -> np.ndarray:

@@ -383,6 +383,8 @@ def _piece_sums(c: SampledCurve, bounds: np.ndarray) -> np.ndarray:
     Positions count steps h = T0/(N-1) from t1: grid point i at i, a bound at x = (bound - t1)/h in cell
     k = min(floor(x), N - 2), merged into the grid just after the point that opens its cell; each piece
     between neighbouring knots is one trapezoid of the linear interpolant, and each integral sums its own.
+    A bound's value is v_k (1 - f) + v_(k+1) f, f = x - k: the form v_k + (v_(k+1) - v_k) f would cancel v_k
+    against most of itself near the cell's end and keep an error of an ulp of v_k, not of the value.
     """
     n, v = c.values.size, c.values
     h = c.interval.duration / (n - 1)
@@ -398,7 +400,8 @@ def _piece_sums(c: SampledCurve, bounds: np.ndarray) -> np.ndarray:
     position[at] = x
     value = np.empty(grid.size)
     value[grid] = v
-    value[at] = v[k] + (v[k + 1] - v[k]) * (x - k)
+    f = x - k
+    value[at] = v[k] * (1.0 - f) + v[k + 1] * f
     pieces = (value[1:] + value[:-1]) * (position[1:] - position[:-1])
     return 0.5 * h * np.add.reduceat(pieces, at)[:-1]
 
@@ -427,6 +430,13 @@ def test_spot_bills_and_integrals_match_the_piece_sum_kernel(c, data):
     lo, hi = sorted(data.draw(st.floats(min_value=c.interval.t1, max_value=c.interval.t2)) for _ in range(2))
     assume(lo < hi)
     _assert_as_the_piece_sums(integrate(c, lo, hi), c, np.array([lo, hi]), np.ones(1))
+
+
+def test_a_bound_near_a_cell_end_integrates_as_the_piece_sum_kernel():
+    # the bound sits at 0.99 of cell 0, where the interpolant is 0.009 of v_0: interpolated as
+    # v_0 + (v_1 - v_0) f, the reference kept an ulp of v_0 and missed the integral by 29 ulps of itself
+    c = SampledCurve(Interval(-0.296875, 3.953125), [2e-12] + [0.0] * 14)
+    _assert_as_the_piece_sums(integrate(c, 0.00390625, 1.0), c, np.array([0.00390625, 1.0]), np.ones(1))
 
 
 def test_a_year_of_readings_bills_as_the_piece_sum_kernel():
@@ -571,6 +581,13 @@ def test_half_periods_of_a_cosine_bill_exactly_zero():
     bounds = np.linspace(0.0, 5.0, 9)
     assert [integrate(c, lo, hi) for lo, hi in zip(bounds, bounds[1:])] == [0.0] * 8
     assert spot_payment(SpotPlan(c.interval, [1.0] * 7 + [283.0]), c) == 0.0
+
+
+def test_a_start_a_hair_before_zero_bills_half_periods_as_zero():
+    # t1 = -7.8e-61 is -1.6e-61 of a turn, which reduced modulo 1 rounds up to a whole turn; rotated by the
+    # factors of one turn, sin(8 pi) = -9.8e-16 at order 4, the plan that hypothesis drew billed -1.0e-12
+    c = AnalyticCurve(Interval(-7.796889521502568e-61, 5.0), 0.0, ((4, 20.0, 0.0),))
+    _assert_spot_matches_per_cycle_integrals(SpotPlan(c.interval, [1.0] * 7 + [130.0]), c)
 
 
 _NOT_VECTORS = [
