@@ -25,7 +25,8 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from json.encoder import encode_basestring_ascii as _json_str  # json's own str writer (ensure_ascii)
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .tariff import (
     Bill,
     DynamismPlan,
     FlatPlan,
+    LineItem,
     PriceFrequencyFunction,
     SpotPlan,
     TariffPlan,
@@ -215,17 +217,62 @@ def _full(x: float) -> str:
     return repr(float(x))
 
 
-# encoder chunks joined per write: a sink that keeps every string written to it
-# (io.StringIO) then keeps one object per block, not one per chunk
-_JSON_BLOCK = 1024
+class _Table(NamedTuple):
+    """A table for JSON output: the list of objects {keys[0]: row[0], ...}, one per row, written one row at a time."""
+
+    keys: tuple[str, ...]
+    rows: Iterable[tuple]
+
+
+# pieces joined per write: a sink that keeps every string written to it (io.StringIO)
+# then keeps one object per block, not one per piece
+_JSON_BLOCK = 128
 
 
 def _print_json(payload) -> None:
-    """Print ``json.dumps(payload, indent=2)``, from the same encoder, without building the whole text."""
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    """Print ``json.dumps(payload, indent=2)``, each `_Table` in it as its list of row objects, without
+    building the whole text, and without holding a table's rows."""
+    chunks = iter(_json_chunks(payload, ""))
     while block := "".join(itertools.islice(chunks, _JSON_BLOCK)):
         sys.stdout.write(block)
     sys.stdout.write("\n")
+
+
+def _json_chunks(value, pad: str, head: str = ""):
+    """`head` (a key and ': ', or nothing), then the text of ``json.dumps(value, indent=2)`` nested `pad`
+    deep, in pieces; dict keys are str. Containers are laid out here, and every other value is written as
+    json writes it. The one row writer of every CLI table: each row of a `_Table` becomes one piece, an
+    object of the table's keys, as it is drawn."""
+    if not isinstance(value, (dict, list, tuple)):
+        return (head + _json_scalar(value),)
+    inner = pad + "  "
+    if isinstance(value, _Table):
+        heads = [f"{',' if i else '{'}\n{inner}  {_json_str(key)}: " for i, key in enumerate(value.keys)]
+        rows = (("".join(map(str.__add__, heads, map(_json_scalar, row))) + f"\n{inner}}}",) for row in value.rows)
+        return _json_frame(head + "[", "]", rows, pad)
+    if isinstance(value, dict):
+        return _json_frame(head + "{", "}", (_json_chunks(v, inner, f"{_json_str(k)}: ") for k, v in value.items()), pad)
+    return _json_frame(head + "[", "]", (_json_chunks(item, inner) for item in value), pad)
+
+
+def _json_frame(opening: str, closing: str, members, pad: str):
+    """Members (each an iterable of pieces) between `opening` and `closing`, laid out as json.dumps(indent=2)
+    lays out a container nested `pad` deep; no members give the bare brackets."""
+    sep = f"{opening}\n{pad}  "
+    for member in members:
+        yield sep
+        yield from member
+        sep = f",\n{pad}  "
+    yield opening + closing if sep[0] != "," else f"\n{pad}{closing}"  # an opening starts with no comma
+
+
+def _json_scalar(value) -> str:
+    """``json.dumps(value)`` of a value that is no container; a finite float, an int or a str is written
+    directly, as json writes it, without the set-up json pays per call."""
+    kind = type(value)
+    if (kind is float and math.isfinite(value)) or kind is int:
+        return repr(value)
+    return _json_str(value) if kind is str else json.dumps(value)
 
 
 def _write_csv(fh, rows) -> None:
@@ -293,20 +340,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     pe, nsq, ratio = _parseval_check(curve, spec)
 
     if args.format == "json":
-        _print_json(
-            {
-                "t1": iv.t1,
-                "t2": iv.t2,
-                "n_max": spec.n_max,
-                "a0": spec.a0,
-                "harmonics": [
-                    {"order": n, "f": f, "a": a, "b": b} for n, f, a, b in _harmonic_rows(spec)
-                ],
-                "parseval_energy": pe,
-                "norm_squared": nsq,
-                "parseval_ratio": ratio,
-            }
-        )
+        _print_json(_decompose_json(spec, pe, nsq, ratio))
     elif args.format == "csv":
         _write_csv(sys.stdout, _spectrum_csv(spec))
     else:
@@ -323,15 +357,30 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _billing_result(plan: TariffPlan, curve: SampledCurve, args) -> tuple[str, float, Bill | None]:
-    """(kind, payment, the dynamism bill or None); ValueError if the payment is not finite."""
+def _decompose_json(spec: Spectrum, pe: float, nsq: float, ratio: float | None) -> dict:
+    """The `decompose --format json` payload, its harmonics a `_Table`."""
+    return {
+        "t1": spec.interval.t1,
+        "t2": spec.interval.t2,
+        "n_max": spec.n_max,
+        "a0": spec.a0,
+        "harmonics": _Table(("order", "f", "a", "b"), _harmonic_rows(spec)),
+        "parseval_energy": pe,
+        "norm_squared": nsq,
+        "parseval_ratio": ratio,
+    }
+
+
+def _billing_result(plan: TariffPlan, load: SampledCurve | Spectrum, args) -> tuple[str, float, Bill | None]:
+    """(kind, payment, the dynamism bill or None) of a load curve, or for a dynamism plan of its spectrum
+    at n_max `args.nmax`; ValueError if the payment is not finite."""
     bill = None
     if isinstance(plan, FlatPlan):
-        kind, payment = "flat", classic_payment(plan.unit_price, curve)
+        kind, payment = "flat", classic_payment(plan.unit_price, load)
     elif isinstance(plan, SpotPlan):
-        kind, payment = "spot", spot_payment(plan, curve)
+        kind, payment = "spot", spot_payment(plan, load)
     else:
-        spec = analyze(curve, args.nmax)
+        spec = load if isinstance(load, Spectrum) else analyze(load, args.nmax)
         supply: Spectrum | None = None
         if getattr(args, "supply", None):
             supply = analyze(_read_profile(args.supply), args.nmax)
@@ -343,19 +392,32 @@ def _billing_result(plan: TariffPlan, curve: SampledCurve, args) -> tuple[str, f
 
 
 def _cmd_bill(args: argparse.Namespace) -> int:
-    curve = _read_profile(args.profile)
+    load = _read_profile(args.profile)
     plan = _read_plan(args.plan)
-    kind, payment, bill = _billing_result(plan, curve, args)
+    if isinstance(plan, DynamismPlan):
+        load = analyze(load, args.nmax)  # the curve is freed before the supply is read and the bill written
+    kind, payment, bill = _billing_result(plan, load, args)
     if args.format == "json":
-        payload = {"kind": kind, "payment": payment}
-        if bill is not None:
-            payload["bill"] = bill.to_dict()
-        _print_json(payload)
+        _print_json(_bill_json(kind, payment, bill))
     elif bill is not None:
         _render_bill_table(bill, f"dynamism bill for {args.profile}")
     else:
         print(f"{kind} payment for {args.profile}: {_fmt(payment)}")
     return 0
+
+
+def _bill_json(kind: str, payment: float, bill: Bill | None) -> dict:
+    """The `bill --format json` payload: a dynamism bill in `Bill.to_dict`'s layout, its line items a `_Table`
+    drawn from the bill's own row generator."""
+    payload = {"kind": kind, "payment": payment}
+    if bill is not None:
+        payload["bill"] = {
+            "non_dynamic": bill.non_dynamic,
+            "dynamic": bill.dynamic,
+            "total": bill.total,
+            "line_items": _Table(LineItem._fields, bill._rows()),
+        }
+    return payload
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -393,17 +455,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
 
     if args.format == "json":
-        _print_json(
-            {
-                "t1": cc.interval.t1,
-                "t2": cc.interval.t2,
-                "n_max": cc.n_max,
-                "iota": [
-                    dict(zip(("index", "kind", "order", "f", "value"), row)) for row in _iota_rows(cc)
-                ],
-                "residuals": {"max_abs": max_abs, "rms": rms, "per_observation": residuals},
-            }
-        )
+        _print_json(_calibrate_json(cc, max_abs, rms, residuals))
     else:
         print(f"cost characteristic on [{_fmt(cc.interval.t1)}, {_fmt(cc.interval.t2)}], n_max {cc.n_max}")
         print("    index  kind    order  frequency      iota")
@@ -411,6 +463,17 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             print(f"    {k:>5}  {kind:<6}  {order:>5}  {_fmt(f):>9}  {_fmt(value):>9}")
         print(f"  residual max {_fmt(max_abs)}, rms {_fmt(rms)} over {len(residuals)} observations")
     return 0
+
+
+def _calibrate_json(cc: CostCharacteristic, max_abs: float, rms: float, residuals: list[float]) -> dict:
+    """The `calibrate --format json` payload, its iota rows a `_Table`."""
+    return {
+        "t1": cc.interval.t1,
+        "t2": cc.interval.t2,
+        "n_max": cc.n_max,
+        "iota": _Table(("index", "kind", "order", "f", "value"), _iota_rows(cc)),
+        "residuals": {"max_abs": max_abs, "rms": rms, "per_observation": residuals},
+    }
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:

@@ -154,7 +154,7 @@ class SpotPlan:
         # weights sum to about top price * T0: where that could overflow they come from prices / 2**e, bills scaled back
         top = float(np.maximum.reduce(prices))
         e = 0 if math.isfinite(top * self.interval.duration * 2.0) else math.frexp(top)[1] + 1
-        _frozen(self, unit_prices=prices, _bounds=bounds, _exponent=e, _weights=(0, None, 0.0))
+        _frozen(self, unit_prices=prices, _bounds=bounds, _exponent=e, _weights=(0, None, 0.0, 0))
 
     @property
     def cycle_count(self) -> int:
@@ -212,10 +212,12 @@ class Bill:
     and row 2n the sine line, with columns frequency, coefficient,
     published unit price and signed amount. A bill from `dynamism_payment`
     builds `lines` on its first read and keeps it, so a caller that needs
-    only `total` (a meter fleet, say) never fills the table. `line_items`
-    is built from it on each read: the energy line plus one LineItem per
-    nonzero coefficient. Two bills are equal when both parts and `lines`
-    are.
+    only `total` (a meter fleet, say) never fills the table. The line
+    items are the energy line plus one per nonzero coefficient, read from
+    `lines` one row at a time by one private row generator, `_rows`:
+    `line_items` and `to_dict` build them from it on each read, and the
+    CLI's JSON output writes them from it without holding them all. Two
+    bills are equal when both parts and `lines` are.
     """
 
     non_dynamic: float
@@ -236,21 +238,26 @@ class Bill:
     def total(self) -> float:
         return self.non_dynamic + self.dynamic
 
+    def _rows(self):
+        """Each line item as a plain (label, frequency, coefficient, unit_price, amount) tuple, in order,
+        one `lines` row converted at a time."""
+        lines = self.lines
+        yield ("energy", *lines[0].tolist())
+        for k in range(1, lines.shape[0]):
+            row = lines[k].tolist()
+            if row[1] != 0.0:
+                yield ("cos" if k % 2 else "sin", *row)
+
     @property
     def line_items(self) -> tuple[LineItem, ...]:
-        rows = self.lines.tolist()
-        return (LineItem("energy", *rows[0]), *(
-            LineItem("cos" if k % 2 else "sin", *row)
-            for k, row in enumerate(rows[1:], start=1)
-            if row[1] != 0.0
-        ))
+        return tuple(map(LineItem._make, self._rows()))
 
     def to_dict(self) -> dict:
         return {
             "non_dynamic": self.non_dynamic,
             "dynamic": self.dynamic,
             "total": self.total,
-            "line_items": [item._asdict() for item in self.line_items],
+            "line_items": [dict(zip(LineItem._fields, row)) for row in self._rows()],
         }
 
 
@@ -301,13 +308,19 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
         cycles, prices = _analytic_integrals(c, plan._bounds - c.interval.t1, "the spot payment"), plan.unit_prices
         return _rescaled(lambda s, s2: float((cycles / s) @ (prices / s2)), "the spot payment",
                          lambda: (float(np.maximum.reduce(np.abs(cycles))), float(np.maximum.reduce(prices))))
-    held = plan._weights  # (N, w, reach), replaced as one triple: no thread pairs one N's samples with another N's w
-    if held[0] != c.values.size:
-        prices = np.ldexp(plan.unit_prices, -plan._exponent) if plan._exponent else plan.unit_prices
-        _, w, w_sum = _weights(plan.interval, c.values.size, plan._bounds, prices)
-        held = (c.values.size, w, math.inf if plan._exponent else w_sum)  # scaled prices: the guard's slow path
+    # (N, w, reach, exponent), replaced as one tuple: no thread pairs one N's samples with another N's w
+    held = plan._weights
+    if held[0] != (n := c.values.size):
+        e, top, h = plan._exponent, float(np.maximum.reduce(plan.unit_prices)), plan.interval.duration / (n - 1)
+        if top * h < sys.float_info.min:
+            # weights below the normal range would round to the subnormal grid: build them from prices scaled
+            # up by a power of two, to top * h near 1 (top at most 2**1000), and scale the bill back once
+            e = max(math.frexp(top)[1] + math.frexp(h)[1], math.frexp(top)[1] - 1000)
+        prices = np.ldexp(plan.unit_prices, -e) if e else plan.unit_prices
+        _, w, w_sum = _weights(plan.interval, n, plan._bounds, prices)
+        held = (n, w, math.inf if plan._exponent else w_sum, e)  # prices scaled down: the guard's slow path
         vars(plan)["_weights"] = held
-    return _guarded_sum(np.ndarray.dot, held[1], held[2], "the spot payment", c.values, c._peak, plan._exponent)
+    return _guarded_sum(np.ndarray.dot, held[1], held[2], "the spot payment", c.values, c._peak, held[3])
 
 
 @functools.lru_cache(maxsize=32)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -11,12 +12,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from loadspace import (
     AnalyticCurve,
+    Bill,
+    CostCharacteristic,
     Harmonic,
     Interval,
     SampledCurve,
+    Spectrum,
     SpotPlan,
     analyze,
     builtin_plans,
@@ -25,10 +32,18 @@ from loadspace import (
     spot_payment,
     to_mu_vector,
 )
-from loadspace.cli import _curve_csv, _print_json, build_parser, main
+from loadspace.cli import (
+    _bill_json,
+    _calibrate_json,
+    _curve_csv,
+    _decompose_json,
+    _print_json,
+    build_parser,
+    main,
+)
 from loadspace.scenarios import ScenarioCheck, ScenarioReport
 
-from conftest import UNIT
+from conftest import UNIT, intervals
 
 L1_TOTAL = 1769.0308998699195
 
@@ -658,6 +673,154 @@ def test_print_json_builds_no_whole_document(capsys):
             tracemalloc.stop()
     # an ASCII string takes a byte a character: the whole text would take more than its length
     assert peak < len(text)
+
+
+# The one row writer: `bill`, `decompose` and `calibrate` write their tables through `_Table`, one row at a
+# time, and must print what json.dumps prints for the same payload built as lists of dicts
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308)
+
+
+def _json_floats(bound: float | None = None):
+    """Finite floats, with -0.0, subnormals and values near the float maximum drawn often."""
+    if bound is None:
+        return st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    return st.one_of(st.sampled_from([x for x in _EDGE_FLOATS if abs(x) <= bound]), st.floats(-bound, bound))
+
+
+def _printed(payload) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _print_json(payload)
+    return out.getvalue()
+
+
+def _line_item_dicts(lines: np.ndarray) -> list[dict]:
+    """A bill's line items from its whole table: the energy line, then each order line whose coefficient is nonzero."""
+    keys = ("label", "frequency", "coefficient", "unit_price", "amount")
+    rows = lines.tolist()
+    return [dict(zip(keys, ("energy", *rows[0])))] + [
+        dict(zip(keys, ("cos" if k % 2 else "sin", *row))) for k, row in enumerate(rows[1:], start=1) if row[1] != 0.0
+    ]
+
+
+def _bill_dict(bill: Bill) -> dict:
+    return {"non_dynamic": bill.non_dynamic, "dynamic": bill.dynamic, "total": bill.total,
+            "line_items": _line_item_dicts(bill.lines)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(lambda n: hnp.arrays(float, (1 + 2 * n, 4), elements=_json_floats())),
+    _json_floats(),
+    _json_floats(),
+    st.booleans(),
+)
+def test_bill_json_streams_what_json_dumps_gives(lines, non_dynamic, dynamic, static):
+    if static:  # an all-zero dynamic part: the energy line alone
+        lines[1:, 1] = 0.0
+        dynamic = 0.0
+    bill = Bill(non_dynamic, dynamic, lines)
+    expected = {"kind": "dynamism", "payment": bill.total, "bill": _bill_dict(bill)}
+    assert _printed(_bill_json("dynamism", bill.total, bill)) == json.dumps(expected, indent=2) + "\n"
+    assert json.dumps(bill.to_dict()) == json.dumps(expected["bill"])
+    assert [item._asdict() for item in bill.line_items] == expected["bill"]["line_items"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(lambda n: hnp.arrays(float, (n, 2), elements=_json_floats(1e300))),
+    _json_floats(1e300),
+    st.booleans(),
+    st.booleans(),
+)
+def test_dynamism_bill_json_streams_what_json_dumps_gives(ab, a0, static, with_supply):
+    # bills of drawn spectra: zero and -0.0 coefficients give no line, a static load an all-zero dynamic part
+    if static:
+        ab[:] = 0.0
+    spec = Spectrum(UNIT, a0, [(n, a, b) for n, (a, b) in enumerate(ab.tolist(), start=1)], ab.shape[0])
+    supply = Spectrum(UNIT, 1.0, [(n, (-1.0) ** n, 1.0) for n in range(1, 4)], 3) if with_supply else None
+    bill = dynamism_payment(builtin_plans()[0], spec, supply)
+    if static:
+        assert bill.dynamic == 0.0 and len(bill.line_items) == 1
+    expected = {"kind": "dynamism", "payment": bill.total, "bill": _bill_dict(bill)}
+    assert _printed(_bill_json("dynamism", bill.total, bill)) == json.dumps(expected, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    intervals(),
+    st.integers(min_value=1, max_value=6).flatmap(lambda n: hnp.arrays(float, (n, 2), elements=_json_floats())),
+    _json_floats(),
+    _json_floats(),
+    _json_floats(),
+    st.one_of(st.none(), _json_floats()),
+)
+def test_decompose_json_streams_what_json_dumps_gives(iv, ab, a0, pe, nsq, ratio):
+    spec = Spectrum(iv, a0, [(n, a, b) for n, (a, b) in enumerate(ab.tolist(), start=1)], ab.shape[0])
+    expected = {
+        "t1": iv.t1,
+        "t2": iv.t2,
+        "n_max": spec.n_max,
+        "a0": spec.a0,
+        "harmonics": [{"order": n, "f": n * iv.f0, "a": a, "b": b} for n, a, b in spec.harmonics],
+        "parseval_energy": pe,
+        "norm_squared": nsq,
+        "parseval_ratio": ratio,
+    }
+    assert _printed(_decompose_json(spec, pe, nsq, ratio)) == json.dumps(expected, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    intervals(),
+    st.integers(min_value=1, max_value=6).flatmap(lambda n: hnp.arrays(float, 1 + 2 * n, elements=_json_floats())),
+    _json_floats(),
+    _json_floats(),
+    st.lists(_json_floats(), max_size=5),
+)
+def test_calibrate_json_streams_what_json_dumps_gives(iv, iota, max_abs, rms, residuals):
+    n_max, values = iota.size // 2, iota.tolist()
+    cc = CostCharacteristic(iv, iota, n_max)
+    rows = [{"index": 0, "kind": "energy", "order": 0, "f": 0.0, "value": values[0]}]
+    for n in range(1, n_max + 1):
+        rows += [{"index": k, "kind": kind, "order": n, "f": n * iv.f0, "value": values[k]}
+                 for k, kind in ((2 * n - 1, "cos"), (2 * n, "sin"))]
+    expected = {
+        "t1": iv.t1,
+        "t2": iv.t2,
+        "n_max": n_max,
+        "iota": rows,
+        "residuals": {"max_abs": max_abs, "rms": rms, "per_observation": residuals},
+    }
+    assert _printed(_calibrate_json(cc, max_abs, rms, residuals)) == json.dumps(expected, indent=2) + "\n"
+
+
+def _year_profile(path, seed: int) -> str:
+    """35,040 quarter-hour rows, as a year of meter readings is written."""
+    values = np.random.default_rng(seed).normal(50.0, 10.0, 35_040).tolist()
+    path.write_text("t,power\n" + "".join(f"{i * 0.25!r},{v!r}\n" for i, v in enumerate(values)))
+    return str(path)
+
+
+def test_a_year_dynamism_bill_holds_one_sampled_curve_at_a_time(tmp_path):
+    # the load curve is replaced by its spectrum before the supply is read, and the 2,001 line items are
+    # written one at a time: the peak is the supply's reading (24 bytes a row: the parsed table and the
+    # curve's copy) plus small change, 25.6 bytes a row measured; the bound leaves 2.4 bytes a row (9 %) of
+    # margin. Holding the load curve while reading the supply, and the line items as dicts, read 33.6
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    argv = ["bill", _year_profile(tmp_path / "year.csv", 0), write_plan(tmp_path / "dyn.json", PLAN1_JSON),
+            "--supply", _year_profile(tmp_path / "year2.csv", 1), "--nmax", "1000", "--format", "json"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv) == 0  # one-time allocations (caches, lazy imports) out of the way
+        tracemalloc.start()
+        try:
+            main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 28 * 35_040
 
 
 # ---------------------------------------------------------------------------

@@ -251,13 +251,32 @@ def test_spot_bills_and_integrals_of_scaled_samples_scale_bit_for_bit(iv, values
 
 
 def test_a_bill_below_the_normal_range_leaves_samples_above_one_as_they_are():
-    # peak * sum(w) is subnormal because the weights are (price 1e-318): the samples, 1e9 to 1e10, are not
-    # divided by their peak, which would round each product w_i * v_i to the subnormal grid (5.5e-313 off)
+    # the bill is subnormal because the price is (1e-318): the samples, 1e9 to 1e10, are not divided by their
+    # peak, which would round each product w_i * v_i to the subnormal grid (5.5e-313 off); the plan holds the
+    # weights w of the price scaled by 2**-e, with e, and bills <w, v> * 2**e
     c = SampledCurve(UNIT, np.linspace(1e9, 1e10, 97))
     plan = SpotPlan(UNIT, [1e-318])
     got = spot_payment(plan, c)
-    exact = float(sum(Fraction(v) * Fraction(w) for v, w in zip(c.values, plan._weights[1])))
+    _, w, _, e = plan._weights
+    exact = float(sum(Fraction(v) * Fraction(x) for v, x in zip(c.values, w)) * Fraction(2) ** e)
     assert abs(got - exact) <= c.values.size * 5e-324  # half a subnormal ulp per product
+
+
+@pytest.mark.parametrize("prices", [[1e-318], [5e-324], [1e-310, 3e-312], [2.2e-308, 2.2e-308]])
+def test_a_plan_priced_below_the_normal_range_bills_with_one_rounding(prices):
+    # price times the step 1/96 below the normal range: weights built from the prices would round to the
+    # subnormal grid ([1e-318] billed 5.499069213968076e-309, 1.7e-4 off the exact 5.4999931167258e-309), so
+    # they are built from the prices scaled up by a power of two, and the bill is scaled back once
+    c = SampledCurve(UNIT, np.linspace(1e9, 1e10, 97))
+    v, m = [Fraction(x) for x in c.values], 96 // len(prices)  # each cycle on grid points j*m .. (j + 1)*m
+    exact = sum(
+        Fraction(p) * (sum(v[j * m : (j + 1) * m + 1]) - (v[j * m] + v[(j + 1) * m]) / 2) / 96
+        for j, p in enumerate(prices)
+    )
+    got = spot_payment(SpotPlan(UNIT, prices), c)
+    assert abs(Fraction(got) - exact) <= Fraction(5e-324) + exact / 2**50  # a subnormal ulp, or 4 ulps
+    if len(set(prices)) == 1:
+        assert got == pytest.approx(classic_payment(prices[0], c), rel=1e-12)
 
 
 def test_a_subnormal_interval_interpolates_in_grid_steps():

@@ -44,7 +44,7 @@ from loadspace import (
     spot_payment,
 )
 from loadspace import spectrum, tariff
-from loadspace.curve import _t1_turns
+from loadspace.curve import _t1_turns, _weights
 
 from conftest import UNIT, analytic_curves, intervals
 from test_tariff import _pffs, _samples, _spot_intervals, _spot_prices
@@ -322,6 +322,28 @@ def test_a_year_spot_bill_peaks_below_the_merged_knot_kernel():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
+
+
+def test_year_spot_weights_peak_at_w_plus_a_few_cycle_length_arrays():
+    # 35,040 samples under 8,760 cycles: w is 280 KB and an array over the 8,761 bounds 70 KB. The
+    # per-bound terms are formed in place and summed per cell before w is allocated, so the peak reads
+    # w plus 4.0 bound-length arrays (561 KB); the bound leaves one more array (12 %) of margin. Forming
+    # the terms while w and the cycle counts were held read 945 KB
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    year = Interval(0.0, 365.0)
+    bounds = np.linspace(year.t1, year.t2, 8_761)
+    prices = np.linspace(10.0, 30.0, 8_760)
+    _weights(year, 35_040, bounds, prices)  # one-time allocations out of the way
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        _, w, _ = _weights(year, 35_040, bounds, prices)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert w.size == 35_040
+    assert peak < w.nbytes + 5 * bounds.nbytes
 
 
 def test_analytic_integrals_keep_no_long_phase_vectors():
