@@ -25,8 +25,7 @@ import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _json_str  # json's own str writer (ensure_ascii)
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -217,62 +216,39 @@ def _full(x: float) -> str:
     return repr(float(x))
 
 
-class _Table(NamedTuple):
-    """A table for JSON output: the list of objects {keys[0]: row[0], ...}, one per row, written one row at a time."""
+class _Table:
+    """A table for JSON output: the list of objects {keys[0]: row[0], ...}, one per row (a tuple of scalars),
+    written one row at a time."""
 
-    keys: tuple[str, ...]
-    rows: Iterable[tuple]
-
-
-# pieces joined per write: a sink that keeps every string written to it (io.StringIO)
-# then keeps one object per block, not one per piece
-_JSON_BLOCK = 128
+    def __init__(self, keys: tuple[str, ...], rows: Iterable[tuple]) -> None:
+        self.keys, self.rows = keys, rows
 
 
 def _print_json(payload) -> None:
-    """Print ``json.dumps(payload, indent=2)``, each `_Table` in it as its list of row objects, without
-    building the whole text, and without holding a table's rows."""
-    chunks = iter(_json_chunks(payload, ""))
-    while block := "".join(itertools.islice(chunks, _JSON_BLOCK)):
-        sys.stdout.write(block)
-    sys.stdout.write("\n")
+    """Print ``json.dumps(payload, indent=2)``, each `_Table` in it as its list of row objects: json lays out
+    the payload with a mark in each table's place, and at each mark the table's rows are encoded and written
+    one at a time, so neither its rows nor its text are ever all held."""
+    tables = []
 
+    def mark(value):  # a str no path holds (none has a NUL), so json writes no other value as it writes this
+        if not isinstance(value, _Table):
+            return json.JSONEncoder().default(value)  # json's own TypeError
+        tables.append(value)
+        return "\0"
 
-def _json_chunks(value, pad: str, head: str = ""):
-    """`head` (a key and ': ', or nothing), then the text of ``json.dumps(value, indent=2)`` nested `pad`
-    deep, in pieces; dict keys are str. Containers are laid out here, and every other value is written as
-    json writes it. The one row writer of every CLI table: each row of a `_Table` becomes one piece, an
-    object of the table's keys, as it is drawn."""
-    if not isinstance(value, (dict, list, tuple)):
-        return (head + _json_scalar(value),)
-    inner = pad + "  "
-    if isinstance(value, _Table):
-        heads = [f"{',' if i else '{'}\n{inner}  {_json_str(key)}: " for i, key in enumerate(value.keys)]
-        rows = (("".join(map(str.__add__, heads, map(_json_scalar, row))) + f"\n{inner}}}",) for row in value.rows)
-        return _json_frame(head + "[", "]", rows, pad)
-    if isinstance(value, dict):
-        return _json_frame(head + "{", "}", (_json_chunks(v, inner, f"{_json_str(k)}: ") for k, v in value.items()), pad)
-    return _json_frame(head + "[", "]", (_json_chunks(item, inner) for item in value), pad)
-
-
-def _json_frame(opening: str, closing: str, members, pad: str):
-    """Members (each an iterable of pieces) between `opening` and `closing`, laid out as json.dumps(indent=2)
-    lays out a container nested `pad` deep; no members give the bare brackets."""
-    sep = f"{opening}\n{pad}  "
-    for member in members:
-        yield sep
-        yield from member
-        sep = f",\n{pad}  "
-    yield opening + closing if sep[0] != "," else f"\n{pad}{closing}"  # an opening starts with no comma
-
-
-def _json_scalar(value) -> str:
-    """``json.dumps(value)`` of a value that is no container; a finite float, an int or a str is written
-    directly, as json writes it, without the set-up json pays per call."""
-    kind = type(value)
-    if (kind is float and math.isfinite(value)) or kind is int:
-        return repr(value)
-    return _json_str(value) if kind is str else json.dumps(value)
+    parts = json.dumps(payload, indent=2, default=mark).split(json.dumps("\0"))
+    write = sys.stdout.write
+    write(parts[0])
+    for table, before, after in zip(tables, parts, parts[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        pad = " " * (len(line) - len(line.lstrip(" ")))  # the indent of the line the table opens on
+        encode = json.JSONEncoder(separators=(f",\n{pad}    ", ": ")).encode  # json's C encoder
+        sep = "["
+        for row in table.rows:
+            write(f"{sep}\n{pad}  {{\n{pad}    {encode(dict(zip(table.keys, row)))[1:-1]}\n{pad}  }}")
+            sep = ","
+        write(("[]" if sep == "[" else f"\n{pad}]") + after)
+    write("\n")
 
 
 def _write_csv(fh, rows) -> None:
@@ -373,7 +349,7 @@ def _decompose_json(spec: Spectrum, pe: float, nsq: float, ratio: float | None) 
 
 def _billing_result(plan: TariffPlan, load: SampledCurve | Spectrum, args) -> tuple[str, float, Bill | None]:
     """(kind, payment, the dynamism bill or None) of a load curve, or for a dynamism plan of its spectrum
-    at n_max `args.nmax`; ValueError if the payment is not finite."""
+    at n_max `args.nmax`; each payment function refuses a payment that overflows (ValueError)."""
     bill = None
     if isinstance(plan, FlatPlan):
         kind, payment = "flat", classic_payment(plan.unit_price, load)
@@ -386,8 +362,6 @@ def _billing_result(plan: TariffPlan, load: SampledCurve | Spectrum, args) -> tu
             supply = analyze(_read_profile(args.supply), args.nmax)
         bill = dynamism_payment(plan, spec, supply)
         kind, payment = "dynamism", bill.total
-    if not math.isfinite(payment):
-        raise ValueError(f"the {kind} payment overflows the float range (got {payment})")
     return kind, payment, bill
 
 

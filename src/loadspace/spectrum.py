@@ -85,10 +85,12 @@ class Spectrum:
     def __init__(self, interval: Interval, a0: float, harmonics, n_max: int) -> None:
         n_max = _require_int(n_max, "n_max", 1)
         ab = _dense_rows(harmonics, "harmonic order", 1, n_max, n_max, a0)
-        _frozen(self, interval=interval, a0=float(a0), a=ab[0], b=ab[1])
+        peak = float(np.maximum.reduce(np.abs(ab), None))
+        _frozen(self, interval=interval, a0=float(a0), a=ab[0], b=ab[1], _peak=peak)
 
     __eq__ = _eq_by("interval", "a0", "a", "b")
     _coef = None  # from sampled `analyze`: a and b interleaved (a_1, b_1, a_2, ...), the array they view
+    _peak = math.inf  # a bound on every |a_n| and |b_n|: what `dynamism_payment`'s overflow guard reads
 
     @property
     def n_max(self) -> int:
@@ -263,17 +265,18 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         # copyto with a mask, not a boolean-index assignment, which builds index arrays on every call
         np.copyto(ab, 0.0, where=top <= (1e-12 * norm(c) if drop_tol is None else drop_tol))
     # np.maximum carries a NaN through, so the largest magnitude is finite only if every coefficient is
-    if not (math.isfinite(a0) and math.isfinite(np.maximum.reduce(top))):
+    if not (math.isfinite(a0) and math.isfinite(peak := float(np.maximum.reduce(top)))):
         raise ValueError("spectrum orders and coefficients must be finite")
     spec = Spectrum.__new__(Spectrum)
     if isinstance(c, AnalyticCurve):
-        return _frozen(spec, interval=c.interval, a0=float(a0), a=ab[0], b=ab[1])  # ab not copied
+        return _frozen(spec, interval=c.interval, a0=float(a0), a=ab[0], b=ab[1], _peak=peak)  # ab not copied
     coef.setflags(write=False)  # and a and b, its views made below; set directly, not by `_frozen`'s loop
     object.__setattr__(spec, "interval", c.interval)
     object.__setattr__(spec, "a0", a0)
     object.__setattr__(spec, "a", coef[::2])
     object.__setattr__(spec, "b", coef[1::2])
     object.__setattr__(spec, "_coef", coef)  # what `dynamism_payment` bills, as it is
+    object.__setattr__(spec, "_peak", peak)
     return spec
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .curve import (AnalyticCurve, Interval, LoadCurve, _analytic_integrals, _eq_by, _frozen, _guarded_sum,
-                    _overflow, _power_of_two_near, _require_int, _rescaled, _trapezoid, _weights, energy)
+                    _overflow, _power_of_two_near, _SUM_LIMIT, _require_int, _rescaled, _trapezoid, _weights, energy)
 from .spectrum import DynamismVector, Spectrum, _dense_vector, mu_index_cos, mu_index_sin
 
 __all__ = [
@@ -325,20 +325,23 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _order_columns(alpha: PriceFrequencyFunction, beta: PriceFrequencyFunction, t0: float, n_max: int) -> np.ndarray:
-    """The read-only frequency, published-price and price-times-t0 columns of a bill's 2*n_max order lines.
+    """The read-only frequency, published-price, price-times-t0 and running-top columns of a bill's 2*n_max
+    order lines.
 
-    With f0 = 1/t0, row 2n-2 is order n's cosine line, (n*f0, alpha(n*f0), alpha(n*f0)*t0), and row 2n-1
-    its sine line, with beta: the interleaving of `Bill.lines[1:]`. Computed once per key; the key holds
-    only values (two frozen price functions, t0, n_max), so equal plans share an entry and no plan, curve
-    or spectrum is kept.
+    With f0 = 1/t0, row 2n-2 is order n's cosine line, (n*f0, alpha(n*f0), alpha(n*f0)*t0, the largest
+    price times t0 up to that row), and row 2n-1 its sine line, with beta: the interleaving of
+    `Bill.lines[1:]`. Computed once per key; the key holds only values (two frozen price functions, t0,
+    n_max), so equal plans share an entry and no plan, curve or spectrum is kept.
     """
     f = np.arange(1, n_max + 1) * (1.0 / t0)
-    columns = np.empty((n_max, 2, 3))
+    columns = np.empty((n_max, 2, 4))
     columns[:, :, 0] = f[:, None]
     columns[:, 0, 1] = price_frequency_value(alpha, f)
     columns[:, 1, 1] = price_frequency_value(beta, f)
-    columns[:, :, 2] = columns[:, :, 1] * t0
-    columns = columns.reshape(2 * n_max, 3)
+    with np.errstate(over="ignore"):  # a price times t0 past the float range: a bill that needs it is refused
+        columns[:, :, 2] = columns[:, :, 1] * t0
+    columns = columns.reshape(2 * n_max, 4)
+    np.maximum.accumulate(columns[:, 2], out=columns[:, 3])
     columns.setflags(write=False)
     return columns
 
@@ -395,17 +398,30 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
     t0, n_max = s.interval.duration, s.n_max
     non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
     coef = s._coef if s._coef is not None else np.stack((s.a, s.b), axis=1).reshape(-1)  # interleaved as lines are
-    # t0 * price * coef, times the polarity: multiplying by a sign is exact, so this is
-    # the amount t0 * polarity * price * coef bit for bit
-    amount = _order_columns(plan.alpha, plan.beta, t0, n_max)[:, 2] * coef
+    columns = _order_columns(plan.alpha, plan.beta, t0, n_max)
+    prices = columns[:, 2]
+    # each amount and partial sum is at most 2 n_max times the top price times t0 times the largest coefficient
+    if fits := float(columns[-1, 3]) * (2 * n_max) * s._peak <= _SUM_LIMIT:
+        amount = prices * coef  # t0 * price * coef
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # an amount that overflows is refused below
+            amount = prices * coef
+    # times the polarity: multiplying by a sign is exact, so this is the amount t0 * polarity * price * coef bit for bit
     if supply is None:
         np.absolute(amount, out=amount)  # the load's own sign: copysign(1, coef) * coef = |coef|
     else:
         sup = np.empty(2 * n_max)
         sup[::2], sup[1::2] = _supply_coefficients(supply, np.arange(1, n_max + 1))
         amount *= _polarity(sup, coef)
-    # starting from +0.0, as a running sum would, keeps an all-zero dynamic part from reading -0.0
-    dynamic = float(np.add.reduce(amount, initial=0.0))
+    if fits:
+        # starting from +0.0, as a running sum would, keeps an all-zero dynamic part from reading -0.0
+        dynamic = float(np.add.reduce(amount, initial=0.0))
+    else:  # the peak carries a NaN (inf * 0) through; `_rescaled` keeps a sum that does not overflow, or refuses it
+        peak = float(np.maximum.reduce(np.abs(amount)))
+        dynamic = _rescaled(lambda d, _: float(np.add.reduce(amount / d, initial=0.0)), "the dynamism payment",
+                            lambda: (peak, 1.0)) if math.isfinite(peak) else math.inf
+    if not math.isfinite(non_dynamic + dynamic):
+        raise _overflow("the dynamism payment")
     bill = Bill.__new__(Bill)  # its fields set directly, not through `_frozen`'s loop: the per-meter path of a fleet
     object.__setattr__(bill, "non_dynamic", non_dynamic)
     object.__setattr__(bill, "dynamic", dynamic)

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,7 @@ from loadspace.cli import (
     _curve_csv,
     _decompose_json,
     _print_json,
+    _Table,
     build_parser,
     main,
 )
@@ -410,6 +412,19 @@ def test_a_payment_that_overflows_is_refused(capsys, tmp_path, fmt):
         assert err.startswith("error: ") and "payment overflows" in err, argv
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_dynamism_bill_that_overflows_is_refused(capsys, tmp_path, fmt):
+    # amounts of 1e300 * 1e10: refused by the bill itself, with no numpy warning (the suite makes one an error)
+    swing = _big_profile(tmp_path, [1e10 + 1e10 * math.cos(math.pi * k / 8) for k in range(17)])
+    pff = {"base": 1e300, "cutoff": 10.0, "slope": 0.0}
+    dear = write_plan(tmp_path / "dear.json", {"kind": "dynamism", "alpha0": 1e300, "alpha": pff, "beta": pff})
+    flat = write_plan(tmp_path / "flat.json", {"kind": "flat", "unit_price": 1.0})
+    for argv in (["bill", swing, dear], ["bill", swing, dear, "--supply", swing], ["compare", swing, flat, dear]):
+        code, out, err = run_cli(capsys, *argv, "--nmax", "2", "--format", fmt)
+        assert (code, out) == (3, ""), argv
+        assert err == "error: the dynamism payment overflows the float range\n", argv
+
+
 def test_compare_refuses_a_difference_that_overflows(capsys, tmp_path):
     # a load of either sign: the two spot plans bill it 1e308 and -1e308
     big = _big_profile(tmp_path, (8e307, 0.0, -8e307))
@@ -633,12 +648,27 @@ def test_a_reader_that_closes_the_pipe_ends_the_output_quietly():
 # JSON output
 # ---------------------------------------------------------------------------
 
-def _bill_of_2001_line_items() -> dict:
-    """A dynamism bill at n_max 1000 (the energy line and 2,000 order lines), as `bill --format json` prints it."""
+def _bill_of_2001_line_items() -> Bill:
+    """A dynamism bill at n_max 1000: the energy line and 2,000 order lines."""
     values = np.random.default_rng(7).normal(50.0, 10.0, 2101)
     bill = dynamism_payment(builtin_plans()[0], analyze(SampledCurve(UNIT, values), 1000))
     assert len(bill.line_items) == 2001
-    return {"kind": "dynamism", "payment": bill.total, "bill": bill.to_dict()}
+    return bill
+
+
+def _materialized(payload):
+    """The payload with each `_Table` replaced by its list of row objects, as `_print_json` prints it."""
+    if isinstance(payload, _Table):
+        return [dict(zip(payload.keys, row)) for row in payload.rows]
+    if isinstance(payload, dict):
+        return {k: _materialized(v) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [_materialized(v) for v in payload]
+    return payload
+
+
+_KEYS = ("order", "f", "Zürich")
+_ROWS = [(1, 0.5, "¼ kWh ⚡"), (2, -0.0, None), (3, 1e-320, 1.7976931348623157e308), (4, float("nan"), "\x00\"")]
 
 
 @pytest.mark.parametrize(
@@ -650,21 +680,33 @@ def _bill_of_2001_line_items() -> dict:
         [float("nan"), float("inf"), -float("inf"), -0.0, 1e-320, 1.7976931348623157e308, True, False, None],
         {"Zürich": "¼ kWh ⚡", "\u2028": ["\x00\t\"\\"]},
         "just a string",
-        pytest.param(_bill_of_2001_line_items(), id="bill-2001-lines"),
+        pytest.param(_bill_of_2001_line_items().to_dict(), id="bill-2001-lines"),
+        pytest.param({"empty": _Table(_KEYS, []), "after": 1}, id="empty-table"),
+        pytest.param({"list": [0, _Table(_KEYS, _ROWS), {"deeper": [_Table(_KEYS, _ROWS[:1])]}]}, id="table-in-list"),
+        pytest.param({"a": _Table(_KEYS, _ROWS), "b": _Table(("x",), [(1,), (2,)]), "c": []}, id="two-tables"),
+        pytest.param(_Table(_KEYS, _ROWS), id="top-level-table"),
+        pytest.param(_Table(_KEYS, ()), id="top-level-empty-table"),
     ],
 )
 def test_print_json_prints_what_json_dumps_gives(capsys, payload):
+    expected = json.dumps(_materialized(payload), indent=2) + "\n"
     _print_json(payload)
-    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+    assert capsys.readouterr().out == expected
 
 
-def test_print_json_builds_no_whole_document(capsys):
+def test_print_json_refuses_what_json_refuses():
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        _print_json({"rows": _Table(_KEYS, _ROWS), "bad": {1}})
+
+
+def test_print_json_builds_no_whole_document():
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing")
-    payload = _bill_of_2001_line_items()
-    text = json.dumps(payload, indent=2)
+    bill = _bill_of_2001_line_items()
+    text = json.dumps(_materialized(_bill_json("dynamism", bill.total, bill)), indent=2)
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        _print_json(payload)  # one-time allocations out of the way
+        _print_json(_bill_json("dynamism", bill.total, bill))  # one-time allocations out of the way
+        payload = _bill_json("dynamism", bill.total, bill)
         tracemalloc.start()
         try:
             _print_json(payload)

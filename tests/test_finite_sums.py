@@ -9,9 +9,9 @@ otherwise the values are divided by powers of two near their peaks, as
 integral divides samples under 1 so too, so that no product w_i * v_i rounds
 to the subnormal grid. A spot plan whose weights would overflow builds them
 from prices divided by a power of two, and scales each bill back. Flat
-payments, and analytic energies, values, integrals, inner products and spot
-bills that overflow are refused too. The suite turns every warning into an
-error.
+payments, dynamism bills, and analytic energies, values, integrals, inner
+products and spot bills that overflow are refused too. The suite turns every
+warning into an error.
 """
 from __future__ import annotations
 
@@ -27,12 +27,17 @@ from hypothesis.extra import numpy as hnp
 
 from loadspace import (
     AnalyticCurve,
+    DynamismPlan,
     Interval,
+    PriceFrequencyFunction,
     SampledCurve,
     add,
+    analyze,
     average_power,
     classic_payment,
+    dynamism_payment,
     energy,
+    Spectrum,
     SpotPlan,
     evaluate,
     inner_product,
@@ -107,6 +112,39 @@ def test_analytic_results_that_overflow_are_refused():
     far = AnalyticCurve(Interval(0.0, 1.5e308), 1e-10, ((1, 1.0, 0.0),))
     expected = 1e-10 * 0.5e308 + 1.5e308 / (2 * math.pi) * math.sin(2 * math.pi / 3)
     assert integrate(far, 1e308, 1.5e308) == pytest.approx(expected, rel=1e-13)
+
+
+def _dynamism_plan(alpha0: float, price: float) -> DynamismPlan:
+    pff = PriceFrequencyFunction(price, 10.0, 0.0)
+    return DynamismPlan(alpha0, pff, pff)
+
+
+def test_a_dynamism_bill_that_overflows_is_refused():
+    # each returned an infinite total, most after a numpy overflow warning
+    swing = analyze(AnalyticCurve(UNIT, 1e10, [(1, 1e10, 0.0)]), 2)
+    with pytest.raises(ValueError, match="dynamism payment overflows the float range"):
+        dynamism_payment(_dynamism_plan(1e300, 1e300), swing)  # amounts of 1e310
+    with pytest.raises(ValueError, match="dynamism payment overflows the float range"):
+        dynamism_payment(_dynamism_plan(1e300, 1.0), swing)  # the energy part: 1e300 * 1e10
+    rising = Spectrum(UNIT, 0.0, [(n, 1e308, 0.0) for n in (1, 2, 3)], 3)
+    with pytest.raises(ValueError, match="dynamism payment overflows the float range"):
+        dynamism_payment(_dynamism_plan(1.0, 1.0), rising)  # amounts of 1e308 that sum to 3e308
+    with pytest.raises(ValueError, match="dynamism payment overflows the float range"):
+        dynamism_payment(_dynamism_plan(1.0, 1e300), Spectrum(Interval(0.0, 1e10), 1.0, [(1, 1.0, 0.0)], 1))
+
+
+def test_a_dynamism_bill_near_the_float_maximum_keeps_a_finite_total():
+    # the supply's signs make the amounts 1e308, 1e308 and -1e308: partial sums overflow, the total does not
+    rising = Spectrum(UNIT, 0.0, [(n, 1e308, 0.0) for n in (1, 2, 3)], 3)
+    supply = Spectrum(UNIT, 0.0, [(1, 1.0, 0.0), (2, 1.0, 0.0), (3, -1.0, 0.0)], 3)
+    bill = dynamism_payment(_dynamism_plan(1.0, 1.0), rising, supply)
+    assert (bill.total, bill.dynamic) == (1e308, 1e308)
+    assert bill.lines[1:, 3].tolist() == [1e308, 0.0, 1e308, 0.0, -1e308, 0.0]
+    # past the guard's bound (4 amounts of at most 20 * 2e306) with no sum that overflows: the plain sum, bit for bit
+    near = Spectrum(UNIT, 1.0, [(1, 2e306, -3e305), (2, 7e305, 0.0)], 2)
+    bill = dynamism_payment(_dynamism_plan(20.0, 20.0), near)
+    assert bill.dynamic == float(np.add.reduce(bill.lines[1:, 3], initial=0.0))
+    assert bill.dynamic == pytest.approx(20.0 * 3e306, rel=1e-15)
 
 
 def test_spot_bills_and_integrals_near_the_float_maximum_are_finite():
