@@ -111,9 +111,9 @@ def _eq_by(*names: str):
 
 
 def _dense_rows(rows, name: str, lo: int, hi: int, size: int | None, constant: float = 0.0, width: int = 3):
-    """Outside (index, value, ...) rows (tuples or a (k, width) array, any order) as a new (width - 1, size) array.
+    """Outside (index, value, ...) rows (tuples or a (k, width) array, any order) as a new (size, width - 1) array.
 
-    Index i's values land in column i - lo; `size` None runs to the largest index (with no rows, to 0).
+    Index i's values land in row i - lo (`.reshape(-1)` interleaves them); `size` None: up to the largest index, or empty.
     ValueError on a value, index or `constant` that is not finite, then on an index outside lo..hi,
     checked on the floats before the index is cast or the array allocated, then on one that is fractional or repeats.
     """
@@ -137,8 +137,8 @@ def _dense_rows(rows, name: str, lo: int, hi: int, size: int | None, constant: f
     if len(set(indices)) < len(indices):
         ordered = sorted(indices)
         raise ValueError(f"duplicate {name} {next(i for i, j in zip(ordered, ordered[1:]) if i == j)}")
-    out = np.zeros((width - 1, max(indices, default=0) + 1 - lo if size is None else size))
-    out.T[index - lo] = table[:, 1:]
+    out = np.zeros((max(indices, default=0) + 1 - lo if size is None else size, width - 1))
+    out[index - lo] = table[:, 1:]
     return out
 
 
@@ -151,10 +151,10 @@ class AnalyticCurve:
     analysis reads coefficients off directly. Arbitrary closed forms must
     be sampled first.
 
-    Stored as a Spectrum is (`harmonics` is a view): the constant plus
-    read-only float arrays `a`, `b`, order n at position n-1, zeros where
-    absent, up to the highest order (at most 2**20). Equal when interval,
-    constant and harmonics are.
+    Stored as a Spectrum is (`harmonics` is a view): the constant plus the
+    read-only array `_coef` = (a_1, b_1, ..., a_n, b_n), zeros where absent,
+    n the highest order (at most 2**20), with views `a` = `_coef[::2]` and
+    `b` = `_coef[1::2]`. Equal when interval, constant and harmonics are.
     """
 
     interval: Interval
@@ -169,8 +169,8 @@ class AnalyticCurve:
         n_max = max([row[0] for row in rows], default=0)
         if n_max > 2**20:
             raise ValueError(f"harmonic order {n_max} outside 1..{2**20}")
-        ab = _dense_rows(rows, "harmonic order", 1, 2**20, n_max, constant)
-        _frozen(self, interval=interval, constant=float(constant), a=ab[0], b=ab[1])
+        coef = _dense_rows(rows, "harmonic order", 1, 2**20, n_max, constant).reshape(-1)
+        _frozen(self, interval=interval, constant=float(constant), a=coef[::2], b=coef[1::2], _coef=coef)
 
     __eq__ = _eq_by("interval", "constant", "harmonics")  # the sparse view: trailing zeros do not count
 
@@ -189,12 +189,12 @@ def _present(c) -> np.ndarray:
     return np.flatnonzero((c.a != 0.0) | (c.b != 0.0))
 
 
-def _analytic(interval: Interval, constant: float, ab) -> AnalyticCurve:
-    """The AnalyticCurve with amplitude arrays (a, b) = ab, stored as given, not copied; ValueError unless finite."""
-    if not (math.isfinite(constant) and np.isfinite(ab[0]).all() and np.isfinite(ab[1]).all()):
+def _analytic(interval: Interval, constant: float, coef: np.ndarray) -> AnalyticCurve:
+    """The AnalyticCurve with amplitudes coef = (a_1, b_1, ...), held as given, not copied; ValueError unless finite."""
+    if not (math.isfinite(constant) and np.isfinite(coef).all()):
         raise ValueError("curve amplitudes must be finite")
     curve = AnalyticCurve.__new__(AnalyticCurve)
-    return _frozen(curve, interval=interval, constant=float(constant), a=ab[0], b=ab[1])
+    return _frozen(curve, interval=interval, constant=float(constant), a=coef[::2], b=coef[1::2], _coef=coef)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,10 +354,10 @@ def add(c1: LoadCurve, c2: LoadCurve) -> LoadCurve:
     """
     iv = _require_same_interval(c1, c2)
     if isinstance(c1, AnalyticCurve) and isinstance(c2, AnalyticCurve):
-        ab = np.zeros((2, max(c1.a.size, c2.a.size)))
+        coef = np.zeros(max(c1._coef.size, c2._coef.size))
         for c in (c1, c2):
-            ab[:, : c.a.size] += (c.a, c.b)
-        return _analytic(iv, c1.constant + c2.constant, ab)
+            coef[: c._coef.size] += c._coef
+        return _analytic(iv, c1.constant + c2.constant, coef)
     v1, v2 = _common_grid(c1, c2)
     return SampledCurve(iv, v1 + v2)
 
@@ -367,7 +367,7 @@ def scale(a: float, c: LoadCurve) -> LoadCurve:
     if not math.isfinite(a):
         raise ValueError(f"scale factor must be finite, got {a}")
     if isinstance(c, AnalyticCurve):
-        return _analytic(c.interval, a * c.constant, (a * c.a, a * c.b))
+        return _analytic(c.interval, a * c.constant, a * c._coef)
     return SampledCurve(c.interval, a * c.values)
 
 
@@ -472,7 +472,7 @@ def inner_product(c1: LoadCurve, c2: LoadCurve) -> float:
             return t0 * (c1.constant / s1) * (c2.constant / s2) + 0.5 * t0 * float(dot)
 
         def peaks():
-            return [_coefficient_peak(c.constant, c.a[:n], c.b[:n]) for c in (c1, c2)]
+            return [_coefficient_peak(c.constant, c._coef[: 2 * n]) for c in (c1, c2)]
 
         return _rescaled(total_of, (iv.t1, iv.t2), peaks)
     v1, v2 = _common_grid(c1, c2)
@@ -511,23 +511,23 @@ def _scaled_square_norm(c: LoadCurve, interval: Interval | None = None) -> tuple
     """
     iv = interval or c.interval
     if isinstance(c, AnalyticCurve):
-        return _scaled_parseval(iv.duration, c.constant, c.a, c.b)
+        return _scaled_parseval(iv.duration, c.constant, c._coef)
     s = _power_of_two_near(c._peak)
     w = c.values / s
     w *= w
     return s, _trapezoid(w, iv)
 
 
-def _scaled_parseval(t0: float, constant: float, a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """`_scaled_square_norm` of constant + sum_n (a_n cos + b_n sin) on length t0, from Parseval and no curve."""
-    s = _power_of_two_near(_coefficient_peak(constant, a, b))
-    c0, a, b = constant / s, a / s, b / s
+def _scaled_parseval(t0: float, constant: float, coef: np.ndarray) -> tuple[float, float]:
+    """`_scaled_square_norm` of constant + sum_n (a_n cos + b_n sin) on length t0 by Parseval, coef (a_1, b_1, ...)."""
+    s = _power_of_two_near(_coefficient_peak(constant, coef))
+    c0, a, b = constant / s, coef[::2] / s, coef[1::2] / s  # contiguous: a dot on strided views may round otherwise
     return s, t0 * c0 * c0 + 0.5 * t0 * float(a @ a + b @ b)
 
 
-def _coefficient_peak(constant: float, a: np.ndarray, b: np.ndarray) -> float:
-    """The largest magnitude among a constant and two coefficient arrays."""
-    return float(np.maximum.reduce(np.abs(np.concatenate(([constant], a, b)))))
+def _coefficient_peak(constant: float, coef: np.ndarray) -> float:
+    """The largest magnitude among a constant and a coefficient array."""
+    return float(np.maximum.reduce(np.abs(np.concatenate(([constant], coef)))))
 
 
 def distance(c1: LoadCurve, c2: LoadCurve) -> float:

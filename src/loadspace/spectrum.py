@@ -67,9 +67,10 @@ def mu_index_sin(n: int) -> int:
 class Spectrum:
     """Truncated Fourier description of a curve on its interval.
 
-    Stored densely: a0 plus read-only float arrays `a` and `b` of length
-    n_max, where a[n-1], b[n-1] are the cosine and sine coefficients of
-    order n and every absent order holds zeros, as in an AnalyticCurve. The
+    Stored densely: a0 plus the read-only array `_coef` = (a_1, b_1, ...,
+    a_n_max, b_n_max), interleaved as bill lines are, zeros where absent, as
+    in an AnalyticCurve; its views `a` = `_coef[::2]` and `b` = `_coef[1::2]`
+    hold order n's cosine and sine coefficients at n-1. The
     constructor takes the present orders (1..n_max) as (order, a_n, b_n)
     rows, Harmonic tuples or a (k, 3) array, through the row parser it shares
     with AnalyticCurve and DynamismVector; `n_max`, `harmonics` and
@@ -84,12 +85,11 @@ class Spectrum:
 
     def __init__(self, interval: Interval, a0: float, harmonics, n_max: int) -> None:
         n_max = _require_int(n_max, "n_max", 1)
-        ab = _dense_rows(harmonics, "harmonic order", 1, n_max, n_max, a0)
-        peak = float(np.maximum.reduce(np.abs(ab), None))
-        _frozen(self, interval=interval, a0=float(a0), a=ab[0], b=ab[1], _peak=peak)
+        coef = _dense_rows(harmonics, "harmonic order", 1, n_max, n_max, a0).reshape(-1)
+        peak = float(np.maximum.reduce(np.abs(coef)))
+        _frozen(self, interval=interval, a0=float(a0), a=coef[::2], b=coef[1::2], _coef=coef, _peak=peak)
 
     __eq__ = _eq_by("interval", "a0", "a", "b")
-    _coef = None  # from sampled `analyze`: a and b interleaved (a_1, b_1, a_2, ...), the array they view
     _peak = math.inf  # a bound on every |a_n| and |b_n|: what `dynamism_payment`'s overflow guard reads
 
     @property
@@ -130,7 +130,7 @@ class DynamismVector:
 
     def __init__(self, interval: Interval, coords) -> None:
         # 2**21: the sine coordinate of the highest order an AnalyticCurve may hold
-        values = _dense_rows(coords, "coordinate index", 0, 2 * 2**20, None, width=2)[0]
+        values = _dense_rows(coords, "coordinate index", 0, 2 * 2**20, None, width=2).reshape(-1)
         _frozen(self, interval=interval, values=values)
 
     __eq__ = _eq_by("interval", "coords")  # the sparse view: trailing zeros do not count
@@ -226,9 +226,9 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
 
     if isinstance(c, AnalyticCurve):
         a0 = 2.0 * c.constant
-        ab = np.zeros((2, n_max))
-        kept = min(n_max, c.a.size)
-        ab[:, :kept] = c.a[:kept], c.b[:kept]
+        coef = np.zeros(2 * n_max)
+        kept = c._coef[: 2 * n_max]
+        coef[: kept.size] = kept
     else:
         v = c.values
         n_samples = v.size
@@ -250,8 +250,8 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         w *= 2.0 / iv.duration
         a0 = float(w[0].real)
         coef = w[1:].view(float)  # a_1, b_1, a_2, b_2, ...: Re and Im of each w_n, interleaved as bill lines are
-        ab = coef.reshape(n_max, 2).T  # ab[0] = Re w_n = a_n, ab[1] = Im w_n = b_n
 
+    ab = coef.reshape(n_max, 2).T  # ab[0] = a_n, ab[1] = b_n: views of coef
     magnitude = np.abs(ab)
     top = np.maximum(magnitude[0], magnitude[1], out=magnitude[0])
     # On a sampled curve's trapezoid grid norm(c) <= sqrt(T0) * peak. An order above twice 1e-12
@@ -268,8 +268,6 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
     if not (math.isfinite(a0) and math.isfinite(peak := float(np.maximum.reduce(top)))):
         raise ValueError("spectrum orders and coefficients must be finite")
     spec = Spectrum.__new__(Spectrum)
-    if isinstance(c, AnalyticCurve):
-        return _frozen(spec, interval=c.interval, a0=float(a0), a=ab[0], b=ab[1], _peak=peak)  # ab not copied
     coef.setflags(write=False)  # and a and b, its views made below; set directly, not by `_frozen`'s loop
     object.__setattr__(spec, "interval", c.interval)
     object.__setattr__(spec, "a0", a0)
@@ -282,7 +280,7 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
 
 def synthesize(s: Spectrum) -> AnalyticCurve:
     """Curve with constant a0/2 and the spectrum's harmonics (the Fourier series), sharing its arrays."""
-    return _analytic(s.interval, 0.5 * s.a0, (s.a, s.b))
+    return _analytic(s.interval, 0.5 * s.a0, s._coef)
 
 
 def to_mu_vector(s: Spectrum) -> DynamismVector:
@@ -296,9 +294,7 @@ def to_mu_vector(s: Spectrum) -> DynamismVector:
     t0 = s.interval.duration
     mu = np.empty(1 + 2 * s.n_max)
     mu[0] = 0.5 * s.a0 * np.sqrt(t0)
-    half = np.sqrt(0.5 * t0)
-    mu[1::2] = s.a * half
-    mu[2::2] = s.b * half
+    np.multiply(s._coef, np.sqrt(0.5 * t0), out=mu[1:])
     return _dense_vector(s.interval, mu)
 
 
@@ -314,7 +310,7 @@ def parseval_energy(s: Spectrum) -> float:
     is exact, so wherever no square overflows or underflows the result is
     the unscaled sum bit for bit.
     """
-    m, q = _scaled_parseval(s.interval.duration, 0.5 * s.a0, s.a, s.b)
+    m, q = _scaled_parseval(s.interval.duration, 0.5 * s.a0, s._coef)
     return m * (m * q)
 
 
@@ -323,7 +319,7 @@ def _parseval_check(curve: LoadCurve, spec: Spectrum) -> tuple[float, float, flo
     # Both energies are formed from values divided by a power of two near their peak, m or s, so a
     # curve whose squares overflow still gets its ratio. Scaling is exact: in range, pe is
     # parseval_energy(spec), nsq is inner_product(curve, curve) and ratio is pe / nsq.
-    m, p = _scaled_parseval(spec.interval.duration, 0.5 * spec.a0, spec.a, spec.b)
+    m, p = _scaled_parseval(spec.interval.duration, 0.5 * spec.a0, spec._coef)
     pe = m * (m * p)
     s, q = _scaled_square_norm(curve)
     nsq = s * (s * q)

@@ -151,10 +151,7 @@ class SpotPlan:
         if not np.logical_and.reduce((0.0 < prices) & (prices < np.inf)):
             raise ValueError("spot prices must be positive and finite")
         bounds = np.linspace(self.interval.t1, self.interval.t2, prices.size + 1)
-        # weights sum to about top price * T0: where that could overflow they come from prices / 2**e, bills scaled back
-        top = float(np.maximum.reduce(prices))
-        e = 0 if math.isfinite(top * self.interval.duration * 2.0) else math.frexp(top)[1] + 1
-        _frozen(self, unit_prices=prices, _bounds=bounds, _exponent=e, _weights=(0, None, 0.0, 0))
+        _frozen(self, unit_prices=prices, _bounds=bounds, _weights=(0, None, 0.0, 0))
 
     @property
     def cycle_count(self) -> int:
@@ -311,14 +308,16 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
     # (N, w, reach, exponent), replaced as one tuple: no thread pairs one N's samples with another N's w
     held = plan._weights
     if held[0] != (n := c.values.size):
-        e, top, h = plan._exponent, float(np.maximum.reduce(plan.unit_prices)), plan.interval.duration / (n - 1)
+        top, h = float(np.maximum.reduce(plan.unit_prices)), plan.interval.duration / (n - 1)
+        # weights sum to about top price * T0: where that could overflow they come from prices / 2**e, bills scaled back
+        e = 0 if math.isfinite(top * plan.interval.duration * 2.0) else math.frexp(top)[1] + 1
         if top * h < sys.float_info.min:
             # weights below the normal range would round to the subnormal grid: build them from prices scaled
             # up by a power of two, to top * h near 1 (top at most 2**1000), and scale the bill back once
             e = max(math.frexp(top)[1] + math.frexp(h)[1], math.frexp(top)[1] - 1000)
         prices = np.ldexp(plan.unit_prices, -e) if e else plan.unit_prices
         _, w, w_sum = _weights(plan.interval, n, plan._bounds, prices)
-        held = (n, w, math.inf if plan._exponent else w_sum, e)  # prices scaled down: the guard's slow path
+        held = (n, w, math.inf if e > 0 else w_sum, e)  # prices scaled down: the guard's slow path
         vars(plan)["_weights"] = held
     return _guarded_sum(np.ndarray.dot, held[1], held[2], "the spot payment", c.values, c._peak, held[3])
 
@@ -397,7 +396,7 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
         raise ValueError("incompatible intervals: supply spectrum on a different interval")
     t0, n_max = s.interval.duration, s.n_max
     non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
-    coef = s._coef if s._coef is not None else np.stack((s.a, s.b), axis=1).reshape(-1)  # interleaved as lines are
+    coef = s._coef  # interleaved as lines are
     columns = _order_columns(plan.alpha, plan.beta, t0, n_max)
     prices = columns[:, 2]
     # each amount and partial sum is at most 2 n_max times the top price times t0 times the largest coefficient
@@ -406,17 +405,19 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an amount that overflows is refused below
             amount = prices * coef
+        np.copyto(amount, coef, where=coef == 0.0)  # inf * 0 is NaN: a zero coefficient's amount is that zero
     # times the polarity: multiplying by a sign is exact, so this is the amount t0 * polarity * price * coef bit for bit
     if supply is None:
         np.absolute(amount, out=amount)  # the load's own sign: copysign(1, coef) * coef = |coef|
     else:
-        sup = np.empty(2 * n_max)
-        sup[::2], sup[1::2] = _supply_coefficients(supply, np.arange(1, n_max + 1))
+        sup = np.zeros(2 * n_max)
+        kept = supply._coef[: 2 * n_max]
+        sup[: kept.size] = kept
         amount *= _polarity(sup, coef)
     if fits:
         # starting from +0.0, as a running sum would, keeps an all-zero dynamic part from reading -0.0
         dynamic = float(np.add.reduce(amount, initial=0.0))
-    else:  # the peak carries a NaN (inf * 0) through; `_rescaled` keeps a sum that does not overflow, or refuses it
+    else:  # an amount that overflowed makes the peak inf; `_rescaled` keeps a sum that does not overflow, or refuses it
         peak = float(np.maximum.reduce(np.abs(amount)))
         dynamic = _rescaled(lambda d, _: float(np.add.reduce(amount / d, initial=0.0)), "the dynamism payment",
                             lambda: (peak, 1.0)) if math.isfinite(peak) else math.inf

@@ -425,6 +425,19 @@ def test_a_dynamism_bill_that_overflows_is_refused(capsys, tmp_path, fmt):
         assert err == "error: the dynamism payment overflows the float range\n", argv
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_constant_load_bills_its_energy_at_prices_that_overflow(capsys, tmp_path, fmt):
+    # 17 samples of 1.0 on [0, 1e10]: every order is zero, and a price of 1e300 times T0 overflows at each one
+    load = write_rows(tmp_path / "flat-load.csv", [["t", "power"], *([repr(i * 6.25e8), "1.0"] for i in range(17))])
+    pff = {"base": 1e300, "cutoff": 10.0, "slope": 0.0}
+    dear = write_plan(tmp_path / "dear.json", {"kind": "dynamism", "alpha0": 1.0, "alpha": pff, "beta": pff})
+    for argv in (["bill", load, dear], ["bill", load, dear, "--supply", load]):
+        code, out, err = run_cli(capsys, *argv, "--nmax", "2", "--format", fmt)
+        assert (code, err) == (0, ""), argv
+        if fmt == "json":
+            assert json.loads(out)["payment"] == 1e10, argv
+
+
 def test_compare_refuses_a_difference_that_overflows(capsys, tmp_path):
     # a load of either sign: the two spot plans bill it 1e308 and -1e308
     big = _big_profile(tmp_path, (8e307, 0.0, -8e307))

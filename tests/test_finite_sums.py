@@ -133,6 +133,33 @@ def test_a_dynamism_bill_that_overflows_is_refused():
         dynamism_payment(_dynamism_plan(1.0, 1e300), Spectrum(Interval(0.0, 1e10), 1.0, [(1, 1.0, 0.0)], 1))
 
 
+def test_zero_coefficients_at_prices_that_overflow_bill_nothing():
+    # price 1e300 times T0 1e10 is past the float range at every order, and inf * 0 was NaN: each bill was refused
+    long = Interval(0.0, 1e10)
+    dear, cheap = _dynamism_plan(1.0, 1e300), _dynamism_plan(1.0, 1.0)
+    bill = dynamism_payment(dear, Spectrum(long, 1.0, [], 2))
+    assert (bill.total, bill.non_dynamic, bill.dynamic) == (5e9, 5e9, 0.0)
+    assert [item.label for item in bill.line_items] == ["energy"]
+    # zeros of either sign, against a supply: each amount is the zero a finite price gives, sign for sign
+    zeros = Spectrum(long, 1.0, [(1, -0.0, 0.0), (2, 0.0, -0.0)], 2)
+    for supply in (None, Spectrum(long, 1.0, [(1, -3.0, 0.0)], 1), zeros):
+        got, want = dynamism_payment(dear, zeros, supply), dynamism_payment(cheap, zeros, supply)
+        assert got.total == 5e9 and np.signbit(got.lines[1:, 3]).tolist() == np.signbit(want.lines[1:, 3]).tolist()
+    # cosines only, beta at 1e300: billed as at a finite beta, bit for bit
+    cosines = Spectrum(long, 1.0, [(1, 3.0, 0.0), (2, -2e-5, 0.0)], 2)
+    for supply in (None, zeros):
+        got = dynamism_payment(DynamismPlan(1.0, cheap.alpha, dear.beta), cosines, supply)
+        want = dynamism_payment(cheap, cosines, supply)
+        assert got.total == want.total and got.lines[:, 3].tobytes() == want.lines[:, 3].tobytes()
+    # the analysis of a constant load: its orders are zero
+    flat = analyze(SampledCurve(long, np.full(17, 1.0)), 2)
+    assert not flat.a.any() and not flat.b.any()
+    assert dynamism_payment(dear, flat).total == 1e10
+    # a nonzero coefficient at such an order is still refused, however small
+    with pytest.raises(ValueError, match="dynamism payment overflows the float range"):
+        dynamism_payment(dear, Spectrum(long, 1.0, [(2, 0.0, 1e-300)], 2))
+
+
 def test_a_dynamism_bill_near_the_float_maximum_keeps_a_finite_total():
     # the supply's signs make the amounts 1e308, 1e308 and -1e308: partial sums overflow, the total does not
     rising = Spectrum(UNIT, 0.0, [(n, 1e308, 0.0) for n in (1, 2, 3)], 3)

@@ -35,6 +35,7 @@ from loadspace import (
     Interval,
     PriceFrequencyFunction,
     SampledCurve,
+    Spectrum,
     SpotPlan,
     analyze,
     dynamism_payment,
@@ -479,16 +480,27 @@ def _eager_bill(plan: DynamismPlan, s, supply=None) -> tuple[float, float, np.nd
     return non_dynamic, float(np.add.reduce(lines[1:, 3], initial=0.0)), lines
 
 
+def _any_spectrum(c: SampledCurve, data) -> Spectrum:
+    """A spectrum on c's interval at an n_max that c resolves: the analysis of c, the constructor's spectrum with
+    c's values as (a0, a_1, b_1, ...), or the analysis of the analytic curve with those amplitudes, at an n_max
+    that may truncate it or pad it with zeros."""
+    n_max = data.draw(st.integers(min_value=1, max_value=(c.values.size - 2) // 2))
+    source = data.draw(st.sampled_from(["sampled", "constructor", "analytic"]))
+    if source == "sampled":
+        return analyze(c, n_max)
+    v = c.values
+    rows = [(n, v[2 * n - 1], v[2 * n]) for n in range(1, n_max + 1)]
+    if source == "constructor":
+        return Spectrum(c.interval, v[0], rows, n_max)
+    return analyze(AnalyticCurve(c.interval, 0.5 * v[0], rows), data.draw(st.integers(1, n_max + 2)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_meters(), _meters(), st.data())
 def test_a_bill_built_on_first_read_equals_the_eager_bill(c, other, data):
-    n_max = data.draw(st.integers(min_value=1, max_value=(c.values.size - 2) // 2))
     plan = DynamismPlan(data.draw(st.floats(min_value=0.1, max_value=100.0)), data.draw(_pffs()), data.draw(_pffs()))
-    s = analyze(c, n_max)
-    supply = analyze(
-        SampledCurve(c.interval, other.values),
-        data.draw(st.integers(min_value=1, max_value=(other.values.size - 2) // 2)),
-    )
+    s = _any_spectrum(c, data)
+    supply = _any_spectrum(SampledCurve(c.interval, other.values), data)
     for sup in (None, supply):
         non_dynamic, dynamic, lines = _eager_bill(plan, s, sup)
         eager = Bill(non_dynamic, dynamic, lines)

@@ -523,7 +523,9 @@ def coefficients():
 )
 def test_parseval_energy_is_the_unscaled_sum_bit_for_bit(t0, a0, ab):
     s = Spectrum(Interval(0.0, t0), a0, [(n, a, b) for n, (a, b) in enumerate(ab, start=1)], len(ab))
-    assert parseval_energy(s) == t0 * a0 * a0 / 4.0 + 0.5 * t0 * float(s.a @ s.a + s.b @ s.b)
+    # on contiguous copies, as the library sums them: a dot on the strided views `a` and `b` may round otherwise
+    a, b = np.ascontiguousarray(s.a), np.ascontiguousarray(s.b)
+    assert parseval_energy(s) == t0 * a0 * a0 / 4.0 + 0.5 * t0 * float(a @ a + b @ b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -621,16 +623,31 @@ def test_truncation_error_rejects_mismatched_interval(l1):
 # values the package builds equal the ones its constructors parse
 # ---------------------------------------------------------------------------
 
+def _assert_views_of_one_array(x: Spectrum | AnalyticCurve) -> None:
+    """`a` and `b` are the views _coef[::2] and _coef[1::2] of one read-only interleaved float64 array."""
+    coef = x._coef
+    assert coef.dtype == np.float64 and coef.ndim == 1 and coef.flags.c_contiguous and not coef.flags.writeable
+    assert x.a.size == x.b.size == coef.size // 2
+    if coef.size:
+        assert x.a.strides == x.b.strides == (16,)
+        start = coef.__array_interface__["data"][0]
+        assert (x.a.__array_interface__["data"][0], x.b.__array_interface__["data"][0]) == (start, start + 8)
+    assert not (x.a.flags.writeable or x.b.flags.writeable)
+
+
 def _assert_same_spectrum(s: Spectrum, n_max: int) -> None:
     rebuilt = Spectrum(s.interval, s.a0, s.harmonics, s.n_max)
     assert s.n_max == n_max and s == rebuilt
     assert s.a.tobytes() == rebuilt.a.tobytes() and s.b.tobytes() == rebuilt.b.tobytes()
-    assert not (s.a.flags.writeable or s.b.flags.writeable)
+    _assert_views_of_one_array(s)
+    _assert_views_of_one_array(rebuilt)
 
 
 def _assert_same_curve(c: AnalyticCurve) -> None:
-    assert c == AnalyticCurve(c.interval, c.constant, c.harmonics)
-    assert not (c.a.flags.writeable or c.b.flags.writeable)
+    rebuilt = AnalyticCurve(c.interval, c.constant, c.harmonics)
+    assert c == rebuilt
+    _assert_views_of_one_array(c)
+    _assert_views_of_one_array(rebuilt)
 
 
 def _assert_same_vector(v: DynamismVector) -> None:
