@@ -341,8 +341,8 @@ def _decompose_json(spec: Spectrum, pe: float, nsq: float, ratio: float | None) 
         "n_max": spec.n_max,
         "a0": spec.a0,
         "harmonics": _Table(("order", "f", "a", "b"), _harmonic_rows(spec)),
-        "parseval_energy": pe,
-        "norm_squared": nsq,
+        "parseval_energy": pe if math.isfinite(pe) else None,  # past the float range: null, not Infinity
+        "norm_squared": nsq if math.isfinite(nsq) else None,
         "parseval_ratio": ratio,
     }
 

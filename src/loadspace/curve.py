@@ -41,7 +41,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed time interval [t1, t2] with t1 < t2 strictly."""
+    """Closed time interval [t1, t2] with t1 < t2 strictly; fields, equality, hash and repr are (t1, t2).
+
+    Its length `duration`, T0 = t2 - t1, is stored once, at construction, for every call on the interval to read.
+    """
 
     t1: float
     t2: float
@@ -51,13 +54,9 @@ class Interval:
             raise ValueError("interval endpoints must be finite")
         if not self.t1 < self.t2:
             raise ValueError(f"interval requires t1 < t2, got [{self.t1}, {self.t2}]")
-        if not math.isfinite(self.t2 - self.t1):
+        if not math.isfinite(duration := self.t2 - self.t1):
             raise ValueError(f"interval length must be finite, got [{self.t1}, {self.t2}]")
-
-    @property
-    def duration(self) -> float:
-        """Length T0 = t2 - t1."""
-        return self.t2 - self.t1
+        object.__setattr__(self, "duration", duration)
 
     @property
     def f0(self) -> float:
@@ -197,18 +196,19 @@ def _analytic(interval: Interval, constant: float, coef: np.ndarray) -> Analytic
     return _frozen(curve, interval=interval, constant=float(constant), a=coef[::2], b=coef[1::2], _coef=coef)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SampledCurve:
     """Power samples on the uniform grid t_i = t1 + i*(T0/(N-1)), i = 0..N-1.
 
     The largest sample magnitude is kept as the private `_peak`, for bounds that take no pass over the samples.
+    The fields are stored directly, without `_frozen`'s loop or a `__post_init__` call: a fleet makes one per meter.
     """
 
     interval: Interval
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, interval: Interval, values) -> None:
+        v = np.asarray(values, dtype=float)
         if v.ndim != 1:
             raise ValueError("sample values must be one-dimensional")
         if v.size < 2:
@@ -217,7 +217,11 @@ class SampledCurve:
         peak = float(np.maximum.reduce(np.abs(v)))
         if not math.isfinite(peak):
             raise ValueError("sample values must be finite")
-        _frozen(self, values=v.copy(), _peak=peak)
+        v = v.copy()  # after the peak: a view of a larger table is copied once its |v| is freed
+        v.setflags(write=False)
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_peak", peak)
 
     def times(self) -> np.ndarray:
         """The grid np.linspace(t1, t2, N): each t1 + i*h rounded, where quadrature counts exact steps h."""
@@ -375,13 +379,14 @@ def scale(a: float, c: LoadCurve) -> LoadCurve:
 # most (t2 - t1)*p: while p*(N + t2 - t1) is below this, no partial sum, end or integral can overflow,
 # with a factor 2 to spare for rounding
 _SUM_LIMIT = sys.float_info.max / 2
+_NORMAL_MIN = sys.float_info.min  # the smallest normal float: below it, products round to the subnormal grid
 
 
 def _trapezoid(values: np.ndarray, interval: Interval) -> float:
     # in Python floats, which round as numpy's do at less cost per operation, and overflow without a warning
-    dt = (interval.t2 - interval.t1) / (values.size - 1)
-    total, ends = float(np.add.reduce(values)), float(values[0]) + float(values[-1])
-    if 0.5 * ends * 2.0 != ends and np.maximum.reduce(np.abs(values)) < sys.float_info.min:
+    dt = interval.duration / (values.size - 1)
+    total, ends = float(np.add.reduce(values)), values.item(0) + values.item(-1)
+    if 0.5 * ends * 2.0 != ends and np.maximum.reduce(np.abs(values)) < _NORMAL_MIN:
         # below the normal range halving the ends can round (0.5 * 5e-324 is 0.0); halve the
         # step instead: doubling the sum is exact, so, as in `integrate`, the product rounds once
         return 0.5 * dt * (2.0 * total - ends)
@@ -407,7 +412,7 @@ def _guarded_sum(total_of, arg, reach: float, what, v: np.ndarray, peak: float, 
     ValueError if the result overflows, naming `what`: a str, or the bounds (lo, hi) of an integral.
     """
     bound = peak * peak2 * reach
-    if bound <= _SUM_LIMIT and (bound >= sys.float_info.min or bound == 0.0 or total_of is _trapezoid):
+    if bound <= _SUM_LIMIT and (bound >= _NORMAL_MIN or bound == 0.0 or total_of is _trapezoid):
         return math.ldexp(total_of(v if v2 is None else v * v2, arg), exponent)
     if bound <= _SUM_LIMIT:
         s = min(_power_of_two_near(peak), 1.0)
@@ -485,6 +490,9 @@ def _power_of_two_near(peak: float) -> float:
     return math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0 else 1.0
 
 
+_UNIT = Interval(0.0, 1.0)
+
+
 def norm(c: LoadCurve) -> float:
     """L2 norm sqrt((c, c)); zero exactly for the zero curve.
 
@@ -499,7 +507,7 @@ def norm(c: LoadCurve) -> float:
     if math.isfinite(total):
         return s * math.sqrt(total)
     # only on an interval so long that T0 times the mean square overflows: take sqrt(T0) apart
-    s, total = _scaled_square_norm(c, Interval(0.0, 1.0))
+    s, total = _scaled_square_norm(c, _UNIT)
     return s * math.sqrt(c.interval.duration) * math.sqrt(total)
 
 

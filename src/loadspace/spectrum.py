@@ -31,10 +31,13 @@ from .curve import (
     _eq_by,
     _frozen,
     _phase_factors,
+    _power_of_two_near,
     _require_int,
     _scaled_parseval,
     _scaled_square_norm,
+    _SUM_LIMIT,
     _t1_turns,
+    _UNIT,
     distance,
     norm,
 )
@@ -199,6 +202,12 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
     w, not copies. This is the same trapezoid sum an n_max x N cos/sin
     matrix would give, in O(N log N) time and O(N) memory.
 
+    Where a sum could overflow (peak * (h*N + 2) past half the float maximum),
+    v and h are first divided by powers of two near the peak and T0, and the
+    sums scaled back by 2/(T0 / 2**e), in (2, 4] where 2/T0 may be subnormal,
+    then by the first power: exact, so only a coefficient that overflows
+    (refused) or falls below the normal range differs from the plain sum.
+
     Parameters
     ----------
     c : LoadCurve
@@ -238,22 +247,34 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
                 f"need at least {2 * n_max + 2}, got {n_samples}"
             )
         iv = c.interval
-        if not math.isfinite(2.0 / iv.duration):  # inf * 0.0 would make the scaling below warn
+        t0 = iv.duration
+        if not math.isfinite(scale := 2.0 / t0):  # inf * 0.0 would make the scaling below warn
             raise ValueError(f"interval [{iv.t1}, {iv.t2}] too short to analyze: 2/T0 overflows")
-        dt = iv.duration / (n_samples - 1)
+        dt = t0 / (n_samples - 1)
+        s = 1.0
+        # each partial sum of the FFT is at most dt * peak * N, and v_0 + v_(N-1) at most 2 peak; past the
+        # bound, every sum of v / s and dt / 2**e is below 4, s and 2**e powers of two near the peak and T0
+        if c._peak * (dt * n_samples + 2.0) > _SUM_LIMIT:
+            s, e = _power_of_two_near(c._peak), math.frexp(t0)[1]
+            v, scale = v / s, 2.0 / math.ldexp(t0, -e)
+            dt = math.ldexp(t0, -e) / (n_samples - 1)
         x = dt * v[:-1]
-        x[0] = 0.5 * dt * (v[0] + v[-1])
+        x[0] = 0.5 * dt * (v.item(0) + v.item(-1))
         # a new array, not the rfft buffer conjugated in place: the spectrum's views
         # would keep all N/2 bins alive where it needs n_max + 1
         w = np.conjugate(np.fft.rfft(x)[: n_max + 1])
+        # at a phase of 0 the factors are 1 - 0j, kept: skipping them would change the sign of some zeros
         w *= _conjugate_phase(_t1_turns(iv), n_max)
-        w *= 2.0 / iv.duration
-        a0 = float(w[0].real)
-        coef = w[1:].view(float)  # a_1, b_1, a_2, b_2, ...: Re and Im of each w_n, interleaved as bill lines are
+        w *= scale
+        if s != 1.0:
+            with np.errstate(over="ignore"):  # a coefficient that overflows is refused below
+                w *= s
+        w = w.view(float)
+        a0 = w.item(0)
+        coef = w[2:]  # a_1, b_1, a_2, b_2, ...: Re and Im of each w_n, interleaved as bill lines are
 
-    ab = coef.reshape(n_max, 2).T  # ab[0] = a_n, ab[1] = b_n: views of coef
-    magnitude = np.abs(ab)
-    top = np.maximum(magnitude[0], magnitude[1], out=magnitude[0])
+    magnitude = np.abs(coef)
+    top = np.maximum(magnitude[::2], magnitude[1::2])  # per order: the larger of |a_n| and |b_n|
     # On a sampled curve's trapezoid grid norm(c) <= sqrt(T0) * peak. An order above twice 1e-12
     # times that bound is above 1e-12 * norm(c) with the rounding of the computed norm to spare, so
     # when every order is, the default threshold drops none, and neither norm nor the mask is needed
@@ -263,9 +284,9 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         and np.minimum.reduce(top) > 2e-12 * math.sqrt(c.interval.duration) * c._peak
     ):
         # copyto with a mask, not a boolean-index assignment, which builds index arrays on every call
-        np.copyto(ab, 0.0, where=top <= (1e-12 * norm(c) if drop_tol is None else drop_tol))
+        np.copyto(coef.reshape(n_max, 2).T, 0.0, where=top <= (1e-12 * norm(c) if drop_tol is None else drop_tol))
     # np.maximum carries a NaN through, so the largest magnitude is finite only if every coefficient is
-    if not (math.isfinite(a0) and math.isfinite(peak := float(np.maximum.reduce(top)))):
+    if not (math.isfinite(a0) and math.isfinite(peak := float(np.maximum.reduce(magnitude)))):
         raise ValueError("spectrum orders and coefficients must be finite")
     spec = Spectrum.__new__(Spectrum)
     coef.setflags(write=False)  # and a and b, its views made below; set directly, not by `_frozen`'s loop
@@ -323,6 +344,8 @@ def _parseval_check(curve: LoadCurve, spec: Spectrum) -> tuple[float, float, flo
     pe = m * (m * p)
     s, q = _scaled_square_norm(curve)
     nsq = s * (s * q)
+    if not (math.isfinite(p) and math.isfinite(q)):  # T0 times a mean square overflows: the ratio on [0, 1]
+        p, q = _scaled_parseval(1.0, 0.5 * spec.a0, spec._coef)[1], _scaled_square_norm(curve, _UNIT)[1]
     ratio = (m / s) * ((m / s) * p) / q if q > 0 else None
     return pe, nsq, ratio
 

@@ -16,15 +16,13 @@ T0 * sum(lambda_k * mu_k) with no polarity adjustment.
 """
 from __future__ import annotations
 
-import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .curve import (AnalyticCurve, Interval, LoadCurve, _analytic_integrals, _eq_by, _frozen, _guarded_sum,
+from .curve import (AnalyticCurve, Interval, LoadCurve, _analytic_integrals, _eq_by, _frozen, _guarded_sum, _NORMAL_MIN,
                     _overflow, _power_of_two_near, _SUM_LIMIT, _require_int, _rescaled, _trapezoid, _weights, energy)
 from .spectrum import DynamismVector, Spectrum, _dense_vector, mu_index_cos, mu_index_sin
 
@@ -160,11 +158,18 @@ class SpotPlan:
 
 @dataclass(frozen=True)
 class DynamismPlan:
-    """Energy price alpha0 plus price-frequency functions for cos and sin terms."""
+    """Energy price alpha0 plus price-frequency functions for cos and sin terms.
+
+    Equal and hashed by those three fields. It holds the order columns (`_order_columns`) of the last
+    (T0, n_max) it billed as (T0, n_max, columns, prices times T0, their top), as a SpotPlan holds its
+    weights: replaced in one assignment, so no thread pairs one key's columns with another's.
+    """
 
     alpha0: float
     alpha: PriceFrequencyFunction
     beta: PriceFrequencyFunction
+
+    _columns = (0.0, 0, None, None, 0.0)  # none billed yet: no interval has T0 = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
@@ -268,7 +273,7 @@ def classic_payment(unit_price: float, c: LoadCurve) -> float:
     if not (math.isfinite(unit_price) and unit_price > 0):
         raise ValueError(f"unit price must be finite and positive, got {unit_price}")
     payment = unit_price * (e := energy(c))
-    if abs(e) < sys.float_info.min and not isinstance(c, AnalyticCurve) and 0.0 < c._peak < 1.0:
+    if abs(e) < _NORMAL_MIN and not isinstance(c, AnalyticCurve) and 0.0 < c._peak < 1.0:
         s = _power_of_two_near(c._peak)
         if math.isfinite(scaled := unit_price * _trapezoid(c.values / s, c.interval)):
             payment = math.ldexp(scaled, math.frexp(s)[1] - 1)
@@ -311,7 +316,7 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
         top, h = float(np.maximum.reduce(plan.unit_prices)), plan.interval.duration / (n - 1)
         # weights sum to about top price * T0: where that could overflow they come from prices / 2**e, bills scaled back
         e = 0 if math.isfinite(top * plan.interval.duration * 2.0) else math.frexp(top)[1] + 1
-        if top * h < sys.float_info.min:
+        if top * h < _NORMAL_MIN:
             # weights below the normal range would round to the subnormal grid: build them from prices scaled
             # up by a power of two, to top * h near 1 (top at most 2**1000), and scale the bill back once
             e = max(math.frexp(top)[1] + math.frexp(h)[1], math.frexp(top)[1] - 1000)
@@ -322,15 +327,13 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
     return _guarded_sum(np.ndarray.dot, held[1], held[2], "the spot payment", c.values, c._peak, held[3])
 
 
-@functools.lru_cache(maxsize=32)
 def _order_columns(alpha: PriceFrequencyFunction, beta: PriceFrequencyFunction, t0: float, n_max: int) -> np.ndarray:
     """The read-only frequency, published-price, price-times-t0 and running-top columns of a bill's 2*n_max
     order lines.
 
     With f0 = 1/t0, row 2n-2 is order n's cosine line, (n*f0, alpha(n*f0), alpha(n*f0)*t0, the largest
     price times t0 up to that row), and row 2n-1 its sine line, with beta: the interleaving of
-    `Bill.lines[1:]`. Computed once per key; the key holds only values (two frozen price functions, t0,
-    n_max), so equal plans share an entry and no plan, curve or spectrum is kept.
+    `Bill.lines[1:]`. A DynamismPlan holds those of the last (t0, n_max) it billed.
     """
     f = np.arange(1, n_max + 1) * (1.0 / t0)
     columns = np.empty((n_max, 2, 4))
@@ -345,13 +348,13 @@ def _order_columns(alpha: PriceFrequencyFunction, beta: PriceFrequencyFunction, 
     return columns
 
 
-def _bill_lines(plan: DynamismPlan, t0: float, a0: float, non_dynamic: float, coef, amount) -> np.ndarray:
+def _bill_lines(alpha0: float, columns: np.ndarray, a0: float, non_dynamic: float, coef, amount) -> np.ndarray:
     """A dynamism bill's read-only `lines`: the energy line, then per order line its frequency, coefficient
-    (`coef`, interleaved), published price and signed amount (`amount`)."""
+    (`coef`, interleaved), published price and signed amount (`amount`), `columns` the plan's order columns."""
     lines = np.empty((1 + coef.size, 4))
-    lines[0] = (0.0, a0, plan.alpha0, non_dynamic)
+    lines[0] = (0.0, a0, alpha0, non_dynamic)
     body = lines[1:]
-    body[:, ::2] = _order_columns(plan.alpha, plan.beta, t0, coef.size // 2)[:, :2]
+    body[:, ::2] = columns[:, :2]
     body[:, 1] = coef
     body[:, 3] = amount
     lines.setflags(write=False)
@@ -394,13 +397,17 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
     """
     if supply is not None and supply.interval != s.interval:
         raise ValueError("incompatible intervals: supply spectrum on a different interval")
-    t0, n_max = s.interval.duration, s.n_max
-    non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
     coef = s._coef  # interleaved as lines are
-    columns = _order_columns(plan.alpha, plan.beta, t0, n_max)
-    prices = columns[:, 2]
+    t0, n_max = s.interval.duration, coef.size // 2
+    non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
+    held = plan._columns  # read once: another thread may replace it with another key's
+    if held[0] != t0 or held[1] != n_max:
+        columns = _order_columns(plan.alpha, plan.beta, t0, n_max)
+        held = (t0, n_max, columns, columns[:, 2], columns.item(-1, 3))
+        vars(plan)["_columns"] = held
+    _, _, columns, prices, top = held
     # each amount and partial sum is at most 2 n_max times the top price times t0 times the largest coefficient
-    if fits := float(columns[-1, 3]) * (2 * n_max) * s._peak <= _SUM_LIMIT:
+    if fits := top * (2 * n_max) * s._peak <= _SUM_LIMIT:
         amount = prices * coef  # t0 * price * coef
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # an amount that overflows is refused below
@@ -426,7 +433,7 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
     bill = Bill.__new__(Bill)  # its fields set directly, not through `_frozen`'s loop: the per-meter path of a fleet
     object.__setattr__(bill, "non_dynamic", non_dynamic)
     object.__setattr__(bill, "dynamic", dynamic)
-    object.__setattr__(bill, "_parts", (plan, t0, s.a0, non_dynamic, coef, amount))
+    object.__setattr__(bill, "_parts", (plan.alpha0, columns, s.a0, non_dynamic, coef, amount))
     return bill
 
 

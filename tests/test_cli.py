@@ -148,6 +148,28 @@ def test_decompose_of_large_finite_values_does_not_overflow(capsys, tmp_path):
     assert json.loads(out)["parseval_ratio"] == pytest.approx(1.0, rel=1e-15)
 
 
+def test_decompose_of_a_profile_whose_sums_would_overflow_prints_finite_json(capsys, tmp_path):
+    # 100 rows on [0, 1e308] alternating +-1e10: dt * v overflows, the coefficients do not, and the Parseval
+    # energy and squared norm (about 1e328) are past the float range, which JSON prints as null, not Infinity
+    # (--drop-tol 0: the default threshold, 1e-12 * norm, grows with sqrt(T0) and here would drop every order)
+    def decompose(name, t2):
+        rows = [[repr(i * (t2 / 99)), repr((-1) ** i * 1e10)] for i in range(100)]
+        profile = write_rows(tmp_path / name, [["t", "power"], *rows])
+        code, out, err = run_cli(capsys, "decompose", profile, "--nmax", "10", "--drop-tol", "0", "--format", "json")
+        assert code == 0 and err == ""
+        assert "NaN" not in out and "Infinity" not in out
+        return json.loads(out)
+
+    doc, unit = decompose("huge.csv", 1e308), decompose("unit.csv", 1.0)
+    # with t1 = 0 the coefficients do not depend on T0: those of [0, 1] within one ulp of 2 max|v|
+    ulp = math.ulp(2e10)
+    assert abs(doc["a0"] - unit["a0"]) <= ulp and len(doc["harmonics"]) == len(unit["harmonics"]) == 10
+    for h, u in zip(doc["harmonics"], unit["harmonics"]):
+        assert h["order"] == u["order"] and abs(h["a"] - u["a"]) <= ulp and abs(h["b"] - u["b"]) <= ulp
+    assert doc["parseval_energy"] is None and doc["norm_squared"] is None
+    assert doc["parseval_ratio"] == pytest.approx(unit["parseval_ratio"], rel=1e-12)
+
+
 def test_decompose_of_large_finite_harmonics_does_not_overflow(capsys, tmp_path):
     rows = [["t", "power"], *([t, repr(1e200 * (1 + t % 3))] for t in range(9))]
     profile = write_rows(tmp_path / "big.csv", rows)

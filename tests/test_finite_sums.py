@@ -174,6 +174,37 @@ def test_a_dynamism_bill_near_the_float_maximum_keeps_a_finite_total():
     assert bill.dynamic == pytest.approx(20.0 * 3e306, rel=1e-15)
 
 
+@pytest.mark.parametrize("t2", [1e308, 1.7e308, 5e307, 1e300])
+@pytest.mark.parametrize("shape", ["alternating", "wave", "noise"])
+def test_an_analysis_whose_sums_would_overflow_equals_the_unit_interval_analysis(t2, shape):
+    # dt * v overflows on [0, 1e308] (dt = 1e308/99, v = 1e10), and with t1 = 0 the coefficients do not depend
+    # on T0: the samples divided by a power of two near their peak, and dt by one near T0, give the coefficients
+    # of [0, 1] within one ulp of 2 max|v|, the bound of every coefficient (0.23 ulp measured, on the
+    # alternating samples at 1.7e308, where dt rounds most differently); 2/T0 (2e-308) is never formed
+    values = {
+        "alternating": np.resize([1e10, -1e10], 100),
+        "wave": 1e10 + 3e9 * np.sin(np.arange(100.0)),
+        "noise": np.random.default_rng(2).normal(0.0, 1e10, 97),
+    }[shape]
+    unit = analyze(SampledCurve(UNIT, values), 10, drop_tol=0.0)
+    huge = analyze(SampledCurve(Interval(0.0, t2), values), 10, drop_tol=0.0)
+    ulp = np.spacing(2.0 * np.max(np.abs(values)))
+    assert abs(huge.a0 - unit.a0) <= ulp
+    assert np.max(np.abs(huge._coef - unit._coef)) <= ulp
+
+
+def test_a_spectrum_that_overflows_is_refused_without_a_warning():
+    # a0 = 2e308 is past the float maximum; the sums of the scaled samples are not, nor are they refused
+    with pytest.raises(ValueError, match="spectrum orders and coefficients must be finite"):
+        analyze(SampledCurve(UNIT, [1e308] * 100), 10)
+    # alternating samples near the maximum: every coefficient up to order 10 is finite (about 3.4e306)
+    swing = analyze(SampledCurve(UNIT, np.resize([1.7e308, -1.7e308], 100)), 10)
+    assert np.isfinite(swing._coef).all() and swing._peak > 1e306
+    # v_0 + v_(N-1) overflows on an interval so short that dt * peak * N does not
+    ends = analyze(SampledCurve(Interval(0.0, 1e-300), [1.7e308] + [0.0] * 7 + [1.7e308]), 2, drop_tol=0.0)
+    assert ends.a0 == pytest.approx(1.7e308 / 4, rel=1e-15)  # (2/T0) (T0/8) (v_0 + v_8)/2
+
+
 def test_spot_bills_and_integrals_near_the_float_maximum_are_finite():
     # the plain dot product of six 1e308 samples with their weights overflows; the true values do not
     assert spot_payment(SpotPlan(UNIT, [1.0, 1.0]), BIG) == pytest.approx(1e308, rel=1e-15)
@@ -221,6 +252,19 @@ _huge_samples = st.integers(min_value=2, max_value=60).flatmap(
         ),
     )
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([UNIT, Interval(0.0, 1e-300), Interval(-3.0, 1.7e308), Interval(0.0, 1e308)]),
+       _huge_samples.filter(lambda v: v.size >= 4))
+def test_an_analysis_near_the_float_maximum_is_finite_or_refused(iv, values):
+    c = SampledCurve(iv, values)
+    try:
+        s = analyze(c, (values.size - 2) // 2, drop_tol=0.0)
+    except ValueError as exc:
+        assert "must be finite" in str(exc)
+    else:
+        assert math.isfinite(s.a0) and np.isfinite(s._coef).all()
 
 
 @settings(max_examples=200, deadline=None)

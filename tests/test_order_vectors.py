@@ -1,22 +1,26 @@
-"""Fixed cost per meter: shared per-order vectors, and nothing left behind.
+"""Fixed cost per meter: held per-order vectors, and nothing left behind.
 
-`dynamism_payment` takes the frequency and price columns of its order
-lines, and `analyze` its conjugated phase vector, from caches keyed on
-values (two price functions, f0, n_max; the phase offset, n_max). The
-cached arrays are read-only and exact; spot plans, curves and spectra are
-never kept; and billing many meters leaves no traced memory behind. A spot
-plan holds its own cycle arrays and the sample layout of the last sample
-count it billed: a reused plan bills as a fresh one does, and the layout
-goes with the plan. A sampled curve records its peak, the default drop
+An interval holds its length and the phase of t1. A dynamism plan holds the
+frequency and price columns of the order lines of the last (T0, n_max) it
+billed, and `analyze` takes its conjugated phase vector from a cache keyed
+on values (the phase, n_max). The held and cached arrays are read-only and
+exact; spot plans, curves and spectra are never kept; and billing many
+meters leaves no traced memory behind. A spot plan holds its own cycle
+arrays and the sample layout of the last sample count it billed: a reused
+plan, spot or dynamism, bills as a fresh one does, and what it holds goes
+with the plan. A sampled curve records its peak, the default drop
 threshold of `analyze` takes the norm only when an order is near it, and
 a dynamism bill builds its lines on first read; each gives the bits the
 eager computation gave.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
 import json
+import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -154,7 +158,7 @@ def test_equal_but_distinct_plans_give_equal_bills(l1):
 
     first = plan(20.0, 10.0, 3.0)
     expected = dynamism_payment(first, s)
-    tariff._order_columns.cache_clear()
+    del vars(first)["_columns"]  # the plan's held order columns: its next bill computes them afresh
     for other in (plan(20.0, 10.0, 3.0), plan(20, 10, 3), first):
         assert other is first or other.alpha is not first.alpha
         assert dynamism_payment(other, s) == expected
@@ -187,7 +191,7 @@ def test_billing_a_meter_fleet_leaves_no_traced_memory_behind(plan1):
         curve = SampledCurve(UNIT, values)
         return dynamism_payment(plan1, analyze(curve, 40)).total + spot_payment(spot, curve)
 
-    meter()  # fills the per-order caches
+    meter()  # fills the plan's order columns and the phase cache
     tracemalloc.start()
     try:
         spacers = []
@@ -561,3 +565,149 @@ def test_threads_reading_the_lines_of_one_bill_get_equal_tables(plan1):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [[expected] * len(bills)] * 4
+
+
+# ---------------------------------------------------------------------------
+# held constants: an interval's length and phase, a plan's order columns,
+# and sampled `analyze`'s path, each equal to the computation it stands for
+# ---------------------------------------------------------------------------
+
+def _phase_turns(t1: float, t2: float) -> float:
+    """The phase of t1 in turns as `_t1_turns` forms it, from the endpoints alone."""
+    t0 = t2 - t1
+    turns = (math.fmod(t1, t0) / t0) % 1.0
+    return turns if turns < 1.0 else 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    intervals(),
+    st.tuples(st.floats(min_value=-1e300, max_value=1e300), st.floats(min_value=1e-300, max_value=1e300))
+    .filter(lambda p: p[0] < p[0] + p[1]).map(lambda p: Interval(p[0], p[0] + p[1])),
+    st.sampled_from([Interval(0.0, 5e-324), Interval(-1e308, 7e307), Interval(1e6, 1e6 + 0.25), Interval(-3.0, 0.0)]),
+))
+def test_an_interval_holds_its_length(iv):
+    assert [f.name for f in dataclasses.fields(Interval)] == ["t1", "t2"]
+    for copy_ in (iv, pickle.loads(pickle.dumps(iv)), copy.deepcopy(iv), copy.copy(iv)):
+        assert _float_bits(copy_.duration) == _float_bits(iv.t2 - iv.t1)
+        assert _float_bits(_t1_turns(copy_)) == _float_bits(_phase_turns(iv.t1, iv.t2))
+        assert copy_ == iv and hash(copy_) == hash(iv) and repr(copy_) == repr(iv)
+        assert copy_ == Interval(iv.t1, iv.t2) and hash(copy_) == hash(Interval(iv.t1, iv.t2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        iv.duration = 1.0
+
+
+def _analysis_by_the_plain_formula(c: SampledCurve, n_max: int, drop_tol: float | None) -> tuple[float, bytes, float]:
+    """(a0, coefficient bytes, peak) of sampled `analyze` by its docstring's formula, written out from the
+    endpoints alone: the ends folded in numpy scalars, conj(rfft(x)[:n+1]) times the conjugated phase at
+    t1/T0 mod 1 and 2/T0, then the orders whose larger magnitude is at most the threshold zeroed, the peak
+    taken before that."""
+    v, iv = c.values, c.interval
+    t0 = iv.t2 - iv.t1
+    dt = t0 / (v.size - 1)
+    x = dt * v[:-1]
+    x[0] = 0.5 * dt * (v[0] + v[-1])
+    w = np.conjugate(np.fft.rfft(x)[: n_max + 1])
+    w *= np.conjugate(np.exp(-2j * np.pi * _phase_turns(iv.t1, iv.t2) * np.arange(n_max + 1)))
+    w *= 2.0 / t0
+    coef = w[1:].view(float)
+    ab = coef.reshape(n_max, 2).T
+    top = np.maximum(np.abs(ab[0]), np.abs(ab[1]))
+    np.copyto(ab, 0.0, where=top <= (1e-12 * norm(c) if drop_tol is None else drop_tol))
+    return float(w[0].real), coef.tobytes(), float(np.max(top))
+
+
+@st.composite
+def _meters_at_any_phase(draw):
+    """A sampled curve with t1 at 0, at a whole multiple of T0 or elsewhere, magnitudes subnormal to 1e300,
+    some with symmetric or integer samples (whose bins hold exact zeros), and an n_max it resolves."""
+    n = draw(st.integers(min_value=4, max_value=120))
+    t0 = draw(st.sampled_from([1.0, 0.75, 7.0, 1e-3, 365.0])) if draw(st.booleans()) else draw(st.floats(1e-3, 1e3))
+    t1 = draw(st.sampled_from([0.0, t0, -3.0 * t0, 96.0 * t0, 2.5, -7.25, 1e6, 0.1]))
+    size = draw(st.sampled_from([5e-324, 1e-310, 1e-5, 1.0, 1e3, 1e150, 1e300]))
+    shape = draw(st.sampled_from(["mixed", "integers", "symmetric", "constant"]))
+    if shape == "mixed":
+        values = draw(hnp.arrays(np.float64, n, elements=st.floats(min_value=-1.0, max_value=1.0)))
+    else:
+        values = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+        if shape == "symmetric":
+            values[1:-1] += values[1:-1][::-1]
+        elif shape == "constant":
+            values[:] = values[0]
+    c = SampledCurve(Interval(t1, t1 + t0), size * values)
+    return c, draw(st.integers(min_value=1, max_value=(n - 2) // 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_meters_at_any_phase(), st.sampled_from([None, 0.0, 1e-3]))
+# the phase factors of t1 = 0 are 1 - 0j, and multiplying by them changes the sign of some zeros: this meter's
+# conjugated bin 1 is (-1/6, -0), and scaled by 2/T0 alone it would keep b_1 = -0.0 where the formula gives +0.0
+@example((SampledCurve(UNIT, [0.0, 1.0, 1.0, 1.0]), 1), 0.0)
+def test_sampled_analysis_equals_the_plain_formula_bit_for_bit(case, drop_tol):
+    c, n_max = case
+    s = analyze(c, n_max, drop_tol)
+    a0, coef, peak = _analysis_by_the_plain_formula(c, n_max, drop_tol)
+    assert _float_bits(s.a0) == _float_bits(a0)
+    assert s._coef.tobytes() == coef  # the sign of every zero included
+    assert _float_bits(s._peak) == _float_bits(peak)
+
+
+@st.composite
+def _billing_keys(draw):
+    """Two to five spectra on two intervals at several n_max, each with a supply on its interval."""
+    ivs = [Interval(0.0, 1.0), Interval(draw(st.sampled_from([0.0, 3.0, -7.25])), 3.0 + draw(st.floats(1.0, 400.0)))]
+    keys = []
+    for _ in range(draw(st.integers(min_value=2, max_value=5))):
+        iv = draw(st.sampled_from(ivs))
+        n_max = draw(st.sampled_from([1, 3, 40]))
+        load = draw(hnp.arrays(np.float64, 97, elements=st.floats(min_value=-1e3, max_value=1e3)))
+        supply = draw(hnp.arrays(np.float64, 97, elements=st.floats(min_value=-1e3, max_value=1e3)))
+        keys.append((analyze(SampledCurve(iv, load), n_max), analyze(SampledCurve(iv, supply), n_max)))
+    return keys
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pffs(), _pffs(), _billing_keys())
+def test_a_dynamism_plan_billed_at_alternating_keys_bills_as_a_fresh_plan(alpha, beta, keys):
+    plan = DynamismPlan(20.0, alpha, beta)
+    unread = []
+    for s, supply in keys + keys[::-1]:
+        for sup in (None, supply):
+            fresh = dynamism_payment(DynamismPlan(20.0, alpha, beta), s, sup)
+            bill = dynamism_payment(plan, s, sup)
+            assert _float_bits(bill.total) == _float_bits(fresh.total)
+            assert bill.lines.tobytes() == fresh.lines.tobytes()
+            unread.append((dynamism_payment(plan, s, sup), fresh))
+    # lines built on first read, after the plan has moved on to other keys
+    for bill, fresh in unread:
+        assert bill.lines.tobytes() == fresh.lines.tobytes()
+
+
+def test_threads_sharing_a_dynamism_plan_bill_as_fresh_plans(plan1):
+    # four threads on two cores bill one plan at three (interval, n_max) keys, switching often: each bill
+    # reads the plan's held order columns once, so it never bills with another key's columns
+    meters = [SampledCurve(iv, np.linspace(5.0, 50.0, 97) ** 1.5) for iv in (UNIT, Interval(0.0, 7.0))]
+    spectra = [analyze(meters[0], 40), analyze(meters[1], 40), analyze(meters[0], 3)]
+    fresh = [dynamism_payment(dataclasses.replace(plan1), s) for s in spectra]
+    expected = [(_float_bits(b.total), b.lines.tobytes()) for b in fresh]
+    wrong: list[str] = []
+
+    def bill(first: int) -> None:
+        for i in range(first, first + 600):
+            k = i % len(spectra)
+            got = dynamism_payment(plan1, spectra[k])
+            if (_float_bits(got.total), got.lines.tobytes()) != expected[k]:
+                wrong.append(f"spectrum {k} billed another amount")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=bill, args=(first,)) for first in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

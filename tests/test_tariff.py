@@ -384,9 +384,13 @@ def _piece_sums(c: SampledCurve, bounds: np.ndarray) -> np.ndarray:
     k = min(floor(x), N - 2), merged into the grid just after the point that opens its cell; each piece
     between neighbouring knots is one trapezoid of the linear interpolant, and each integral sums its own.
     A bound's value is v_k (1 - f) + v_(k+1) f, f = x - k: the form v_k + (v_(k+1) - v_k) f would cancel v_k
-    against most of itself near the cell's end and keep an error of an ulp of v_k, not of the value.
+    against most of itself near the cell's end and keep an error of an ulp of v_k, not of the value. Samples whose
+    peak is below 1 are divided by a power of two near it first and the integrals scaled back (both exact), as
+    the package scales them: subnormal samples would otherwise round each term, 5e-324 * 0.5 to 0.
     """
-    n, v = c.values.size, c.values
+    n, peak = c.values.size, float(np.max(np.abs(c.values)))
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1) if 0.0 < peak < 1.0 else 1.0
+    v = c.values / scale
     h = c.interval.duration / (n - 1)
     if h == 0.0:
         return np.zeros(bounds.size - 1)
@@ -403,7 +407,7 @@ def _piece_sums(c: SampledCurve, bounds: np.ndarray) -> np.ndarray:
     f = x - k
     value[at] = v[k] * (1.0 - f) + v[k + 1] * f
     pieces = (value[1:] + value[:-1]) * (position[1:] - position[:-1])
-    return 0.5 * h * np.add.reduceat(pieces, at)[:-1]
+    return 0.5 * h * np.add.reduceat(pieces, at)[:-1] * scale
 
 
 def _assert_as_the_piece_sums(got: float, c: SampledCurve, bounds: np.ndarray, prices: np.ndarray) -> None:
@@ -437,6 +441,16 @@ def test_a_bound_near_a_cell_end_integrates_as_the_piece_sum_kernel():
     # v_0 + (v_1 - v_0) f, the reference kept an ulp of v_0 and missed the integral by 29 ulps of itself
     c = SampledCurve(Interval(-0.296875, 3.953125), [2e-12] + [0.0] * 14)
     _assert_as_the_piece_sums(integrate(c, 0.00390625, 1.0), c, np.array([0.00390625, 1.0]), np.ones(1))
+
+
+def test_subnormal_samples_bill_as_the_piece_sum_kernel():
+    # a draw of the property above: the bound at 2.5 sits mid-cell, where the unscaled reference took
+    # 5e-324 * 0.5 + 5e-324 * 0.5 as 0 and read 0 for a bill of 5 * 5e-324, exact in the package
+    c = SampledCurve(Interval(0.0, 5.0), [5e-324, 5e-324])
+    plan = SpotPlan(c.interval, [1.0, 1.0])
+    assert spot_payment(plan, c) == 2.5e-323
+    _assert_as_the_piece_sums(spot_payment(plan, c), c, plan._bounds, plan.unit_prices)
+    _assert_as_the_piece_sums(integrate(c, 0.0, 5.0), c, np.array([0.0, 5.0]), np.ones(1))
 
 
 def test_a_year_of_readings_bills_as_the_piece_sum_kernel():
