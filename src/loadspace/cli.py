@@ -142,6 +142,9 @@ def _read_profile(path: str) -> SampledCurve:
 
     if t.size < 2:
         raise InputFormatError(f"{path}: need at least 2 data rows, got {t.size}")
+    if not np.isfinite(t).all():  # before np.diff, which warns at inf - inf; a NaN passes both checks below
+        bad = line_of(np.argmin(np.isfinite(t)))
+        raise InputFormatError(f"{path}, line {bad}: time column must be finite")
     dt = np.diff(t)
     if np.any(dt <= 0):
         bad = line_of(np.argmax(dt <= 0) + 1)
@@ -218,7 +221,7 @@ def _full(x: float) -> str:
 
 class _Table:
     """A table for JSON output: the list of objects {keys[0]: row[0], ...}, one per row (a tuple of scalars),
-    written one row at a time."""
+    written a block of rows at a time."""
 
     def __init__(self, keys: tuple[str, ...], rows: Iterable[tuple]) -> None:
         self.keys, self.rows = keys, rows
@@ -227,7 +230,8 @@ class _Table:
 def _print_json(payload) -> None:
     """Print ``json.dumps(payload, indent=2)``, each `_Table` in it as its list of row objects: json lays out
     the payload with a mark in each table's place, and at each mark the table's rows are encoded and written
-    one at a time, so neither its rows nor its text are ever all held."""
+    a block of up to 256 at a time, one encoder call per column, so neither its rows nor its text are ever all
+    held."""
     tables = []
 
     def mark(value):  # a str no path holds (none has a NUL), so json writes no other value as it writes this
@@ -237,15 +241,19 @@ def _print_json(payload) -> None:
         return "\0"
 
     parts = json.dumps(payload, indent=2, default=mark).split(json.dumps("\0"))
-    write = sys.stdout.write
+    write, encode = sys.stdout.write, json.JSONEncoder(separators=("\n", ": ")).encode  # json's C encoder
     write(parts[0])
     for table, before, after in zip(tables, parts, parts[1:]):
         line = before[before.rfind("\n") + 1 :]
         pad = " " * (len(line) - len(line.lstrip(" ")))  # the indent of the line the table opens on
-        encode = json.JSONEncoder(separators=(f",\n{pad}    ", ": ")).encode  # json's C encoder
-        sep = "["
-        for row in table.rows:
-            write(f"{sep}\n{pad}  {{\n{pad}    {encode(dict(zip(table.keys, row)))[1:-1]}\n{pad}  }}")
+        # one row object with a str.format field for each value, and each key's own braces doubled for it
+        keys = (json.dumps(key).replace("{", "{{").replace("}", "}}") for key in table.keys)
+        row = f"\n{pad}  {{{{\n{pad}    " + f",\n{pad}    ".join(f"{key}: {{}}" for key in keys) + f"\n{pad}  }}}}"
+        rows, sep = iter(table.rows), "["
+        while block := list(itertools.islice(rows, 256)):
+            # json escapes every newline inside a str, so one splits a column's values
+            columns = [encode(column)[1:-1].split("\n") for column in zip(*block)]
+            write(sep + ",".join(row.format(*values) for values in zip(*columns)))
             sep = ","
         write(("[]" if sep == "[" else f"\n{pad}]") + after)
     write("\n")

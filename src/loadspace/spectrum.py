@@ -177,6 +177,48 @@ def _conjugate_phase(offset: float, n_max: int) -> np.ndarray:
     return shift
 
 
+# A length N - 1 = q * p whose largest prime factor p exceeds this is transformed as a q x p array: on a
+# grid of q >= 2 and primes p from 211 to 7,027, no length with p above it ran slower than its one rfft
+_PRIME_FACTOR_BOUND = 700
+
+
+@functools.lru_cache(maxsize=8)
+def _prime_factor_split(m: int) -> tuple[int, int] | None:
+    """(q, p) with q * p = m and p the largest prime factor of m, if p > _PRIME_FACTOR_BOUND, q > 1 and p
+    does not divide q (so that q and p are coprime); None otherwise."""
+    rest, p, f = m, 1, 2
+    while f * f <= rest:
+        while rest % f == 0:
+            rest, p = rest // f, f
+        f += 1
+    p = max(p, rest)  # a rest above 1 is a prime larger than every factor divided out
+    q = m // p
+    return (q, p) if p > _PRIME_FACTOR_BOUND and q > 1 and q % p else None
+
+
+def _good_thomas_bins(v: np.ndarray, dt: float, fold: float, n_max: int, q: int, p: int) -> np.ndarray:
+    """conj(rfft(x)[: n_max + 1]) for x = dt * v[:-1] with x[0] = fold, by the prime-factor index map of
+    Good (1958) and Thomas (1963): with m = q * p and q, p coprime, bin k of x's length-m DFT is entry
+    (k mod q, k mod p) of the 2-D DFT of y[r, i] = x[(i*q + r*p) mod m], and bin m - k is its conjugate."""
+    m = q * p
+    y = np.empty((q, p))
+    for r in range(q):  # with r*p = c*q + b, row r is x[b::q] rotated left by c
+        c, b = divmod(r * p, q)
+        y[r, : p - c] = v[b + c * q : m : q]
+        y[r, p - c :] = v[b : c * q : q]
+    y *= dt
+    y[0, 0] = fold
+    z = np.fft.rfft(y, axis=1)
+    del y  # freed before the index arrays below are made: the peak is y and z, as it is x and rfft(x)
+    np.fft.fft(z, axis=0, out=z)
+    k = np.arange(n_max + 1)
+    upper = k % p > p // 2  # past the rfft's half row: bin k is the conjugate of bin m - k, which is in it
+    j = np.where(upper, m - k, k)
+    w = z[j % q, j % p]
+    np.conjugate(w, out=w, where=~upper)
+    return w
+
+
 def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum:
     """Fourier-analyze a curve up to order n_max.
 
@@ -201,6 +243,12 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
     no sign flip, and `a`, `b` are strided views of the one complex array
     w, not copies. This is the same trapezoid sum an n_max x N cos/sin
     matrix would give, in O(N log N) time and O(N) memory.
+
+    Where N-1 = q*p with p its largest prime factor, p > 700 and p not a
+    factor of q > 1 (a year of 15-minute readings: 35,039 = 37 x 947), one
+    rfft is slow, and the same sum is formed as a q x p two-dimensional DFT
+    by the prime-factor map of Good and Thomas (`_good_thomas_bins`): only
+    the last bits differ. Every other length takes the one rfft.
 
     Where a sum could overflow (peak * (h*N + 2) past half the float maximum),
     v and h are first divided by powers of two near the peak and T0, and the
@@ -258,11 +306,15 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
             s, e = _power_of_two_near(c._peak), math.frexp(t0)[1]
             v, scale = v / s, 2.0 / math.ldexp(t0, -e)
             dt = math.ldexp(t0, -e) / (n_samples - 1)
-        x = dt * v[:-1]
-        x[0] = 0.5 * dt * (v.item(0) + v.item(-1))
-        # a new array, not the rfft buffer conjugated in place: the spectrum's views
-        # would keep all N/2 bins alive where it needs n_max + 1
-        w = np.conjugate(np.fft.rfft(x)[: n_max + 1])
+        fold = 0.5 * dt * (v.item(0) + v.item(-1))
+        if n_samples > 2 * _PRIME_FACTOR_BOUND and (split := _prime_factor_split(n_samples - 1)):
+            w = _good_thomas_bins(v, dt, fold, n_max, *split)
+        else:
+            x = dt * v[:-1]
+            x[0] = fold
+            # a new array, not the rfft buffer conjugated in place: the spectrum's views
+            # would keep all N/2 bins alive where it needs n_max + 1
+            w = np.conjugate(np.fft.rfft(x)[: n_max + 1])
         # at a phase of 0 the factors are 1 - 0j, kept: skipping them would change the sign of some zeros
         w *= _conjugate_phase(_t1_turns(iv), n_max)
         w *= scale

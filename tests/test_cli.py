@@ -230,6 +230,22 @@ def test_profile_nonincreasing_time(capsys, tmp_path):
     assert "strictly increasing" in err
 
 
+@pytest.mark.parametrize(
+    "times, line",
+    [
+        (["0", "nan", "2", "3", "4", "5"], 3),  # NaN compares false both to 0 and to the spacing tolerance
+        ([repr(i * 1e308 / 99) for i in range(100)], 4),  # inf from i = 2, where inf - inf would warn
+        (["0", "1", "2", "-inf"], 5),
+    ],
+)
+def test_profile_non_finite_time_reports_line(capsys, tmp_path, times, line):
+    # the pytest settings turn a RuntimeWarning into an error
+    path = write_rows(tmp_path / "p.csv", [["t", "power"], *([t, "1"] for t in times)])
+    code, out, err = run_cli(capsys, "decompose", path, "--nmax", "1")
+    assert (code, out) == (2, "")
+    assert f"p.csv, line {line}: time column must be finite" in err
+
+
 def test_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "decompose", str(tmp_path / "nope.csv"))
     assert code == 2
@@ -721,6 +737,9 @@ _ROWS = [(1, 0.5, "¼ kWh ⚡"), (2, -0.0, None), (3, 1e-320, 1.7976931348623157
         pytest.param({"a": _Table(_KEYS, _ROWS), "b": _Table(("x",), [(1,), (2,)]), "c": []}, id="two-tables"),
         pytest.param(_Table(_KEYS, _ROWS), id="top-level-table"),
         pytest.param(_Table(_KEYS, ()), id="top-level-empty-table"),
+        # keys that str.format would read as fields, and values with newlines, which split a block's columns
+        pytest.param({"t": _Table(("{0}", "}{", 'q"{x}'), [(1, "{}", "a\nb"), (2, "\n", "{0}")])}, id="braces-and-newlines"),
+        pytest.param({"t": _Table(("i", "f"), [(i, i / 7) for i in range(600)])}, id="three-blocks"),
     ],
 )
 def test_print_json_prints_what_json_dumps_gives(capsys, payload):
@@ -752,8 +771,8 @@ def test_print_json_builds_no_whole_document():
     assert peak < len(text)
 
 
-# The one row writer: `bill`, `decompose` and `calibrate` write their tables through `_Table`, one row at a
-# time, and must print what json.dumps prints for the same payload built as lists of dicts
+# The one row writer: `bill`, `decompose` and `calibrate` write their tables through `_Table`, a block of rows at
+# a time, and must print what json.dumps prints for the same payload built as lists of dicts
 
 _EDGE_FLOATS = (0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308)
 

@@ -47,6 +47,9 @@ def reference_read_profile(path: str) -> SampledCurve:
     if len(times) < 2:
         raise InputFormatError(f"{path}: need at least 2 data rows, got {len(times)}")
     t = np.asarray(times)
+    if not np.all(np.isfinite(t)):
+        bad = lines[int(np.argmin(np.isfinite(t)))]
+        raise InputFormatError(f"{path}, line {bad}: time column must be finite")
     dt = np.diff(t)
     if np.any(dt <= 0):
         bad = lines[int(np.argmax(dt <= 0)) + 1]
@@ -184,6 +187,9 @@ def test_reader_matches_csv_module_reader(profile_path, text):
         "0,nan\n1,2\n",
         "0,1\n1,inf\n",
         "nan,1\n1,2\n",
+        "0,1\nnan,2\n2,3\n3,4\n4,5\n5,6\n",  # a NaN time inside the column: refused, naming its line
+        # times i * 1e308 / 99, inf from i = 2: refused, naming its line, before np.diff warns at inf - inf
+        pytest.param("".join(f"{i * 1e308 / 99!r},{(-1) ** i * 1e10!r}\n" for i in range(100)), id="inf-times"),
         "0,1\n\n   \n , \n1,2\n,\n",
         "0,1\r1,2\r",
         "# comment\n0,1\n1,2\n",

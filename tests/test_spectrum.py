@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,9 +42,13 @@ from loadspace import (
     to_mu_vector,
     truncation_error,
 )
-from loadspace.spectrum import _parseval_check
+from loadspace import spectrum
+from loadspace.cli import _read_profile
+from loadspace.curve import _t1_turns
+from loadspace.spectrum import _conjugate_phase, _parseval_check
 
 from conftest import UNIT, amplitudes, analytic_curves, intervals
+from test_order_vectors import _analysis_by_the_plain_formula
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -168,6 +173,89 @@ def test_fft_analyze_equals_trapezoid_matrix(case):
     got = np.array([s.coefficient(n) for n in range(1, n_max + 1)])
     assert np.max(np.abs(got[:, 0] - a)) <= tol
     assert np.max(np.abs(got[:, 1] - b)) <= tol
+
+
+def _next_prime(n: int) -> int:
+    while any(n % f == 0 for f in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+def _one_rfft_spectrum(c: SampledCurve, n_max: int) -> tuple[float, np.ndarray]:
+    """(a0, interleaved a_n, b_n) from one rfft of length N-1, by the trapezoid sum with h = T0/(N-1) taken out,
+
+        a_n + i b_n = (2/(N-1)) conj(rfft(x)_n) conj(exp(-2 pi i n t1/T0)),  x = v[:-1], x_0 = (v_0 + v_(N-1))/2,
+
+    so that no partial sum overflows where the samples do not; the phase factors are `analyze`'s own, so that
+    only the transform differs."""
+    v = c.values
+    x = v[:-1].copy()
+    x[0] = 0.5 * (v[0] + v[-1])
+    w = np.conjugate(np.fft.rfft(x)[: n_max + 1]) * _conjugate_phase(_t1_turns(c.interval), n_max)
+    w *= 2.0 / (v.size - 1)
+    return w[0].real, w[1:].view(float)
+
+
+@st.composite
+def prime_factor_lengths(draw):
+    """A sampled curve of N = q*p + 1 samples, p a prime above the bound and q in 2..40 (so coprime to it), on an
+    interval with t1 at or far past T0, or on [0, 1e308], where dt * v overflows for samples near 1e10."""
+    p = _next_prime(draw(st.integers(spectrum._PRIME_FACTOR_BOUND + 1, 3000)))
+    q = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(draw(st.sampled_from([0.0, 50.0])), 10.0, q * p + 1)
+    if draw(st.booleans()):
+        iv, values = Interval(0.0, 1e308), np.where(np.arange(values.size) % 2, -1e10, 1e10) + 1e8 * values
+    else:
+        t0 = draw(st.sampled_from([1.0, 0.01, 365.0]))
+        t1 = draw(st.sampled_from([0.0, -7.25, 3.0 * t0, 1e6, 1e9 + 0.5]))
+        iv = Interval(t1, t1 + t0)
+    n_max = min(draw(st.integers(1, 2000)), (q * p - 1) // 2)
+    return SampledCurve(iv, values), n_max, q, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(prime_factor_lengths())
+def test_a_prime_factor_length_analyzes_as_one_rfft(case):
+    c, n_max, q, p = case
+    assert spectrum._prime_factor_split(q * p) == (q, p)
+    s = analyze(c, n_max, drop_tol=0.0)
+    a0, coef = _one_rfft_spectrum(c, n_max)
+    # |a_n|, |b_n| <= 2 max|v|; the two factorizations round differently, by at most 2e-16 max|v| on 150 draws
+    # like these, and a wrong bin or conjugate would be off by a coefficient's own size
+    tol = 1e-14 * float(np.max(np.abs(c.values)))
+    assert abs(s.a0 - a0) <= tol
+    assert np.max(np.abs(s._coef - coef)) <= tol
+
+
+def test_only_lengths_with_a_large_prime_factor_take_the_two_dimensional_transform(monkeypatch):
+    shapes, rfft = [], np.fft.rfft
+
+    def recording_rfft(x, *args, **kwargs):
+        shapes.append(x.shape)
+        return rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    # a fleet meter's day (N - 1 = 95), a calibration week (672) and every profile of the CLI's golden cases
+    # but the manifests and the profiles that do not parse (walk.csv) or whose a0 overflows (big.csv)
+    curves = [SampledCurve(UNIT, np.cos(np.arange(n)) + n % 7) for n in (96, 673)]
+    golden = Path(__file__).resolve().parent / "golden" / "inputs"
+    unanalyzable = {"big.csv", "manifest.csv", "manifest4.csv", "walk.csv"}
+    curves += [_read_profile(str(path)) for path in sorted(golden.glob("*.csv")) if path.name not in unanalyzable]
+    for c in curves:
+        n_max = min(10, (c.values.size - 2) // 2)
+        shapes.clear()
+        s = analyze(c, n_max, drop_tol=0.0)
+        assert shapes == [(c.values.size - 1,)]
+        a0, coef, _ = _analysis_by_the_plain_formula(c, n_max, 0.0)
+        assert np.float64(s.a0).tobytes() == np.float64(a0).tobytes() and s._coef.tobytes() == coef
+    year = SampledCurve(Interval(0.0, 365.0), 50.0 + 10.0 * np.sin(np.arange(35_040) * (2 * np.pi / 96)))
+    shapes.clear()
+    s = analyze(year, 1000, drop_tol=0.0)
+    assert shapes == [(37, 947)]
+    a0, coef, peak = _analysis_by_the_plain_formula(year, 1000, 0.0)
+    assert abs(s.a0 - a0) <= 1e-15 * abs(a0)
+    assert np.max(np.abs(s._coef - np.frombuffer(coef))) <= 1e-15 * max(abs(a0), peak)
 
 
 def test_spectrum_validation():
