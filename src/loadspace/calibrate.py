@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sized
 
 import numpy as np
 
@@ -90,8 +90,9 @@ def calibrate_iota(observations: Iterable[CostObservation], n_max: int) -> CostC
     Parameters
     ----------
     observations : iterable of CostObservation
-        At least K = 1 + 2*n_max on a common interval, in any iterable (a generator
-        included), read once: each load is analyzed as it arrives and its row written into the design matrix.
+        At least K = 1 + 2*n_max on a common interval, in any iterable, read once: each load is analyzed as it
+        arrives and its row written into the design matrix, which is allocated once, at its final size, for a
+        sized iterable (a list or tuple), and grows as ``np.fromiter`` grows an array for a generator.
     n_max : int
         Truncation order of the fitted characteristic.
 
@@ -100,36 +101,42 @@ def calibrate_iota(observations: Iterable[CostObservation], n_max: int) -> CostC
     ValueError
         "underdetermined" when fewer than K observations are given;
         "degenerate observation set" when the design matrix is rank
-        deficient (rank gate at 1e-10 times the largest singular value).
+        deficient (rank gate at 1e-10 times the largest singular value);
+        "observations changed while read" when a sized iterable yields more or fewer than its len.
     """
-    return _fit_iota(observations, n_max)[0]
+    return _fit_iota(observations, n_max, len(observations) if isinstance(observations, Sized) else -1)[0]
 
 
-def _fit_iota(observations: Iterable[CostObservation], n_max: int) -> tuple[CostCharacteristic, list[float]]:
-    """`calibrate_iota` in one pass, also returning each residual cost - supply_cost(cc, mu), in order."""
+def _fit_iota(
+    observations: Iterable[CostObservation], n_max: int, count: int = -1
+) -> tuple[CostCharacteristic, list[float]]:
+    """`calibrate_iota` of `count` observations (-1: unknown), with each residual cost - supply_cost(cc, mu), in order."""
     _require_int(n_max, "n_max", 1)
     k = 1 + 2 * n_max
-    interval = None
-    costs: list[float] = []
+    interval, read, it = None, 0, iter(observations)
 
     def rows():
-        nonlocal interval
-        for obs in observations:
+        nonlocal interval, read
+        for read, obs in enumerate(it, start=1):
             interval = interval or obs.load.interval
             if obs.load.interval != interval:
                 raise ValueError("incompatible intervals within the observation set")
-            costs.append(obs.observed_cost)
-            yield to_mu_vector(analyze(obs.load, n_max)).values
+            yield to_mu_vector(analyze(obs.load, n_max)).values, obs.observed_cost
+        if read < count:  # np.fromiter asks for no row past the count, so only a short iterable gets here
+            raise ValueError(f"observations changed while read: {read} read where {count} were counted")
 
-    design = np.fromiter(rows(), np.dtype((float, k)))  # (M, K): each row written once, as its load is read
+    table = np.fromiter(rows(), np.dtype([("mu", float, (k,)), ("cost", float)]), count)
+    if next(it, None) is not None:
+        raise ValueError(f"observations changed while read: more than the {count} counted")
+    design, costs = table["mu"], table["cost"]  # (M, K) and (M,): each row written once, as its load is read
     if len(design) < k:
         raise ValueError(f"underdetermined: {len(design)} observations for {k} unknowns")
     # LAPACK gelsd counts as the rank the singular values above rcond times the largest
-    iota, _, rank, _ = np.linalg.lstsq(design, np.array(costs), rcond=_RANK_RTOL)
+    iota, _, rank, _ = np.linalg.lstsq(design, costs, rcond=_RANK_RTOL)
     if rank < k:
         raise ValueError(f"degenerate observation set: design matrix rank {rank} < {k}")
     cc = CostCharacteristic(interval, iota, n_max)
-    return cc, [cost - supply_cost(cc, _dense_vector(interval, row)) for cost, row in zip(costs, design)]
+    return cc, [cost - supply_cost(cc, _dense_vector(interval, row)) for cost, row in zip(map(float, costs), design)]
 
 
 def pricing_from_cost(cc: CostCharacteristic, a: float) -> DynamismRates:

@@ -58,7 +58,7 @@ class InputFormatError(Exception):
 # input files
 # ---------------------------------------------------------------------------
 
-_PROFILE_HEADER = ["t", "power"]
+_PROFILE_HEADER, _MANIFEST_HEADER = ["t", "power"], ["profile", "cost"]
 
 
 @contextlib.contextmanager
@@ -110,9 +110,9 @@ def _read_profile(path: str) -> SampledCurve:
     is whitespace-only or all empty fields, too) is the file walked once by
     `_data_rows` and ``float()``, to name the first bad line (lines are
     numbered by CSV row, the header being line 1) or to read what only
-    ``float()`` accepts, such as ``1_000``. A bad time column is named from
-    that walk, or else from one more walk that stops at its row: no file is
-    opened more than twice.
+    ``float()`` accepts, such as ``1_000``. A bad time, or a power that is not
+    finite, is named from that walk, or else from one more walk that stops at
+    its row: no file is opened more than twice.
     """
     with _csv_input(path, _PROFILE_HEADER) as fh:
         first = next((line for line in fh if line.replace(",", "").strip()), None)
@@ -135,30 +135,28 @@ def _read_profile(path: str) -> SampledCurve:
         lines = table[:, 2]
     t, powers = table[:, 0], table[:, 1]
 
-    def line_of(k) -> int:  # data row k's line number: from the walk, or from one more walk that stops at row k
-        if lines is not None:
-            return int(lines[k])
-        return next(itertools.islice(_data_rows(path, _PROFILE_HEADER), k, None))[0]
+    def bad_row(k, what: str) -> InputFormatError:  # data row k's line: from the walk, or one more that stops at it
+        ln = int(lines[k]) if lines is not None else next(itertools.islice(_data_rows(path, _PROFILE_HEADER), k, None))[0]
+        return InputFormatError(f"{path}, line {ln}: {what}")
 
     if t.size < 2:
         raise InputFormatError(f"{path}: need at least 2 data rows, got {t.size}")
     if not np.isfinite(t).all():  # before np.diff, which warns at inf - inf; a NaN passes both checks below
-        bad = line_of(np.argmin(np.isfinite(t)))
-        raise InputFormatError(f"{path}, line {bad}: time column must be finite")
+        raise bad_row(np.argmin(np.isfinite(t)), "time column must be finite")
     dt = np.diff(t)
     if np.any(dt <= 0):
-        bad = line_of(np.argmax(dt <= 0) + 1)
-        raise InputFormatError(f"{path}, line {bad}: time column must be strictly increasing")
+        raise bad_row(np.argmax(dt <= 0) + 1, "time column must be strictly increasing")
     step = (t[-1] - t[0]) / (t.size - 1)
     dt -= step  # dt becomes the gap |dt - step| in place: no further N-length array
     np.abs(dt, out=dt)
     if np.max(dt) > 1e-9 * abs(step):
-        bad = line_of(np.argmax(dt) + 1)
-        raise InputFormatError(f"{path}, line {bad}: time column must be uniformly spaced")
+        raise bad_row(np.argmax(dt) + 1, "time column must be uniformly spaced")
     del dt  # freed before the curve copies the powers
     try:
         return SampledCurve(Interval(float(t[0]), float(t[-1])), powers)
     except ValueError as exc:
+        if not np.isfinite(powers).all():  # on the refusal path only: the curve's own check found it first
+            raise bad_row(np.argmin(np.isfinite(powers)), "power column must be finite") from exc
         raise InputFormatError(f"{path}: {exc}") from exc
 
 
@@ -425,14 +423,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _observations(manifest: str):
     """Each manifest row as a CostObservation, its profile read only when the row is reached."""
     base_dir = os.path.dirname(os.path.abspath(manifest))
-    for ln, (rel, cost) in _data_rows(manifest, ["profile", "cost"]):
+    for ln, (rel, cost) in _data_rows(manifest, _MANIFEST_HEADER):
         path = os.path.join(base_dir, rel.strip())  # an absolute path replaces base_dir
         observed = _number(manifest, ln, cost)
         yield CostObservation(_read_profile(path), observed)
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    cc, residuals = _fit_iota(_observations(args.observations), args.nmax)
+    count = -1  # not known for a malformed manifest, which the read below refuses with its errors in their order
+    with contextlib.suppress(InputFormatError):  # rows counted first: the design matrix is allocated once
+        if os.path.isfile(args.observations):  # a pipe, say, can be read only once
+            count = sum(1 for _ in _data_rows(args.observations, _MANIFEST_HEADER))
+    cc, residuals = _fit_iota(_observations(args.observations), args.nmax, count)
     max_abs = max(abs(r) for r in residuals)
     rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
 

@@ -260,6 +260,57 @@ def test_calibration_memory_is_one_design_row_per_observation():
     assert (peak(many) - peak(few)) / (many - few) < 1.75 * 8 * k
 
 
+def test_a_sized_observation_set_peaks_at_its_final_design_matrix():
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    n_max, count = 50, 300
+    k = 1 + 2 * n_max
+    rng = np.random.default_rng(300)
+    obs = [CostObservation(_sampled_load(rng, n_max), float(rng.uniform(0.0, 100.0))) for _ in range(count)]
+    calibrate_iota(obs, n_max)  # one-time allocations (caches, lazy imports) out of the way
+
+    def peak(func, *args):
+        tracemalloc.start()
+        try:
+            func(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    transients = max(peak(lambda o: to_mu_vector(analyze(o.load, n_max)), o) for o in obs)
+    # the (300, 101) matrix is 242,400 bytes, and the costs and residuals fit in the 10 %; grown by np.fromiter
+    # from a generator it would pass through a 450-row buffer (363,600 bytes), where a list's length sizes it once
+    assert peak(calibrate_iota, obs, n_max) <= 1.1 * (8 * count * k + transients)
+
+
+class _Claimed:
+    """An observation set whose len() claims `claimed` observations while it yields those of `obs`."""
+
+    def __init__(self, obs, claimed: int) -> None:
+        self.obs, self.claimed = obs, claimed
+
+    def __len__(self) -> int:
+        return self.claimed
+
+    def __iter__(self):
+        return iter(self.obs)
+
+
+def test_an_observation_set_that_yields_other_than_its_count_is_refused():
+    obs = _observations(np.random.default_rng(12), np.ones(5), 2, count=8)
+    reference = calibrate_iota(obs, 2)
+    assert calibrate_iota(_Claimed(obs, 8), 2) == reference
+    with pytest.raises(ValueError, match="observations changed while read: 7 read where 9 were counted"):
+        calibrate_iota(_Claimed(obs[:7], 9), 2)
+    with pytest.raises(ValueError, match="observations changed while read: more than the 6 counted"):
+        calibrate_iota(_Claimed(obs, 6), 2)
+    with pytest.raises(ValueError, match="more than the 6 counted"):
+        _fit_iota(iter(obs), 2, 6)
+    # -1: the count is not known, and every observation is read
+    cc, residuals = _fit_iota(iter(obs), 2, -1)
+    assert cc == reference and len(residuals) == 8
+
+
 def test_calibration_degenerate_observations_raise():
     load = _random_load(np.random.default_rng(4), 2)
     obs = tuple(CostObservation(load, 1.0) for _ in range(5))

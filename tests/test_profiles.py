@@ -59,8 +59,12 @@ def reference_read_profile(path: str) -> SampledCurve:
     if np.max(gap) > 1e-9 * abs(step):
         bad = lines[int(np.argmax(gap)) + 1]
         raise InputFormatError(f"{path}, line {bad}: time column must be uniformly spaced")
+    p = np.asarray(powers)
+    if not np.all(np.isfinite(p)):
+        bad = lines[int(np.argmin(np.isfinite(p)))]
+        raise InputFormatError(f"{path}, line {bad}: power column must be finite")
     try:
-        return SampledCurve(Interval(float(t[0]), float(t[-1])), np.asarray(powers))
+        return SampledCurve(Interval(float(t[0]), float(t[-1])), p)
     except ValueError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
 
@@ -187,6 +191,13 @@ def test_reader_matches_csv_module_reader(profile_path, text):
         "0,nan\n1,2\n",
         "0,1\n1,inf\n",
         "nan,1\n1,2\n",
+        # a power that is not finite: refused, naming its line, from loadtxt's parse or from the walk (1_000)
+        "0,1\n1,nan\n2,3\n",
+        "0,1\n1,2\n2,inf\n",
+        "0,1_000\n1,nan\n2,3\n",
+        "0,1_000\n1,2\n2,inf\n",
+        "0,1\n\n1,2\n \n2,-inf\n",  # blank rows between: the line is the CSV row's
+        "0,nan\n1,2\n2.5,3\n",  # and a bad time column is named first
         "0,1\nnan,2\n2,3\n3,4\n4,5\n5,6\n",  # a NaN time inside the column: refused, naming its line
         # times i * 1e308 / 99, inf from i = 2: refused, naming its line, before np.diff warns at inf - inf
         pytest.param("".join(f"{i * 1e308 / 99!r},{(-1) ** i * 1e10!r}\n" for i in range(100)), id="inf-times"),
@@ -278,6 +289,23 @@ def test_empty_profile_exits_2_without_a_warning(tmp_path):
     assert proc.stderr == f"error: {path}: need at least 2 data rows, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("0,1\n1,nan\n2,3\n", 3),  # parsed by loadtxt: one more walk names the row
+        ("0,1\n1,2\n2,inf\n", 4),
+        ("0,1_000\n1,nan\n2,3\n", 3),  # walked row by row (1_000): the walk's line numbers name it
+        ("0,1_000\n1,2\n2,inf\n", 4),
+    ],
+)
+def test_a_power_that_is_not_finite_exits_2_naming_its_line(capsys, tmp_path, body, line):
+    path = tmp_path / "p.csv"
+    path.write_text("t,power\n" + body)
+    assert opens_and_outcome(str(path))[0] <= 2
+    assert main(["decompose", str(path), "--nmax", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {path}, line {line}: power column must be finite\n"
+
+
 # ---------------------------------------------------------------------------
 # calibration manifests share the profile reader's row rules
 # ---------------------------------------------------------------------------
@@ -319,3 +347,73 @@ def test_manifest_reports_bad_profile_by_its_own_path(capsys, tmp_path):
     code, err = run_calibrate(capsys, manifest)
     assert code == 2
     assert err == f"error: {tmp_path / 'a.csv'}, line 3: could not convert string to float: 'x'\n"
+
+
+def test_blank_manifest_rows_change_no_fit(capsys, tmp_path):
+    rng = np.random.default_rng(3)
+    for i in range(3):
+        write_profile(tmp_path / f"p{i}.csv", rng.uniform(0.0, 10.0, 8).tolist())
+    (tmp_path / "m.csv").write_text("profile,cost\np0.csv,1.0\np1.csv,2.5\np2.csv,-1.0\n")
+    (tmp_path / "blank.csv").write_text("profile,cost\n\n   \np0.csv,1.0\n , \np1.csv,2.5\n\t\np2.csv,-1.0\n\n")
+    outputs = []
+    for name in ("m.csv", "blank.csv"):
+        assert main(["calibrate", str(tmp_path / name), "--nmax", "1", "--format", "json"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "rows, code, message",
+    [
+        # the rows are counted before any profile is read; a count that meets a malformed row gives up, and
+        # the read reports the first fault in row order, as it did before rows were counted
+        ("a.csv,1.0\n\n   \nmissing.csv,2.0\na.csv,1.0,3\n", 2, "{dir}/missing.csv: No such file or directory"),
+        ("a.csv,1.0\na.csv,1.0,3\nmissing.csv,2.0\n", 2, "{manifest}, line 3: expected 2 fields, got 3"),
+        ("a.csv,1.0\n \nbad.csv,2.0\na.csv\n", 2, "{dir}/bad.csv, line 3: power column must be finite"),
+        ("a.csv,1.0\nmissing.csv,cheap\n", 2, "{manifest}, line 3: could not convert string to float: 'cheap'"),
+        ("\n , \na.csv,1.0\n\t\n", 3, "underdetermined: 1 observations for 3 unknowns"),
+    ],
+)
+def test_manifest_errors_keep_their_codes_messages_and_order(capsys, tmp_path, rows, code, message):
+    write_profile(tmp_path / "a.csv", [1.0, 2.0, 3.0, 4.0])
+    (tmp_path / "bad.csv").write_text("t,power\n0,1\n1,nan\n2,3\n")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("profile,cost\n" + rows)
+    got, err = run_calibrate(capsys, manifest)
+    assert (got, err) == (code, "error: " + message.format(dir=tmp_path, manifest=manifest) + "\n")
+
+
+@pytest.mark.parametrize("change, message", [("a.csv,1.0\na.csv,2.0\n", "more than the 3 counted"), ("", "2 read where 3")])
+def test_a_manifest_that_changes_after_its_count_is_refused(capsys, monkeypatch, tmp_path, change, message):
+    write_profile(tmp_path / "a.csv", [1.0, 2.0, 3.0, 4.0])
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("profile,cost\na.csv,1.0\na.csv,1.0\na.csv,1.0\n")
+    counted = cli._observations
+
+    def rewritten(path):  # the rows were counted before the manifest is read for its observations
+        manifest.write_text("profile,cost\na.csv,1.0\na.csv,1.0\n" + change)
+        return counted(path)
+
+    monkeypatch.setattr(cli, "_observations", rewritten)
+    code, err = run_calibrate(capsys, manifest)
+    assert code == 3
+    assert err.startswith("error: observations changed while read: ") and message in err
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no /dev/stdin")
+def test_a_manifest_from_a_pipe_is_not_counted_first(capsys, tmp_path):
+    rng = np.random.default_rng(4)
+    for i in range(3):
+        write_profile(tmp_path / f"p{i}.csv", rng.uniform(0.0, 10.0, 8).tolist())
+    manifest = "profile,cost\n" + "".join(f"{tmp_path / f'p{i}.csv'},{i + 0.5}\n" for i in range(3))
+    (tmp_path / "m.csv").write_text(manifest)
+    assert main(["calibrate", str(tmp_path / "m.csv"), "--nmax", "1"]) == 0
+    expected = capsys.readouterr().out
+    # a pipe can be read only once: its rows go straight to the fit, whose matrix grows as they arrive
+    proc = subprocess.run(
+        [sys.executable, "-m", "loadspace", "calibrate", "/dev/stdin", "--nmax", "1"],
+        input=manifest,
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
