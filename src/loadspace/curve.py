@@ -640,6 +640,7 @@ def _analytic_integrals(c: AnalyticCurve, s: np.ndarray, what) -> np.ndarray:
 
 
 _QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0])  # cos(k pi/2), k = 0..3
+_BLOCK = 1024  # cycles, then bounds, that `_weights` takes per step: each of its temporaries stays near 8 KiB
 
 
 def _weights(interval: Interval, n: int, bounds: np.ndarray, prices: np.ndarray) -> tuple[int, np.ndarray, float]:
@@ -653,15 +654,18 @@ def _weights(interval: Interval, n: int, bounds: np.ndarray, prices: np.ndarray)
     nonnegative terms, never a difference of prices or of running totals, which would carry the rounding of
     earlier cycles into later ones. Time is O(n + len(bounds)).
 
-    Memory at its peak is w plus a few arrays of len(bounds): each bound's terms are formed in place and
-    summed per cell before w is allocated (a year of 15-minute samples under hourly prices, 35,040 x 8,761,
-    peaks near w's 0.27 MiB plus four 0.07 MiB arrays). Every term is the same IEEE product or sum as the
-    direct formulas in the comments, at most with its operands swapped, so the weights keep their bits.
+    `bounds` is taken over and turned into the offsets in place. Memory at its peak is w, the offsets and
+    their cells, and the temporaries of one block of `_BLOCK` cycles or bounds (a year of 15-minute samples
+    under hourly prices, 35,040 x 8,761: w's 0.27 MiB, two 0.07 MiB arrays and under 0.07 MiB of block).
+    Every term is the same IEEE product or sum as the direct formulas in the comments, at most with its
+    operands swapped, and a weight takes its terms in the same order at any block size but for the one
+    weight two blocks share, which adds a term from each to 0: the weights keep their bits.
     """
     h = interval.duration / (n - 1)
     if h == 0.0:  # a subnormal interval whose step underflows: every cell weighs zero, as in `energy`
         return 0, np.zeros(n), 0.0
-    f = bounds - interval.t1  # each bound's position x = (bound - t1)/h, then its offset x - k
+    f = bounds  # each bound's position x = (bound - t1)/h, then its offset x - k
+    f -= interval.t1
     f /= h
     # truncation is floor at or above 0, and t2 belongs to the last cell; np.minimum, not np.clip: that
     # reaches numpy through per-call name lookups whose objects CPython keeps alive (see _frozen)
@@ -670,52 +674,57 @@ def _weights(interval: Interval, n: int, bounds: np.ndarray, prices: np.ndarray)
     f -= k
     first = int(k[0])
     k -= first
+    # whole cells, p h/2 to each sample: cycle j's price on cells k_j .. k_(j+1) - 1 at w[1 + cell], then 0 at
+    # w[0] and on each cell that holds a bound; sample i takes cells i - 1 and i. np.repeat copies a read-only
+    # input whole, so it takes a block of cycles at a time
+    w, m = np.empty(int(k[-1]) + 2), prices.size
+    for j in range(0, m, _BLOCK):
+        cells = k[j : j + _BLOCK + 1]
+        w[cells[0] + 1 : cells[-1] + 1] = np.repeat(prices[j : j + _BLOCK], cells[1:] - cells[:-1])
+    w[0] = 0.0
+    w[1:][k] = 0.0
+    w[:-1] += w[1:]  # in place: the output lags the input, so numpy needs no copy
+    w *= 0.5 * h
     # bound j closes a piece of cycle j - 1 from the bound before it in its cell (else from the cell's
     # start), and opens one of cycle j to the cell's end unless a later bound shares the cell:
     #   lo = [0, where(shared, f[:-1], 0)]           mid = 0.5 (lo + f)
     #   closing = [0, prices] (h (f - lo))           opening = [where(shared, 0, prices), 0] (0.5 h (1 - f))
     #   to_next = closing mid + opening (1 + f)      closing = closing (1 - mid) + opening (1 - f)
-    shared = k[1:] == k[:-1]
-    mid = np.zeros(f.size)  # lo, then mid
-    np.copyto(mid[1:], f[:-1], where=shared)
-    closing = f - mid
-    closing *= h
-    closing[1:] *= prices
-    closing[0] *= 0.0
-    mid += f
-    mid *= 0.5
-    opening = 1.0 - f
-    opening *= 0.5 * h
-    np.multiply(opening[:-1], prices, out=opening[:-1], where=~shared)
-    np.multiply(opening[:-1], 0.0, out=opening[:-1], where=shared)
-    opening[-1] *= 0.0
-    to_next = closing * mid
-    np.subtract(1.0, mid, out=mid)
-    closing *= mid
-    np.add(f, 1.0, out=mid)
-    mid *= opening
-    to_next += mid
-    np.subtract(1.0, f, out=f)
-    f *= opening
-    closing += f
-    del f, mid, opening
-    start = np.flatnonzero(np.concatenate(([True], ~shared)))  # the first bound in each cell; a lone one sums to itself
-    closing = np.add.reduceat(closing, start)
-    to_next = np.add.reduceat(to_next, start)
-    # whole cells, p h/2 to each sample: after a 0 for the cell before the first, cycle j's price on cells
-    # k_j .. k_(j+1) - 1, then 0 on each cell that holds a bound; sample i takes cells i - 1 and i
-    counts = np.diff(k)
-    counts[0] += 1
-    counts[-1] += 1  # the same count as counts[0] when there is one cycle
-    k = k[start]  # the cells that hold a bound, each once
-    del start, shared
-    w = np.repeat(prices, counts)
-    del counts
-    w[0] = 0.0
-    w[1:][k] = 0.0
-    w[:-1] += w[1:]  # in place: the output lags the input, so numpy needs no copy
-    w *= 0.5 * h
-    w[k] += closing
-    w[1:][k] += to_next
+    # summed per cell and added to w[cell], then to_next to w[cell + 1], for bounds a .. b - 1 at a time. A
+    # block takes every bound in its last cell; the one weight two blocks touch lies between two cells that
+    # hold bounds, so its whole-cell part is 0 and its two terms add to the same bits in either order
+    a = 0
+    while a <= m:
+        b = a + _BLOCK
+        b = m + 1 if b > m else int(k.searchsorted(k[b - 1], "right"))
+        fb, kb = f[a:b], k[a:b]
+        lone = np.ones(fb.size, bool)  # the first bound in its cell; a lone one sums to itself
+        np.not_equal(kb[1:], kb[:-1], out=lone[1:])
+        shared = ~lone[1:]
+        mid = np.zeros(fb.size)  # lo, then mid
+        np.copyto(mid[1:], fb[:-1], where=shared)
+        closing = fb - mid
+        closing *= h
+        closing[1:] *= prices[a : b - 1]
+        closing[0] *= prices[a - 1] if a else 0.0
+        mid += fb
+        mid *= 0.5
+        opening = 1.0 - fb
+        opening *= 0.5 * h
+        opening[:-1] *= np.where(shared, 0.0, prices[a : b - 1])
+        opening[-1] *= prices[b - 1] if b <= m else 0.0
+        to_next = closing * mid
+        np.subtract(1.0, mid, out=mid)
+        closing *= mid
+        np.add(fb, 1.0, out=mid)
+        mid *= opening
+        to_next += mid
+        np.subtract(1.0, fb, out=fb)
+        fb *= opening
+        closing += fb
+        start = np.flatnonzero(lone)
+        cells = kb[start]
+        w[cells] += np.add.reduceat(closing, start)
+        w[1:][cells] += np.add.reduceat(to_next, start)
+        a = b
     return first, w, float(np.add.reduce(w))
-

@@ -135,7 +135,12 @@ class FlatPlan:
 
 @dataclass(frozen=True, eq=False)
 class SpotPlan:
-    """Per-cycle prices over N equal cycles of `interval`: one read-only float array, equal by value, unhashable."""
+    """Per-cycle prices over N equal cycles of `interval`: one read-only float array, equal by value, unhashable.
+
+    It holds the prices and the weights of the last sample count it billed, not its N + 1 cycle bounds:
+    those are formed afresh where a bill needs them (`_bounds`), and the weight build turns them into
+    offsets in place.
+    """
 
     interval: Interval
     unit_prices: np.ndarray
@@ -148,12 +153,16 @@ class SpotPlan:
             raise ValueError("spot plan needs at least one cycle price")
         if not np.logical_and.reduce((0.0 < prices) & (prices < np.inf)):
             raise ValueError("spot prices must be positive and finite")
-        bounds = np.linspace(self.interval.t1, self.interval.t2, prices.size + 1)
-        _frozen(self, unit_prices=prices, _bounds=bounds, _weights=(0, None, 0.0, 0))
+        _frozen(self, unit_prices=prices, _weights=(0, None, 0.0, 0))
 
     @property
     def cycle_count(self) -> int:
         return self.unit_prices.size
+
+    @property
+    def _bounds(self) -> np.ndarray:
+        """The N + 1 cycle bounds, t1 to t2: a new array at each read."""
+        return np.linspace(self.interval.t1, self.interval.t2, self.unit_prices.size + 1)
 
 
 @dataclass(frozen=True)

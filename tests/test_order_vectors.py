@@ -306,7 +306,7 @@ def test_a_spot_plan_frees_its_weights_with_it():
         return plan
 
     holding, retained = _traced_after(bill)
-    assert holding > 400 * 1024  # the bounds and prices (70 KB each), the weights (280 KB)
+    assert holding > 300 * 1024  # the prices (70 KB) and the weights (280 KB); the plan holds no bounds
     assert retained < 4096
 
 
@@ -331,15 +331,17 @@ def test_a_year_spot_bill_peaks_below_the_merged_knot_kernel():
 
 def test_year_spot_weights_peak_at_w_plus_a_few_cycle_length_arrays():
     # 35,040 samples under 8,760 cycles: w is 280 KB and an array over the 8,761 bounds 70 KB. The
-    # per-bound terms are formed in place and summed per cell before w is allocated, so the peak reads
-    # w plus 4.0 bound-length arrays (561 KB); the bound leaves one more array (12 %) of margin. Forming
-    # the terms while w and the cycle counts were held read 945 KB
+    # bounds are taken over as offsets, and the prices and per-bound terms go a block at a time, so the
+    # peak reads w plus 2.0 bound-length arrays (the cells, and one array's worth of blocks); the bound
+    # leaves one more array of margin. Read-only prices, as a plan holds them: np.repeat copies such an
+    # input whole, and forming each bound's terms at once read w plus 5.0 arrays
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already tracing")
     year = Interval(0.0, 365.0)
-    bounds = np.linspace(year.t1, year.t2, 8_761)
     prices = np.linspace(10.0, 30.0, 8_760)
-    _weights(year, 35_040, bounds, prices)  # one-time allocations out of the way
+    prices.setflags(write=False)
+    _weights(year, 35_040, np.linspace(year.t1, year.t2, 8_761), prices)  # one-time allocations out of the way
+    bounds = np.linspace(year.t1, year.t2, 8_761)
     tracemalloc.start()
     try:
         baseline = tracemalloc.get_traced_memory()[0]
@@ -348,7 +350,7 @@ def test_year_spot_weights_peak_at_w_plus_a_few_cycle_length_arrays():
     finally:
         tracemalloc.stop()
     assert w.size == 35_040
-    assert peak < w.nbytes + 5 * bounds.nbytes
+    assert peak < w.nbytes + 3 * bounds.nbytes
 
 
 def test_analytic_integrals_keep_no_long_phase_vectors():

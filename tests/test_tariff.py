@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from loadspace import (
     add,
     analyze,
     classic_payment,
+    curve,
     dynamism_payment,
     energy,
     incentive_direction,
@@ -498,6 +500,108 @@ def test_spot_kernel_with_more_cycles_than_cells(t1, length, data):
 def test_spot_kernel_on_two_samples(t1, length, cycles, data):
     c = SampledCurve(Interval(t1, t1 + length), data.draw(_samples(2)))
     _assert_spot_matches_per_cycle_integrals(SpotPlan(c.interval, data.draw(_spot_prices(cycles))), c)
+
+
+def _one_shot_weights(interval: Interval, n: int, bounds: np.ndarray, prices: np.ndarray):
+    """The spot weights formed over all bounds at once, as the kernel built them before it took blocks: the
+    reference that `_weights` matches bit for bit at any block size (see its docstring for the formulas)."""
+    h = interval.duration / (n - 1)
+    if h == 0.0:
+        return 0, np.zeros(n), 0.0
+    f = bounds - interval.t1
+    f /= h
+    k = f.astype(np.intp)
+    np.minimum(k, n - 2, out=k)
+    f -= k
+    first = int(k[0])
+    k -= first
+    shared = k[1:] == k[:-1]
+    mid = np.zeros(f.size)
+    np.copyto(mid[1:], f[:-1], where=shared)
+    closing = f - mid
+    closing *= h
+    closing[1:] *= prices
+    closing[0] *= 0.0
+    mid += f
+    mid *= 0.5
+    opening = 1.0 - f
+    opening *= 0.5 * h
+    np.multiply(opening[:-1], prices, out=opening[:-1], where=~shared)
+    np.multiply(opening[:-1], 0.0, out=opening[:-1], where=shared)
+    opening[-1] *= 0.0
+    to_next = closing * mid
+    np.subtract(1.0, mid, out=mid)
+    closing *= mid
+    np.add(f, 1.0, out=mid)
+    mid *= opening
+    to_next += mid
+    np.subtract(1.0, f, out=f)
+    f *= opening
+    closing += f
+    start = np.flatnonzero(np.concatenate(([True], ~shared)))
+    closing = np.add.reduceat(closing, start)
+    to_next = np.add.reduceat(to_next, start)
+    counts = np.diff(k)
+    counts[0] += 1
+    counts[-1] += 1
+    k = k[start]
+    w = np.repeat(prices, counts)
+    w[0] = 0.0
+    w[1:][k] = 0.0
+    w[:-1] += w[1:]
+    w *= 0.5 * h
+    w[k] += closing
+    w[1:][k] += to_next
+    return first, w, float(np.add.reduce(w))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@st.composite
+def _weight_cases(draw):
+    """(interval, sample count, bounds, read-only prices): a plan's equal cycles, from one to above the block
+    size and past the cell count; cycles on grid points; sorted random bounds, which crowd some cells and
+    leave others empty; or a two-bound sub-interval at unit price, as `integrate` takes it."""
+    t1 = draw(st.sampled_from([0.0, -12.25, 1e6, -2.5e9]))
+    iv = Interval(t1, t1 + draw(st.floats(min_value=0.01, max_value=1e4)))
+    n = draw(st.integers(min_value=2, max_value=400))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["cycles", "grid", "random", "sub-interval"]))
+    if kind == "sub-interval":
+        bounds = np.sort([draw(st.floats(min_value=iv.t1, max_value=iv.t2)) for _ in range(2)])
+        return iv, n, bounds, _read_only(np.ones(1))
+    if kind == "grid":
+        m = draw(st.integers(min_value=1, max_value=200))
+        n = m * draw(st.integers(min_value=1, max_value=8)) + 1
+    else:
+        m = draw(st.integers(min_value=1, max_value=1500))
+    bounds = np.linspace(iv.t1, iv.t2, m + 1)
+    if kind == "random":
+        bounds[1:-1] = np.sort(rng.uniform(iv.t1, iv.t2, m - 1))
+    return iv, n, bounds, _read_only(rng.uniform(0.01, 500.0, m))
+
+
+_YEAR = Interval(0.0, 365.0)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, None])
+@settings(max_examples=100, deadline=None)
+@given(_weight_cases())
+# a year of 15-minute samples under hourly prices: nine blocks at the default size
+@example((_YEAR, 35_040, np.linspace(0.0, 365.0, 8_761), _read_only(np.linspace(10.0, 30.0, 8_760))))
+# a bound inside every cell: a block ends in a cell next to the one the next block starts in
+@example((UNIT, 98, np.linspace(0.0, 1.0, 97), _read_only(np.linspace(1.0, 2.0, 96))))
+def test_spot_weights_built_a_block_at_a_time_keep_the_one_shot_bits(block, case):
+    interval, n, bounds, prices = case
+    with mock.patch.object(curve, "_BLOCK", block or curve._BLOCK):
+        first, w, total = curve._weights(interval, n, bounds.copy(), prices)
+    ref_first, ref_w, ref_total = _one_shot_weights(interval, n, bounds.copy(), prices)
+    assert first == ref_first
+    assert w.dtype == ref_w.dtype and w.tobytes() == ref_w.tobytes()
+    assert total.hex() == ref_total.hex()
 
 
 def test_a_cycle_takes_no_rounding_from_the_cycles_before_it():
