@@ -15,7 +15,7 @@ from typing import Iterable, Sized
 
 import numpy as np
 
-from .curve import Interval, LoadCurve, _eq_by, _frozen, _require_int
+from .curve import Interval, LoadCurve, _eq_by, _frozen, _require_int, _Value
 from .spectrum import DynamismVector, _dense_vector, analyze, to_mu_vector
 from .tariff import DynamismRates
 
@@ -31,7 +31,7 @@ _RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class CostCharacteristic:
+class CostCharacteristic(_Value):
     """Cost response iota_k per unit mu_k, truncated at order n_max (K = 1 + 2*n_max).
 
     Two characteristics are equal when interval, n_max and the read-only array iota are.
@@ -49,7 +49,7 @@ class CostCharacteristic:
             raise ValueError(f"iota must have length {k} for n_max={self.n_max}, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("iota entries must be finite")
-        _frozen(self, iota=v.copy())
+        _frozen(self, {"iota": v.copy()})
 
     __eq__ = _eq_by("interval", "n_max", "iota")
 

@@ -143,11 +143,12 @@ def _read_profile(path: str) -> SampledCurve:
         raise InputFormatError(f"{path}: need at least 2 data rows, got {t.size}")
     if not np.isfinite(t).all():  # before np.diff, which warns at inf - inf; a NaN passes both checks below
         raise bad_row(np.argmin(np.isfinite(t)), "time column must be finite")
-    dt = np.diff(t)
-    if np.any(dt <= 0):
-        raise bad_row(np.argmax(dt <= 0) + 1, "time column must be strictly increasing")
-    step = (t[-1] - t[0]) / (t.size - 1)
-    dt -= step  # dt becomes the gap |dt - step| in place: no further N-length array
+    with np.errstate(over="ignore", invalid="ignore"):  # steps past the float range: refused here or by Interval
+        dt = np.diff(t)
+        if np.any(dt <= 0):
+            raise bad_row(np.argmax(dt <= 0) + 1, "time column must be strictly increasing")
+        step = (t[-1] - t[0]) / (t.size - 1)
+        dt -= step  # dt becomes the gap |dt - step| in place: no further N-length array
     np.abs(dt, out=dt)
     if np.max(dt) > 1e-9 * abs(step):
         raise bad_row(np.argmax(dt) + 1, "time column must be uniformly spaced")

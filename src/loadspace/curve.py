@@ -12,10 +12,11 @@ can be shared freely across threads.
 """
 from __future__ import annotations
 
+import copyreg
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -82,16 +83,27 @@ def _require_int(value, name: str, least: int | None = None) -> int:
     return int(value)
 
 
-def _frozen(obj, **fields):
-    """Set a frozen instance's fields and return it; arrays are stored as given (no copy), read-only."""
+def _frozen(obj, fields: dict, _set=object.__setattr__, _array=np.ndarray):
+    """Set a frozen instance's fields and return it, arrays as given (no copy), read-only: the one builder of every
+    value and its `__setstate__`. Stored arrays are plain ndarrays, and `_set`, `_array` save lookups per field."""
     for name, value in fields.items():
-        if isinstance(value, np.ndarray):
+        if type(value) is _array:
             # not `value.flags.writeable = False`: that setter looks `setflags` up by a
             # name string made per call, and CPython's type attribute cache keeps such
             # strings alive, so a fleet of small meters piles up traced memory
             value.setflags(write=False)
-        object.__setattr__(obj, name, value)
+        _set(obj, name, value)
     return obj
+
+
+class _Value:
+    """Base of the value classes: a copy or unpickled value is rebuilt by `_frozen` from its dataclass fields, all it
+    stores, its arrays read-only and its views new; what it held for its next call (weights, columns, parts) is not."""
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self),), {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+    __setstate__ = _frozen
 
 
 def _eq_by(*names: str):
@@ -142,7 +154,7 @@ def _dense_rows(rows, name: str, lo: int, hi: int, size: int | None, constant: f
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class AnalyticCurve:
+class AnalyticCurve(_Value):
     """Trig polynomial: constant + sum of harmonics aligned with f0 = 1/T0.
 
     Alignment means each component completes a whole number of periods on
@@ -150,16 +162,15 @@ class AnalyticCurve:
     analysis reads coefficients off directly. Arbitrary closed forms must
     be sampled first.
 
-    Stored as a Spectrum is (`harmonics` is a view): the constant plus the
-    read-only array `_coef` = (a_1, b_1, ..., a_n, b_n), zeros where absent,
-    n the highest order (at most 2**20), with views `a` = `_coef[::2]` and
-    `b` = `_coef[1::2]`. Equal when interval, constant and harmonics are.
+    Stored as a Spectrum is: the constant plus the read-only array `_coef` =
+    (a_1, b_1, ..., a_n, b_n), zeros where absent, n the highest order (at
+    most 2**20). `a` = `_coef[::2]`, `b` = `_coef[1::2]` and `harmonics` are
+    formed from it at each read. Equal when interval, constant and harmonics are.
     """
 
     interval: Interval
     constant: float
-    a: np.ndarray
-    b: np.ndarray
+    _coef: np.ndarray
 
     def __init__(self, interval: Interval, constant: float, harmonics=()) -> None:
         # stricter than Spectrum: 2.0, True and np.float64(3.0) are not orders of a curve; and the
@@ -169,18 +180,19 @@ class AnalyticCurve:
         if n_max > 2**20:
             raise ValueError(f"harmonic order {n_max} outside 1..{2**20}")
         coef = _dense_rows(rows, "harmonic order", 1, 2**20, n_max, constant).reshape(-1)
-        _frozen(self, interval=interval, constant=float(constant), a=coef[::2], b=coef[1::2], _coef=coef)
+        _frozen(self, {"interval": interval, "constant": float(constant), "_coef": coef})
 
     __eq__ = _eq_by("interval", "constant", "harmonics")  # the sparse view: trailing zeros do not count
+
+    a = property(lambda self: self._coef[::2], doc="The cosine amplitudes, order n at n - 1: a view of `_coef`.")
+    b = property(lambda self: self._coef[1::2], doc="The sine amplitudes, order n at n - 1: a view of `_coef`.")
 
     @property
     def harmonics(self) -> tuple[Harmonic, ...]:
         """The orders with a nonzero entry in `a` or `b`, ascending, as Harmonic tuples."""
         present = _present(self)
-        return tuple(
-            Harmonic(n, a, b)
-            for n, a, b in zip((present + 1).tolist(), self.a[present].tolist(), self.b[present].tolist())
-        )
+        pairs = self._coef.reshape(-1, 2)[present].tolist()
+        return tuple(Harmonic(n, a, b) for n, (a, b) in zip((present + 1).tolist(), pairs))
 
 
 def _present(c) -> np.ndarray:
@@ -193,19 +205,20 @@ def _analytic(interval: Interval, constant: float, coef: np.ndarray) -> Analytic
     if not (math.isfinite(constant) and np.isfinite(coef).all()):
         raise ValueError("curve amplitudes must be finite")
     curve = AnalyticCurve.__new__(AnalyticCurve)
-    return _frozen(curve, interval=interval, constant=float(constant), a=coef[::2], b=coef[1::2], _coef=coef)
+    return _frozen(curve, {"interval": interval, "constant": float(constant), "_coef": coef})
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class SampledCurve:
+class SampledCurve(_Value):
     """Power samples on the uniform grid t_i = t1 + i*(T0/(N-1)), i = 0..N-1.
 
-    The largest sample magnitude is kept as the private `_peak`, for bounds that take no pass over the samples.
-    The fields are stored directly, without `_frozen`'s loop or a `__post_init__` call: a fleet makes one per meter.
+    `values` is a read-only copy of the samples given. The largest sample magnitude is kept as the private
+    `_peak`, for bounds that take no pass over the samples.
     """
 
     interval: Interval
     values: np.ndarray
+    _peak: float = field(repr=False)
 
     def __init__(self, interval: Interval, values) -> None:
         v = np.asarray(values, dtype=float)
@@ -218,10 +231,7 @@ class SampledCurve:
         if not math.isfinite(peak):
             raise ValueError("sample values must be finite")
         v = v.copy()  # after the peak: a view of a larger table is copied once its |v| is freed
-        v.setflags(write=False)
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_peak", peak)
+        _frozen(self, {"interval": interval, "values": v, "_peak": peak})
 
     def times(self) -> np.ndarray:
         """The grid np.linspace(t1, t2, N): each t1 + i*h rounded, where quadrature counts exact steps h."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +38,7 @@ from .curve import (
     _SUM_LIMIT,
     _t1_turns,
     _UNIT,
+    _Value,
     distance,
     norm,
 )
@@ -67,40 +68,39 @@ def mu_index_sin(n: int) -> int:
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class Spectrum:
+class Spectrum(_Value):
     """Truncated Fourier description of a curve on its interval.
 
     Stored densely: a0 plus the read-only array `_coef` = (a_1, b_1, ...,
     a_n_max, b_n_max), interleaved as bill lines are, zeros where absent, as
-    in an AnalyticCurve; its views `a` = `_coef[::2]` and `b` = `_coef[1::2]`
-    hold order n's cosine and sine coefficients at n-1. The
-    constructor takes the present orders (1..n_max) as (order, a_n, b_n)
+    in an AnalyticCurve. Its views `a` = `_coef[::2]` and `b` = `_coef[1::2]`,
+    formed at each read, hold order n's cosine and sine coefficients at n-1.
+    The constructor takes the present orders (1..n_max) as (order, a_n, b_n)
     rows, Harmonic tuples or a (k, 3) array, through the row parser it shares
     with AnalyticCurve and DynamismVector; `n_max`, `harmonics` and
-    `coefficient` are views of the arrays. Two spectra are equal when
-    interval, a0 and both arrays are.
+    `coefficient` are read off `_coef`. Two spectra are equal when interval,
+    a0 and `_coef` are.
     """
 
     interval: Interval
     a0: float
-    a: np.ndarray
-    b: np.ndarray
+    _coef: np.ndarray
+    _peak: float = field(repr=False)  # a bound on every |a_n| and |b_n|: what `dynamism_payment`'s overflow guard reads
 
     def __init__(self, interval: Interval, a0: float, harmonics, n_max: int) -> None:
         n_max = _require_int(n_max, "n_max", 1)
         coef = _dense_rows(harmonics, "harmonic order", 1, n_max, n_max, a0).reshape(-1)
         peak = float(np.maximum.reduce(np.abs(coef)))
-        _frozen(self, interval=interval, a0=float(a0), a=coef[::2], b=coef[1::2], _coef=coef, _peak=peak)
+        _frozen(self, {"interval": interval, "a0": float(a0), "_coef": coef, "_peak": peak})
 
-    __eq__ = _eq_by("interval", "a0", "a", "b")
-    _peak = math.inf  # a bound on every |a_n| and |b_n|: what `dynamism_payment`'s overflow guard reads
+    __eq__ = _eq_by("interval", "a0", "_coef")
 
     @property
     def n_max(self) -> int:
         """Truncation order: the length of `a` and `b`."""
-        return self.a.size
+        return self._coef.size // 2
 
-    harmonics = AnalyticCurve.harmonics
+    a, b, harmonics = AnalyticCurve.a, AnalyticCurve.b, AnalyticCurve.harmonics
 
     def coefficient(self, n: int) -> tuple[float, float]:
         """(a_n, b_n) for order n; (0, 0) when the order is absent.
@@ -119,7 +119,7 @@ class MuCoord(NamedTuple):
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class DynamismVector:
+class DynamismVector(_Value):
     """Coordinates mu_k of a curve in the orthonormal basis.
 
     Stored densely as the read-only float array `values`, mu_0 first. The
@@ -134,7 +134,7 @@ class DynamismVector:
     def __init__(self, interval: Interval, coords) -> None:
         # 2**21: the sine coordinate of the highest order an AnalyticCurve may hold
         values = _dense_rows(coords, "coordinate index", 0, 2 * 2**20, None, width=2).reshape(-1)
-        _frozen(self, interval=interval, values=values)
+        _frozen(self, {"interval": interval, "values": values})
 
     __eq__ = _eq_by("interval", "coords")  # the sparse view: trailing zeros do not count
 
@@ -162,7 +162,7 @@ def _dense_vector(interval: Interval, values: np.ndarray) -> DynamismVector:
     """The DynamismVector whose coordinate k is values[k], stored as given, not copied."""
     if not np.all(np.isfinite(values)):
         raise ValueError("coordinate indices and values must be finite")
-    return _frozen(DynamismVector.__new__(DynamismVector), interval=interval, values=values)
+    return _frozen(DynamismVector.__new__(DynamismVector), {"interval": interval, "values": values})
 
 
 @functools.lru_cache(maxsize=32)
@@ -240,9 +240,9 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
 
     with t1/T0 reduced modulo 1 exactly (`_t1_turns`) before the phase is formed. w_n is the
     conjugate of the phase-shifted bin, so b_n is its imaginary part with
-    no sign flip, and `a`, `b` are strided views of the one complex array
-    w, not copies. This is the same trapezoid sum an n_max x N cos/sin
-    matrix would give, in O(N log N) time and O(N) memory.
+    no sign flip, and the interleaved (a_1, b_1, ...) is a view of the one
+    complex array w, not a copy. This is the same trapezoid sum an n_max x N
+    cos/sin matrix would give, in O(N log N) time and O(N) memory.
 
     Where N-1 = q*p with p its largest prime factor, p > 700 and p not a
     factor of q > 1 (a year of 15-minute readings: 35,039 = 37 x 947), one
@@ -282,10 +282,7 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
         raise ValueError(f"drop_tol must be finite and nonnegative, got {drop_tol}")
 
     if isinstance(c, AnalyticCurve):
-        a0 = 2.0 * c.constant
-        coef = np.zeros(2 * n_max)
-        kept = c._coef[: 2 * n_max]
-        coef[: kept.size] = kept
+        a0, coef = 2.0 * c.constant, _padded(c._coef, n_max)
     else:
         v = c.values
         n_samples = v.size
@@ -340,15 +337,12 @@ def analyze(c: LoadCurve, n_max: int, drop_tol: float | None = None) -> Spectrum
     # np.maximum carries a NaN through, so the largest magnitude is finite only if every coefficient is
     if not (math.isfinite(a0) and math.isfinite(peak := float(np.maximum.reduce(magnitude)))):
         raise ValueError("spectrum orders and coefficients must be finite")
-    spec = Spectrum.__new__(Spectrum)
-    coef.setflags(write=False)  # and a and b, its views made below; set directly, not by `_frozen`'s loop
-    object.__setattr__(spec, "interval", c.interval)
-    object.__setattr__(spec, "a0", a0)
-    object.__setattr__(spec, "a", coef[::2])
-    object.__setattr__(spec, "b", coef[1::2])
-    object.__setattr__(spec, "_coef", coef)  # what `dynamism_payment` bills, as it is
-    object.__setattr__(spec, "_peak", peak)
-    return spec
+    return _frozen(Spectrum.__new__(Spectrum), {"interval": c.interval, "a0": a0, "_coef": coef, "_peak": peak})
+
+
+def _padded(coef: np.ndarray, n_max: int) -> np.ndarray:
+    """A new array of an interleaved (a_1, b_1, ...) up to order n_max: truncated there, or zeros past its end."""
+    return np.concatenate((kept := coef[: 2 * n_max], np.zeros(2 * n_max - kept.size)))
 
 
 def synthesize(s: Spectrum) -> AnalyticCurve:

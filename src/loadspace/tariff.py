@@ -23,8 +23,9 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .curve import (AnalyticCurve, Interval, LoadCurve, _analytic_integrals, _eq_by, _frozen, _guarded_sum, _NORMAL_MIN,
-                    _overflow, _power_of_two_near, _SUM_LIMIT, _require_int, _rescaled, _trapezoid, _weights, energy)
-from .spectrum import DynamismVector, Spectrum, _dense_vector, mu_index_cos, mu_index_sin
+                    _overflow, _power_of_two_near, _SUM_LIMIT, _require_int, _rescaled, _trapezoid, _Value, _weights,
+                    energy)
+from .spectrum import DynamismVector, Spectrum, _dense_vector, _padded, mu_index_cos, mu_index_sin
 
 __all__ = [
     "PriceFrequencyFunction",
@@ -134,18 +135,19 @@ class FlatPlan:
 
 
 @dataclass(frozen=True, eq=False)
-class SpotPlan:
+class SpotPlan(_Value):
     """Per-cycle prices over N equal cycles of `interval`: one read-only float array, equal by value, unhashable.
 
-    It holds the prices and the weights of the last sample count it billed, not its N + 1 cycle bounds:
-    those are formed afresh where a bill needs them (`_bounds`), and the weight build turns them into
-    offsets in place.
+    It stores the prices. It holds the weights of the last sample count it billed (`_weights`), which a
+    copy or an unpickled plan leaves behind, and not its N + 1 cycle bounds: those are formed afresh where a
+    bill needs them (`_bounds`), and the weight build turns them into offsets in place.
     """
 
     interval: Interval
     unit_prices: np.ndarray
 
     __eq__ = _eq_by("interval", "unit_prices")
+    _weights = (0, None, 0.0, 0)  # (N, w, reach, exponent): none billed yet, as no curve has 0 samples
 
     def __post_init__(self) -> None:
         prices = _real_vector(self.unit_prices, "spot prices")
@@ -153,7 +155,7 @@ class SpotPlan:
             raise ValueError("spot plan needs at least one cycle price")
         if not np.logical_and.reduce((0.0 < prices) & (prices < np.inf)):
             raise ValueError("spot prices must be positive and finite")
-        _frozen(self, unit_prices=prices, _weights=(0, None, 0.0, 0))
+        _frozen(self, {"unit_prices": prices})
 
     @property
     def cycle_count(self) -> int:
@@ -166,7 +168,7 @@ class SpotPlan:
 
 
 @dataclass(frozen=True)
-class DynamismPlan:
+class DynamismPlan(_Value):
     """Energy price alpha0 plus price-frequency functions for cos and sin terms.
 
     Equal and hashed by those three fields. It holds the order columns (`_order_columns`) of the last
@@ -186,7 +188,7 @@ class DynamismPlan:
 
 
 @dataclass(frozen=True, eq=False)
-class DynamismRates:
+class DynamismRates(_Value):
     """Signed rates lambda_k over the flat mu indexing: one read-only float array, equal by value, unhashable."""
 
     interval: Interval
@@ -200,7 +202,7 @@ class DynamismRates:
             raise ValueError("rates vector must be non-empty")
         if not np.isfinite(lam).all():
             raise ValueError("rates must be finite")
-        _frozen(self, lam=lam)
+        _frozen(self, {"lam": lam})
 
 
 TariffPlan = Union[FlatPlan, SpotPlan, DynamismPlan]
@@ -215,7 +217,7 @@ class LineItem(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class Bill:
+class Bill(_Value):
     """Payment split into the energy part and the fluctuation part.
 
     `lines` is a read-only (1 + 2*n_max, 4) array over the shared mu
@@ -243,7 +245,7 @@ class Bill:
         parts = vars(self).get("_parts")
         if name != "lines" or parts is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return _frozen(self, lines=_bill_lines(*parts)).lines
+        return _frozen(self, {"lines": _bill_lines(*parts)}).lines
 
     @property
     def total(self) -> float:
@@ -336,23 +338,21 @@ def spot_payment(plan: SpotPlan, c: LoadCurve) -> float:
     return _guarded_sum(np.ndarray.dot, held[1], held[2], "the spot payment", c.values, c._peak, held[3])
 
 
-def _order_columns(alpha: PriceFrequencyFunction, beta: PriceFrequencyFunction, t0: float, n_max: int) -> np.ndarray:
-    """The read-only frequency, published-price, price-times-t0 and running-top columns of a bill's 2*n_max
-    order lines.
+def _order_columns(alpha: PriceFrequencyFunction, beta: PriceFrequencyFunction, t0: float, orders) -> np.ndarray:
+    """The read-only frequency, published-price and price-times-t0 columns of each order's two lines.
 
-    With f0 = 1/t0, row 2n-2 is order n's cosine line, (n*f0, alpha(n*f0), alpha(n*f0)*t0, the largest
-    price times t0 up to that row), and row 2n-1 its sine line, with beta: the interleaving of
-    `Bill.lines[1:]`. A DynamismPlan holds those of the last (t0, n_max) it billed.
+    With f0 = 1/t0, row 2j is order n = orders[j]'s cosine line, (n*f0, alpha(n*f0), alpha(n*f0)*t0), and
+    row 2j+1 its sine line, with beta: at orders 1..n_max, the interleaving of `Bill.lines[1:]`. A
+    DynamismPlan holds those of the last (t0, n_max) it billed; `payment_gradient` reads its orders' own.
     """
-    f = np.arange(1, n_max + 1) * (1.0 / t0)
-    columns = np.empty((n_max, 2, 4))
+    f = orders * (1.0 / t0)
+    columns = np.empty((orders.size, 2, 3))
     columns[:, :, 0] = f[:, None]
     columns[:, 0, 1] = price_frequency_value(alpha, f)
     columns[:, 1, 1] = price_frequency_value(beta, f)
     with np.errstate(over="ignore"):  # a price times t0 past the float range: a bill that needs it is refused
         columns[:, :, 2] = columns[:, :, 1] * t0
-    columns = columns.reshape(2 * n_max, 4)
-    np.maximum.accumulate(columns[:, 2], out=columns[:, 3])
+    columns = columns.reshape(2 * orders.size, 3)
     columns.setflags(write=False)
     return columns
 
@@ -381,13 +381,6 @@ def _polarity(supply: np.ndarray, load) -> np.ndarray:
     return np.copysign(1.0, np.where(supply != 0.0, supply, load))
 
 
-def _supply_coefficients(supply: Spectrum, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The supply's (a_n, b_n) at each of `orders`, zero above its n_max."""
-    inside = orders <= supply.n_max
-    k = np.minimum(orders, supply.n_max) - 1
-    return np.where(inside, supply.a[k], 0.0), np.where(inside, supply.b[k], 0.0)
-
-
 def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = None) -> Bill:
     """Bill a load spectrum under a dynamism plan.
 
@@ -411,8 +404,8 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
     non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
     held = plan._columns  # read once: another thread may replace it with another key's
     if held[0] != t0 or held[1] != n_max:
-        columns = _order_columns(plan.alpha, plan.beta, t0, n_max)
-        held = (t0, n_max, columns, columns[:, 2], columns.item(-1, 3))
+        columns = _order_columns(plan.alpha, plan.beta, t0, np.arange(1, n_max + 1))
+        held = (t0, n_max, columns, columns[:, 2], float(np.maximum.reduce(columns[:, 2], initial=0.0)))
         vars(plan)["_columns"] = held
     _, _, columns, prices, top = held
     # each amount and partial sum is at most 2 n_max times the top price times t0 times the largest coefficient
@@ -426,10 +419,7 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
     if supply is None:
         np.absolute(amount, out=amount)  # the load's own sign: copysign(1, coef) * coef = |coef|
     else:
-        sup = np.zeros(2 * n_max)
-        kept = supply._coef[: 2 * n_max]
-        sup[: kept.size] = kept
-        amount *= _polarity(sup, coef)
+        amount *= _polarity(_padded(supply._coef, n_max), coef)
     if fits:
         # starting from +0.0, as a running sum would, keeps an all-zero dynamic part from reading -0.0
         dynamic = float(np.add.reduce(amount, initial=0.0))
@@ -439,11 +429,8 @@ def dynamism_payment(plan: DynamismPlan, s: Spectrum, supply: Spectrum | None = 
                             lambda: (peak, 1.0)) if math.isfinite(peak) else math.inf
     if not math.isfinite(non_dynamic + dynamic):
         raise _overflow("the dynamism payment")
-    bill = Bill.__new__(Bill)  # its fields set directly, not through `_frozen`'s loop: the per-meter path of a fleet
-    object.__setattr__(bill, "non_dynamic", non_dynamic)
-    object.__setattr__(bill, "dynamic", dynamic)
-    object.__setattr__(bill, "_parts", (plan.alpha0, columns, s.a0, non_dynamic, coef, amount))
-    return bill
+    parts = (plan.alpha0, columns, s.a0, non_dynamic, coef, amount)
+    return _frozen(Bill.__new__(Bill), {"non_dynamic": non_dynamic, "dynamic": dynamic, "_parts": parts})
 
 
 def rates_payment(rates: DynamismRates, mu: DynamismVector) -> float:
@@ -505,16 +492,16 @@ def payment_gradient(
     if orders is None:
         raise ValueError("orders are required for a dynamism plan gradient")
     orders = sorted({_require_int(k, "order", 1) for k in orders})
-    if orders and orders[-1] > 2**20:  # refused before a vector of that size is allocated, as AnalyticCurve does
-        raise ValueError(f"order {orders[-1]} outside 1..{2**20}")
+    if (n_max := orders[-1] if orders else 0) > 2**20:  # refused before g is allocated, as AnalyticCurve does
+        raise ValueError(f"order {n_max} outside 1..{2**20}")
     n = np.array(orders, dtype=np.intp)
-    t0 = interval.duration
-    f = n * interval.f0
-    sup_a, sup_b = (1.0, 1.0) if supply is None else _supply_coefficients(supply, n)
-    g = np.zeros(1 + 2 * (int(n[-1]) if n.size else 0))
-    g[0] = t0 * 0.5 * plan.alpha0
-    g[mu_index_cos(n)] = t0 * _polarity(sup_a, 1.0) * price_frequency_value(plan.alpha, f)
-    g[mu_index_sin(n)] = t0 * _polarity(sup_b, 1.0) * price_frequency_value(plan.beta, f)
+    lines = np.stack((mu_index_cos(n), mu_index_sin(n)), axis=1).reshape(-1)  # each order's two, as a bill's
+    g = np.zeros(1 + 2 * n_max)
+    g[0] = interval.duration * 0.5 * plan.alpha0
+    # a bill's price times t0 at these lines alone, times a sign (exact): t0 * polarity * price bit for bit
+    g[lines] = _order_columns(plan.alpha, plan.beta, interval.duration, n)[:, 2]
+    if supply is not None:
+        g[lines] *= _polarity(_padded(supply._coef, n_max)[lines - 1], 1.0)
     return _dense_vector(interval, g)
 
 

@@ -246,6 +246,21 @@ def test_profile_non_finite_time_reports_line(capsys, tmp_path, times, line):
     assert f"p.csv, line {line}: time column must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        (["-1e308", "1e308"], "interval length must be finite"),  # the step and its gaps overflow
+        (["0", "1e308", "1.7e308", "-1e308"], "p.csv, line 5: time column must be strictly increasing"),
+    ],
+)
+def test_profile_times_whose_steps_overflow_are_refused_without_a_warning(capsys, tmp_path, times, message):
+    # finite times whose differences pass the float range: the pytest settings turn a RuntimeWarning into an error
+    path = write_rows(tmp_path / "p.csv", [["t", "power"], *([t, "1"] for t in times)])
+    code, out, err = run_cli(capsys, "decompose", path, "--nmax", "1")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "decompose", str(tmp_path / "nope.csv"))
     assert code == 2

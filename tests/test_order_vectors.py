@@ -11,7 +11,8 @@ plan, spot or dynamism, bills as a fresh one does, and what it holds goes
 with the plan. A sampled curve records its peak, the default drop
 threshold of `analyze` takes the norm only when an order is near it, and
 a dynamism bill builds its lines on first read; each gives the bits the
-eager computation gave.
+eager computation gave. A pickled or copied value stores only its fields,
+its arrays read-only, and leaves held weights, columns and parts behind.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from hypothesis.extra import numpy as hnp
 from loadspace import (
     AnalyticCurve,
     Bill,
+    CostCharacteristic,
     DynamismPlan,
     Interval,
     PriceFrequencyFunction,
@@ -42,11 +44,19 @@ from loadspace import (
     Spectrum,
     SpotPlan,
     analyze,
+    classic_payment,
     dynamism_payment,
+    energy,
     integrate,
     norm,
+    payment_gradient,
     price_frequency_value,
+    pricing_from_cost,
+    rates_payment,
     spot_payment,
+    supply_cost,
+    synthesize,
+    to_mu_vector,
 )
 from loadspace import spectrum, tariff
 from loadspace.curve import _t1_turns, _weights
@@ -61,7 +71,7 @@ def test_cached_order_vectors_are_read_only_and_bit_identical(interval, n_max, a
     f0 = interval.f0
     orders = np.arange(1, n_max + 1)
     offset = (interval.t1 / interval.duration) % 1.0
-    columns = tariff._order_columns(alpha, beta, interval.duration, n_max)
+    columns = tariff._order_columns(alpha, beta, interval.duration, orders)
     cached = {
         "frequencies": (columns[:, 0], np.repeat(orders * f0, 2)),
         "alpha prices": (columns[::2, 1], price_frequency_value(alpha, orders * f0)),
@@ -466,7 +476,7 @@ def _eager_bill(plan: DynamismPlan, s, supply=None) -> tuple[float, float, np.nd
     first, the amounts scaled in its column and the dynamic part summed from that column."""
     iv, n_max = s.interval, s.n_max
     t0 = iv.duration
-    columns = tariff._order_columns(plan.alpha, plan.beta, iv.duration, n_max)[:, :2]
+    columns = tariff._order_columns(plan.alpha, plan.beta, iv.duration, np.arange(1, n_max + 1))[:, :2]
     non_dynamic = plan.alpha0 * 0.5 * t0 * s.a0
     lines = np.empty((1 + 2 * n_max, 4))
     lines[0] = (0.0, s.a0, plan.alpha0, non_dynamic)
@@ -480,8 +490,9 @@ def _eager_bill(plan: DynamismPlan, s, supply=None) -> tuple[float, float, np.nd
     if supply is None:
         np.absolute(amount, out=amount)
     else:
-        sup = np.empty(2 * n_max)
-        sup[::2], sup[1::2] = tariff._supply_coefficients(supply, np.arange(1, n_max + 1))
+        sup = np.zeros(2 * n_max)  # the supply's interleaved coefficients, zero above its n_max
+        kept = supply._coef[: 2 * n_max]
+        sup[: kept.size] = kept
         amount *= tariff._polarity(sup, coef)
     return non_dynamic, float(np.add.reduce(lines[1:, 3], initial=0.0)), lines
 
@@ -713,3 +724,96 @@ def test_threads_sharing_a_dynamism_plan_bill_as_fresh_plans(plan1):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# pickle and copy: a value is rebuilt from the fields it stores, its arrays
+# read-only and its views formed afresh, and what it held is left behind
+# ---------------------------------------------------------------------------
+
+PFF = PriceFrequencyFunction(20.0, 10.0, 3.0)
+_COPIES = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "pickle protocol 0": lambda x: pickle.loads(pickle.dumps(x, protocol=0)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+}
+
+
+def _values(c: SampledCurve, n_max: int, alpha, beta, prices) -> dict:
+    """One value of each frozen class on c's interval; the plans have billed, so they hold weights and columns."""
+    iv, s = c.interval, analyze(c, n_max)
+    mu = to_mu_vector(s)
+    cost = CostCharacteristic(iv, np.cos(np.arange(1.0 + 2 * n_max)), n_max)
+    spot, plan = SpotPlan(iv, prices), DynamismPlan(20.0, alpha, beta)
+    spot_payment(spot, c)
+    # trailing zero orders and a -0.0, which a copy keeps as they are
+    supply = Spectrum(iv, c.values[0], [(1, -0.0, c.values[1])], n_max + 1)
+    return {
+        "sampled": c, "analytic": synthesize(s), "spectrum": s, "supply": supply, "vector": mu, "spot": spot,
+        "plan": plan, "rates": pricing_from_cost(cost, 2.0), "cost": cost, "bill": dynamism_payment(plan, s, supply),
+    }
+
+
+def _billed(v: dict, n_max: int) -> list[bytes]:
+    """The bits of every bill, payment, analysis and gradient the values give."""
+    c, s, plan = v["sampled"], v["spectrum"], v["plan"]
+    bills = (dynamism_payment(plan, s), dynamism_payment(plan, s, v["supply"]), v["bill"])
+    floats = (
+        spot_payment(v["spot"], c), spot_payment(v["spot"], v["analytic"]), classic_payment(2.0, c),
+        energy(c), norm(c), norm(v["analytic"]), rates_payment(v["rates"], v["vector"]),
+        supply_cost(v["cost"], v["vector"]),
+    )
+    return [
+        *map(_float_bits, floats),
+        *(_float_bits(b.total) + b.lines.tobytes() for b in bills),
+        *(analyze(x, n_max)._coef.tobytes() for x in (c, v["analytic"])),
+        payment_gradient(plan, c.interval, range(1, n_max + 1), v["supply"]).values.tobytes(),
+        to_mu_vector(s).values.tobytes(),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _meters().flatmap(lambda c: st.tuples(st.just(c), st.integers(min_value=1, max_value=(c.values.size - 2) // 2))),
+    _pffs(),
+    _pffs(),
+    st.integers(min_value=1, max_value=30).flatmap(_spot_prices),
+)
+# the analysis whose pickled copy once held `a` and `b` apart from `_coef`, writable
+@example((SampledCurve(Interval(0, 1), np.arange(10.0) ** 2), 3), PFF, PFF, [10.0, 30.0])
+def test_every_value_round_trips_through_pickle_and_copy(case, alpha, beta, prices):
+    c, n_max = case
+    values = _values(c, n_max, alpha, beta, prices)
+    expected = _billed(values, n_max)
+    for name, value in values.items():
+        fields = type(value).__dataclass_fields__
+        for how, copier in _COPIES.items():
+            got = copier(value)
+            assert type(got) is type(value) and set(vars(got)) == set(fields), (name, how)  # nothing held
+            for field in fields:
+                want, have = getattr(value, field), getattr(got, field)
+                if isinstance(want, np.ndarray):
+                    assert have.tobytes() == want.tobytes() and not have.flags.writeable, (name, how, field)
+                else:
+                    assert _float_bits(have) == _float_bits(want) if isinstance(want, float) else have == want
+            if name != "sampled":  # a sampled curve is equal only to itself; its fields are compared above
+                assert got == value, (name, how)
+            if hasattr(value, "_coef"):
+                for view in (got.a, got.b):
+                    assert np.shares_memory(view, got._coef) and not view.flags.writeable, (name, how)
+            assert _billed({**values, name: got}, n_max) == expected, (name, how)
+    assert hash(copy.deepcopy(values["plan"])) == hash(values["plan"])
+
+
+def test_a_copied_plan_leaves_its_weights_and_columns_behind():
+    year = Interval(0.0, 365.0)
+    plan = SpotPlan(year, np.linspace(0.1, 0.5, 8_760))
+    before = len(pickle.dumps(plan))
+    spot_payment(plan, SampledCurve(year, np.ones(35_040)))
+    assert plan._weights[0] == 35_040
+    assert len(pickle.dumps(plan)) == before  # 8,760 prices, not the 35,040 weights
+    dynamism = DynamismPlan(20.0, PFF, PFF)
+    dynamism_payment(dynamism, analyze(SampledCurve(year, np.arange(96.0)), 40))
+    assert "_columns" in vars(dynamism)
+    assert all("_columns" not in vars(copier(dynamism)) for copier in _COPIES.values())

@@ -993,6 +993,50 @@ def test_gradient_equals_per_order_definition(case, orders):
     assert dict(g.coords) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
+def _gradient_at_the_orders(plan: DynamismPlan, interval: Interval, orders, supply: Spectrum | None) -> np.ndarray:
+    """The plan gradient with its prices evaluated at the requested orders alone: t0 * polarity * price, each
+    sign from the supply's (a_n, b_n), zero above its n_max, or positive with no supply."""
+    n = np.array(sorted(orders), dtype=np.intp)
+    t0, f = interval.duration, n * interval.f0
+    sup_a = sup_b = np.ones(n.size)
+    if supply is not None:
+        inside, k = n <= supply.n_max, np.minimum(n, supply.n_max) - 1
+        sup_a, sup_b = np.where(inside, supply.a[k], 0.0), np.where(inside, supply.b[k], 0.0)
+
+    def signed(sup, pff):  # the polarity is positive where the supply's coefficient is zero
+        return t0 * np.copysign(1.0, np.where(sup != 0.0, sup, 1.0)) * price_frequency_value(pff, f)
+
+    g = np.zeros(1 + 2 * (int(n[-1]) if n.size else 0))
+    g[0] = t0 * 0.5 * plan.alpha0
+    g[mu_index_cos(n)], g[mu_index_sin(n)] = signed(sup_a, plan.alpha), signed(sup_b, plan.beta)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=1e-3, max_value=1e4),
+    st.sets(st.integers(min_value=1, max_value=60), max_size=12),
+    _pffs(),
+    _pffs(),
+    st.data(),
+)
+def test_the_gradient_is_the_bills_signed_price_column_bit_for_bit(t1, t0, orders, alpha, beta, data):
+    # the gradient reads the price-times-t0 column a bill's order lines are built from, at the requested
+    # orders alone, signed by the supply; each entry keeps the bits of the per-order evaluation
+    assume(t1 < t1 + t0)
+    interval = Interval(t1, t1 + t0)
+    plan = DynamismPlan(data.draw(st.floats(min_value=0.1, max_value=100.0)), alpha, beta)
+    spectra = st.integers(min_value=1, max_value=60).flatmap(lambda k: _spectra(interval, k))
+    supply = data.draw(st.none() | spectra)
+    if data.draw(st.booleans()):  # a plan that holds the columns of a bill, at this key or another
+        dynamism_payment(plan, data.draw(spectra))
+    held = plan._columns
+    expected = _gradient_at_the_orders(plan, interval, orders, supply)
+    assert payment_gradient(plan, interval, orders, supply).values.tobytes() == expected.tobytes()
+    assert plan._columns is held  # the gradient leaves what the plan holds for its next bill
+
+
 # ---------------------------------------------------------------------------
 # gradients and incentives
 # ---------------------------------------------------------------------------
